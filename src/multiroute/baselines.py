@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 
 from .geo import haversine
-from .graph import RoutingGraph
+from .graph import RoutingGraph, node_path_cost
 
 INF = math.inf
 
@@ -32,13 +32,6 @@ class BaselineResult:
     explored_nodes: int
     wall_time: float
     trace: tuple[tuple[float, float], ...] = ()  # (wall_time, cost) improvements
-
-
-def _path_cost(graph: RoutingGraph, path: list[int]) -> float:
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += graph.edge_weight(u, v)  # type: ignore[operator]
-    return total
 
 
 def _goal_heuristic(graph: RoutingGraph, goal: int) -> list[float]:
@@ -121,7 +114,7 @@ def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
         fwd.append(p)
     return BaselineResult(
         node_path=tuple(fwd),
-        cost=_path_cost(graph, fwd),
+        cost=node_path_cost(graph, fwd),
         explored_nodes=explored,
         wall_time=time.monotonic() - start,
     )
@@ -192,7 +185,7 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
     path.reverse()
     return BaselineResult(
         node_path=tuple(path),
-        cost=_path_cost(graph, path),
+        cost=node_path_cost(graph, path),
         explored_nodes=len(expanded),
         wall_time=time.monotonic() - start,
         trace=tuple(trace),

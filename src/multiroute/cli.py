@@ -19,6 +19,8 @@ EXIT_USAGE = 2
 EXIT_NO_PATH_YET = 3
 EXIT_NO_PATH = 4
 
+PLAN_EXIT_CODES = {"solved": EXIT_OK, "no_path_yet": EXIT_NO_PATH_YET, "no_path": EXIT_NO_PATH}
+
 
 @dataclass
 class RunReport:
@@ -83,6 +85,12 @@ class _TraceWriter:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if not args.budget > 0.0:
+        print(f"error: --budget must be positive, got {args.budget}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0.0 <= args.goal_bias <= 1.0:
+        print(f"error: --goal-bias must lie in [0, 1], got {args.goal_bias}", file=sys.stderr)
+        return EXIT_USAGE
     graph_path = Path(args.graph)
     scenario_path = Path(args.scenario)
     try:
@@ -114,7 +122,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         graph_sha256=_sha256(graph_path),
         scenario_sha256=_sha256(scenario_path),
     )
-    out = _open_out(args.out)
+    try:
+        out = _open_out(args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     writer = _TraceWriter(out, args.format)
     try:
         if args.algo == "imomd":
@@ -157,7 +169,7 @@ def _run_planner(
         report.final_cost = result.final.total_cost
         report.node_path = list(result.final.node_path)
     writer.summary(report)
-    return EXIT_OK if result.status == "solved" else EXIT_NO_PATH_YET
+    return PLAN_EXIT_CODES[result.status]
 
 
 def _run_baseline(
@@ -246,7 +258,11 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
         crossover_count=args.crossovers,
         generations=args.generations,
     )
-    out = _open_out(args.out)
+    try:
+        out = _open_out(args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         out.write(
             "record,kind,order,instance,seed,oracle_cost,solver_cost,ratio,"

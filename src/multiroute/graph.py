@@ -7,7 +7,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geo import GeoPoint, haversine
+import numpy as np
+
+from .geo import GeoPoint, haversine, unit_xyz
 
 
 class GraphError(ValueError):
@@ -21,9 +23,10 @@ class RoutingGraph:
     default to the haversine length of the edge when not given. Duplicate
     edges collapse to the minimum weight; self-loops are rejected. Instances
     are immutable after construction and safe to share across readers.
+    ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``).
     """
 
-    __slots__ = ("nodes", "_adj", "_weights", "edge_count")
+    __slots__ = ("nodes", "xyz", "_adj", "_weights", "edge_count")
 
     def __init__(
         self,
@@ -31,6 +34,8 @@ class RoutingGraph:
         edges: Iterable[tuple[int, int, float | None]],
     ) -> None:
         self.nodes: tuple[GeoPoint, ...] = tuple(nodes)
+        self.xyz: np.ndarray = unit_xyz(self.nodes)
+        self.xyz.flags.writeable = False
         n = len(self.nodes)
         weights: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
@@ -73,6 +78,17 @@ class RoutingGraph:
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """All undirected edges as (u, v, w) with u < v, sorted."""
         return ((u, v, w) for (u, v), w in sorted(self._weights.items()))
+
+
+def node_path_cost(graph: RoutingGraph, path: Sequence[int]) -> float:
+    """Sum of edge weights along ``path``; raises if a hop is not an edge."""
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        w = graph.edge_weight(u, v)
+        if w is None:
+            raise ValueError(f"path hop ({u}, {v}) is not a graph edge")
+        total += w
+    return total
 
 
 @dataclass

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Set
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .geo import haversine
-from .graph import DisjointSet, RoutingGraph
+from .graph import DisjointSet, RoutingGraph, node_path_cost
 from . import ordering
 from .ordering import DestGraph, GaConfig, VisitSequence
 
@@ -116,6 +116,39 @@ def add_pseudo_destinations(
 # Search trees
 # ---------------------------------------------------------------------------
 
+class Frontier(Set):
+    """Growth frontier of one tree: a boolean mask over graph nodes, read as a set.
+
+    Iteration yields node ids in ascending order; ``size`` counts the set
+    mask entries, so ``len`` and truth tests cost no scan.
+    """
+
+    __slots__ = ("mask", "size")
+
+    def __init__(self, node_count: int) -> None:
+        self.mask = np.zeros(node_count, dtype=bool)
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __contains__(self, node: int) -> bool:
+        return 0 <= node < len(self.mask) and bool(self.mask[node])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self.mask).tolist())
+
+    def add(self, node: int) -> None:
+        if not self.mask[node]:
+            self.mask[node] = True
+            self.size += 1
+
+    def discard(self, node: int) -> None:
+        if self.mask[node]:
+            self.mask[node] = False
+            self.size -= 1
+
+
 class SearchTree:
     """Rooted spanning tree of explored graph nodes for one destination.
 
@@ -133,7 +166,7 @@ class SearchTree:
         self.cost: dict[int, float] = {root_node: 0.0}
         self.edge_w: dict[int, float] = {}
         self.children: dict[int, set[int]] = {root_node: set()}
-        self.expandable: set[int] = set()
+        self.expandable = Frontier(graph.node_count)
         self._unvisited: dict[int, int] = {}
         ud = sum(1 for n, _ in graph.neighbors(root_node) if n not in self.cost)
         self._unvisited[root_node] = ud
@@ -176,13 +209,23 @@ class SearchTree:
         return chain
 
 
+def _nearest(candidates: np.ndarray, v_rand: int, graph: RoutingGraph) -> int:
+    """The candidate nearest to ``v_rand`` by great-circle distance.
+
+    Compares squared chord lengths between unit-sphere points, which order
+    like great-circle distances; ``candidates`` ascend, so ``argmin`` breaks
+    ties on the smaller node id.
+    """
+    d = graph.xyz.take(candidates, axis=0)
+    d -= graph.xyz[v_rand]
+    return int(candidates[np.argmin(np.einsum("ij,ij->i", d, d))])
+
+
 def nearest_expandable(tree: SearchTree, v_rand: int, graph: RoutingGraph) -> int | None:
     """Frontier node nearest to ``v_rand`` by great-circle distance, or None."""
     if not tree.expandable:
         return None
-    nodes = graph.nodes
-    ref = nodes[v_rand]
-    return min(tree.expandable, key=lambda n: (haversine(nodes[n], ref), n))
+    return _nearest(np.flatnonzero(tree.expandable.mask), v_rand, graph)
 
 
 def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
@@ -211,12 +254,10 @@ def extend(tree: SearchTree, v_anchor: int, v_rand: int, graph: RoutingGraph) ->
     branch node, a dead end, or ``v_rand`` itself.
     """
     added: list[int] = []
-    nodes = graph.nodes
-    ref = nodes[v_rand]
     candidates = [n for n, _ in graph.neighbors(v_anchor) if n not in tree.cost]
     if not candidates:
         return added
-    v_new = min(candidates, key=lambda n: (haversine(nodes[n], ref), n))
+    v_new = candidates[0] if len(candidates) == 1 else _nearest(np.array(candidates), v_rand, graph)
     choose_parent(tree, v_new, graph)
     added.append(v_new)
     while v_new != v_rand:
@@ -379,7 +420,10 @@ class AnytimeSolution:
 
 @dataclass
 class PlanResult:
-    status: str  # "solved" | "no_path_yet"
+    # "solved": at least one route; "no_path": every tree saturated its
+    # component and the required destinations are still apart, so none
+    # exists; "no_path_yet": the budget ended first.
+    status: str
     solutions: list[AnytimeSolution]
     iterations: int
     explored_nodes: int
@@ -396,17 +440,6 @@ def sample(cfg: PlannerConfig, graph: RoutingGraph, dests: DestinationSet, rng: 
     if rng.random() < cfg.goal_bias:
         return dests.node_ids[rng.randrange(dests.count)]
     return rng.randrange(graph.node_count)
-
-
-def node_path_cost(graph: RoutingGraph, path: Sequence[int]) -> float:
-    """Sum of edge weights along ``path``; raises if a hop is not an edge."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        w = graph.edge_weight(u, v)
-        if w is None:
-            raise ValueError(f"path hop ({u}, {v}) is not a graph edge")
-        total += w
-    return total
 
 
 def stitch_node_path(
@@ -471,6 +504,7 @@ def plan(
     explored = len(trees)
     iterations = 0
     rr_next = 0
+    saturated = False
     best_cost = INF
     solutions: list[AnytimeSolution] = []
     n_trees = len(trees)
@@ -518,7 +552,8 @@ def plan(
             if active:
                 idx = active[rng.randrange(len(active))]
         if idx < 0:
-            break  # every tree saturated its component: a fixpoint
+            saturated = True  # every tree saturated its component: a fixpoint
+            break
         iterations += 1
         tree = trees[idx]
         v_rand = sample(cfg, graph, dests, rng)
@@ -546,8 +581,14 @@ def plan(
     ):
         try_solve(cfg.final_polish_ga)
 
+    if solutions:
+        status = "solved"
+    elif saturated and not destinations_connected(conn.matrix, dests.required):
+        status = "no_path"
+    else:
+        status = "no_path_yet"
     return PlanResult(
-        status="solved" if solutions else "no_path_yet",
+        status=status,
         solutions=solutions,
         iterations=iterations,
         explored_nodes=explored,
@@ -582,10 +623,12 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
             raise AssertionError(f"tree edge ({parent}, {node}) is not a graph edge")
         if tree.cost[node] != tree.cost[parent] + tree.edge_w[node] or tree.edge_w[node] != w:
             raise AssertionError(f"cost recurrence broken at node {node}")
-    for node in tree.cost:
-        has_unvisited = any(n not in tree.cost for n, _ in graph.neighbors(node))
-        if has_unvisited != (node in tree.expandable):
-            raise AssertionError(f"frontier flag wrong for node {node}")
+    frontier = {
+        node for node in tree.cost if any(n not in tree.cost for n, _ in graph.neighbors(node))
+    }
+    if tree.expandable != frontier:
+        wrong = sorted(frontier.symmetric_difference(tree.expandable))
+        raise AssertionError(f"frontier wrong for nodes {wrong} (size {len(tree.expandable)})")
 
 
 def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> None:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they verify: Bellman-Ford instead of
 the heap Dijkstra, BFS component counting instead of union-find, dense-array
-Dijkstra for destination graphs, and literal sequence rebuilding instead of
-insertion-delta formulas.
+Dijkstra for destination graphs, literal sequence rebuilding instead of
+insertion-delta formulas, and a haversine scan instead of the planner's
+chord-distance argmin.
 """
 
 from __future__ import annotations
@@ -11,6 +12,16 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from typing import Iterable
+
+from multiroute.geo import haversine
+from multiroute.graph import RoutingGraph
+
+
+def nearest_by_haversine(graph: RoutingGraph, candidates: Iterable[int], v_rand: int) -> int:
+    """Candidate nearest to ``v_rand`` by great-circle distance, ties on the smaller id."""
+    ref = graph.nodes[v_rand]
+    return min(candidates, key=lambda n: (haversine(graph.nodes[n], ref), n))
 
 
 def bellman_ford(n: int, edges: list[tuple[int, int, float]], src: int) -> list[float]:

@@ -134,7 +134,8 @@ def test_biastar_legs_follow_scenario_order(fixtures, tmp_path):
     assert summary["final_cost"] == 7.0
 
 
-def test_no_path_yet_exit_code(tmp_path):
+def test_no_path_exit_code(tmp_path):
+    # Two components: both trees saturate without meeting, which proves no path.
     (tmp_path / "g.el").write_text(
         "graph v1\nn 0 45.0 7.0\nn 1 45.0001 7.0\nn 2 45.0002 7.0\nn 3 45.0003 7.0\n"
         "e 0 1 1.0\ne 2 3 1.0\n"
@@ -150,9 +151,71 @@ def test_no_path_yet_exit_code(tmp_path):
             "--out", str(tmp_path / "r.jsonl"),
         ]
     )
+    assert rc == 4
+    summary = read_jsonl(tmp_path / "r.jsonl")[-1]
+    assert summary["status"] == "no_path"
+
+
+def test_no_path_yet_exit_code(tmp_path):
+    # A connected 12x12 grid with corner endpoints: the budget ends within the
+    # first iterations, long before trees rooted 22 hops apart can meet.
+    side = 12
+    lines = ["graph v1"]
+    for r in range(side):
+        lines += [f"n {r * side + c} {45.0 + 1e-3 * r} {7.0 + 1e-3 * c}" for c in range(side)]
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                lines.append(f"e {r * side + c} {r * side + c + 1}")
+            if r + 1 < side:
+                lines.append(f"e {r * side + c} {(r + 1) * side + c}")
+    (tmp_path / "g.el").write_text("\n".join(lines) + "\n")
+    (tmp_path / "s.txt").write_text(f"source 0\ntarget {side * side - 1}\n")
+    rc = main(
+        [
+            "run",
+            "--graph", str(tmp_path / "g.el"),
+            "--scenario", str(tmp_path / "s.txt"),
+            "--budget", "1e-6",
+            "--out", str(tmp_path / "r.jsonl"),
+        ]
+    )
     assert rc == 3
     summary = read_jsonl(tmp_path / "r.jsonl")[-1]
     assert summary["status"] == "no_path_yet"
+    assert summary["final_cost"] is None
+
+
+@pytest.mark.parametrize(
+    "flags", [["--budget", "0"], ["--budget", "-1"], ["--goal-bias", "3"], ["--goal-bias", "-0.1"]]
+)
+def test_bad_run_values_are_usage_errors(fixtures, tmp_path, capsys, flags):
+    graph, scenario = fixtures
+    out = tmp_path / "r.jsonl"
+    rc = main(["run", "--graph", str(graph), "--scenario", str(scenario), "--out", str(out), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench-oracle"])
+def test_unwritable_out_is_file_error(fixtures, tmp_path, command):
+    graph, scenario = fixtures
+    out = tmp_path / "missing" / "r.out"
+    if command == "run":
+        args = ["--graph", str(graph), "--scenario", str(scenario)]
+    else:
+        args = ["--orders", "5", "--instances", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiroute", command, *args, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_is_named(tmp_path, capsys):

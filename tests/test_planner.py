@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from multiroute.geo import GeoPoint, haversine
+from multiroute.geo import GeoPoint
 from multiroute.graph import RoutingGraph, dijkstra
 from multiroute.generate import bug_trap, largest_component, random_geometric_graph
 from multiroute.planner import (
@@ -28,7 +28,7 @@ from multiroute.planner import (
 )
 from multiroute.ordering import GaConfig
 
-from oracles import bfs_components, random_weighted_graph_edges
+from oracles import bfs_components, nearest_by_haversine, random_weighted_graph_edges
 
 INF = math.inf
 
@@ -139,21 +139,28 @@ def test_empty_frontier_returns_none():
 
 
 def test_nearest_matches_exhaustive_scan():
+    # Grow trees to saturation. The last graph keeps its edges and weights on
+    # rounded coordinates, so many nodes coincide and exact distance ties
+    # exercise the smaller-id rule.
+    graphs = [random_geometric_graph(70, 0.25, seed=s)[0] for s in (9, 23, 41)]
+    fine = random_geometric_graph(90, 0.2, seed=5)[0]
+    graphs.append(
+        RoutingGraph([GeoPoint(round(p.lat, 2), round(p.lon, 2)) for p in fine.nodes], list(fine.edges()))
+    )
+    assert len(set(graphs[-1].nodes)) < graphs[-1].node_count // 2
     rng = random.Random(3)
-    g, _ = random_geometric_graph(30, 0.35, seed=9)
-    comp = largest_component(g)
-    tree = SearchTree(0, comp[0], g)
-    for _ in range(12):
-        v_rand = rng.randrange(g.node_count)
-        anchor = nearest_expandable(tree, v_rand, g)
-        expected = min(
-            tree.expandable,
-            key=lambda n: (haversine(g.nodes[n], g.nodes[v_rand]), n),
-        )
-        assert anchor == expected
-        extend(tree, anchor, v_rand, g)
-        if not tree.expandable:
-            break
+    for g in graphs:
+        tree = SearchTree(0, largest_component(g)[0], g)
+        while tree.expandable:
+            v_rand = rng.randrange(g.node_count)
+            anchor = nearest_expandable(tree, v_rand, g)
+            assert anchor == nearest_by_haversine(g, tree.expandable, v_rand)
+            candidates = [n for n, _ in g.neighbors(anchor) if n not in tree]
+            added = extend(tree, anchor, v_rand, g)
+            assert added[0] == nearest_by_haversine(g, candidates, v_rand)
+            for v in added:
+                rewire(tree, v, g)
+            validate_tree(tree, g)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +479,27 @@ def test_final_matrix_dominates_dijkstra_distances():
                 assert result.distance_matrix[i][k] >= sp.cost[nk] - 1e-9
 
 
-def test_budget_exhaustion_reports_no_path_yet():
-    # Two separate components: connectivity can never be reached.
+def test_saturated_disconnected_reports_no_path():
+    # Two separate components: both trees saturate without meeting.
     g = RoutingGraph(pts(4), [(0, 1, 1.0), (2, 3, 1.0)])
     dests = DestinationSet.build(0, 2)
     result = plan(g, dests, light_cfg(rng_seed=0, time_budget=0.2))
-    assert result.status == "no_path_yet"
+    assert result.status == "no_path"
     assert result.final is None
     assert result.explored_nodes >= 2
+
+
+def test_budget_exhaustion_reports_no_path_yet():
+    # Connected, but two iterations cannot join trees rooted far apart.
+    g, _ = random_geometric_graph(120, 0.15, seed=1)
+    source = largest_component(g)[0]
+    cost = dijkstra(g, source).cost
+    target = max((c, v) for v, c in enumerate(cost) if math.isfinite(c))[1]
+    result = plan(g, DestinationSet.build(source, target), light_cfg(rng_seed=2, max_iterations=2))
+    assert result.status == "no_path_yet"
+    assert result.final is None
+    assert result.iterations == 2
+    assert result.distance_matrix[0][1] == INF
 
 
 def test_pseudo_on_bridge_speeds_first_solution():
