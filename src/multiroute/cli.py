@@ -7,7 +7,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -236,6 +236,8 @@ def _parse_orders(text: str) -> list[int]:
         orders = [int(text)]
     if not orders:
         raise ValueError("empty order range")
+    if orders[0] < 2:
+        raise ValueError("destination counts must be at least 2")
     return orders
 
 
@@ -252,6 +254,15 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    for flag, value in (
+        ("--instances", args.instances),
+        ("--mutations", args.mutations),
+        ("--crossovers", args.crossovers),
+        ("--generations", args.generations),
+    ):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     kinds = ["complete", "incomplete"] if args.kind == "both" else [args.kind]
     ga = ordering.GaConfig(
         mutation_count=args.mutations,
@@ -277,13 +288,7 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
                         dg = generate.random_complete_destgraph(order, seed)
                     else:
                         dg = generate.random_incomplete_destgraph(order, seed)
-                    ga_i = ordering.GaConfig(
-                        mutation_count=ga.mutation_count,
-                        crossover_count=ga.crossover_count,
-                        generations=ga.generations,
-                        rng_seed=seed,
-                    )
-                    seq = ordering.solve(dg, ga_i)
+                    seq = ordering.solve(dg, replace(ga, rng_seed=seed))
                     opt, _ = ordering.brute_force_oracle(dg)
                     pairs.append((opt, seq.total_cost))
                     out.write(
@@ -308,33 +313,45 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "geometric":
-        if args.nodes < 2 or args.radius <= 0:
-            print("error: need --nodes >= 2 and --radius > 0", file=sys.stderr)
+        if args.nodes < 2 or not args.radius > 0 or args.objectives < 0:
+            print("error: need --nodes >= 2, --radius > 0 and --objectives >= 0", file=sys.stderr)
             return EXIT_USAGE
         graph, ids = generate.random_geometric_graph(args.nodes, args.radius, args.seed)
-        scenario = generate.random_scenario(graph, ids, args.objectives, args.seed)
-        Path(f"{prefix}.el").write_text(graphio.serialize_edgelist(graph, ids))
-        Path(f"{prefix}.scenario").write_text(graphio.serialize_scenario(scenario))
-        print(f"wrote {prefix}.el ({graph.node_count} nodes, {graph.edge_count} edges)")
-        print(f"wrote {prefix}.scenario")
-        return EXIT_OK
+        try:
+            scenario = generate.random_scenario(graph, ids, args.objectives, args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        files = {
+            ".el": graphio.serialize_edgelist(graph, ids),
+            ".scenario": graphio.serialize_scenario(scenario),
+        }
+        summary = f"{graph.node_count} nodes, {graph.edge_count} edges"
+    else:
+        try:
+            fixture = generate.bug_trap(args.chamber, args.corridor, args.entry, args.water_gap)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        files = {
+            ".el": graphio.serialize_edgelist(fixture.graph, fixture.ids),
+            ".scenario": graphio.serialize_scenario(fixture.scenario),
+            ".informed.scenario": graphio.serialize_scenario(fixture.informed_scenario),
+        }
+        summary = (
+            f"{fixture.graph.node_count} nodes, {fixture.graph.edge_count} edges, "
+            f"entry node {fixture.entry_node}"
+        )
     try:
-        fixture = generate.bug_trap(args.chamber, args.corridor, args.entry, args.water_gap)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    Path(f"{prefix}.el").write_text(graphio.serialize_edgelist(fixture.graph, fixture.ids))
-    Path(f"{prefix}.scenario").write_text(graphio.serialize_scenario(fixture.scenario))
-    Path(f"{prefix}.informed.scenario").write_text(
-        graphio.serialize_scenario(fixture.informed_scenario)
-    )
-    print(
-        f"wrote {prefix}.el ({fixture.graph.node_count} nodes, "
-        f"{fixture.graph.edge_count} edges, entry node {fixture.entry_node})"
-    )
-    print(f"wrote {prefix}.scenario and {prefix}.informed.scenario")
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        for suffix, text in files.items():
+            Path(f"{prefix}{suffix}").write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {prefix}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    print(f"wrote {prefix}.el ({summary})")
+    print("wrote " + " and ".join(f"{prefix}{suffix}" for suffix in list(files)[1:]))
     return EXIT_OK
 
 

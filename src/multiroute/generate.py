@@ -84,7 +84,7 @@ def random_scenario(
     """Scenario over distinct nodes sampled from the largest component."""
     comp = largest_component(graph)
     if len(comp) < n_objectives + 2:
-        raise ValueError("largest component too small for the requested scenario")
+        raise ValueError(f"largest component has {len(comp)} nodes; the scenario needs {n_objectives + 2}")
     rng = random.Random(seed)
     picks = rng.sample(comp, n_objectives + 2)
     ext = [ids.to_external[i] for i in picks]

@@ -68,9 +68,6 @@ class RoutingGraph:
         """Neighbors of ``u`` as (node, weight) pairs sorted by node id."""
         return self._adj[u]
 
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
-
     def edge_weight(self, u: int, v: int) -> float | None:
         key = (u, v) if u < v else (v, u)
         return self._weights.get(key)
@@ -172,17 +169,3 @@ class DisjointSet:
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
         return True
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-
-def connectivity_check(ds: DisjointSet, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Union all pairs into ``ds``; True iff the whole universe is one set."""
-    for a, b in pairs:
-        ds.union(a, b)
-    n = len(ds)
-    if n == 0:
-        return True
-    root = ds.find(0)
-    return all(ds.find(i) == root for i in range(1, n))

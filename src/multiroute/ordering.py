@@ -212,55 +212,6 @@ def initial_sequence(dg: DestGraph) -> VisitSequence:
 # Insertion actions
 # ---------------------------------------------------------------------------
 
-def _legal_anchor(action: Action, i: int, length: int) -> bool:
-    if action is Action.IN_PLACE:
-        return 0 <= i <= length - 1
-    if action is Action.IN_SEQUENCE:
-        return 0 <= i <= length - 2
-    if action is Action.SWAP_LEFT:
-        return 2 <= i <= length - 2
-    if action is Action.SWAP_RIGHT:
-        return 0 <= i <= length - 4
-    return 2 <= i <= length - 4  # SWAP_BOTH
-
-
-def insertion_cost(dg: DestGraph, order: Sequence[int], i: int, d_k: int, action: Action) -> float:
-    """Cost delta of inserting ``d_k`` at anchor ``i`` with ``action``.
-
-    Infinite when the insertion would create an unconnected consecutive pair.
-    The anchor must be legal for the action.
-    """
-    if not _legal_anchor(action, i, len(order)):
-        raise ValueError(f"anchor {i} illegal for {action.name} on length {len(order)}")
-    th = dg.rows
-    s = order
-    if action is Action.IN_PLACE:
-        return 2.0 * th[s[i]][d_k]
-    if action is Action.IN_SEQUENCE:
-        added = th[s[i]][d_k] + th[d_k][s[i + 1]]
-        return added - th[s[i]][s[i + 1]] if math.isfinite(added) else INF
-    if action is Action.SWAP_LEFT:
-        added = th[d_k][s[i + 1]] + th[s[i - 1]][d_k] + th[s[i - 2]][s[i]]
-        if not math.isfinite(added):
-            return INF
-        return added - th[s[i]][s[i + 1]] - th[s[i - 2]][s[i - 1]]
-    if action is Action.SWAP_RIGHT:
-        added = th[s[i]][d_k] + th[d_k][s[i + 2]] + th[s[i + 1]][s[i + 3]]
-        if not math.isfinite(added):
-            return INF
-        return added - th[s[i]][s[i + 1]] - th[s[i + 2]][s[i + 3]]
-    # SWAP_BOTH
-    added = th[s[i - 1]][d_k] + th[s[i - 2]][s[i]] + th[d_k][s[i + 2]] + th[s[i + 1]][s[i + 3]]
-    if not math.isfinite(added):
-        return INF
-    return (
-        added
-        - th[s[i - 2]][s[i - 1]]
-        - th[s[i]][s[i + 1]]
-        - th[s[i + 2]][s[i + 3]]
-    )
-
-
 def apply_insertion(order: Sequence[int], plan: InsertionPlan) -> list[int]:
     """Rebuild the sequence with ``plan`` applied."""
     s = list(order)
@@ -278,7 +229,12 @@ def apply_insertion(order: Sequence[int], plan: InsertionPlan) -> list[int]:
 
 
 def _action_deltas(dg: DestGraph, arr: np.ndarray, d_k: int, action: Action) -> tuple[np.ndarray, int]:
-    """Vector of deltas over all legal anchors for one action, plus the anchor offset."""
+    """Cost deltas of inserting ``d_k`` with ``action`` at every legal anchor.
+
+    Entry j is the delta at anchor j + offset; the offset is returned too. An
+    entry is infinite when the insertion would create an unconnected
+    consecutive pair.
+    """
     th = dg.theta
     L = arr.shape[0]
     empty = np.empty(0)
@@ -346,7 +302,6 @@ def cheapest_insertion(dg: DestGraph) -> VisitSequence:
     """Insert every required destination at globally cheapest cost, then refine."""
     seed = initial_sequence(dg)
     order = list(seed.order)
-    cost = seed.total_cost
     remaining = [d for d in dg.required_intermediates() if d not in set(order)]
     while remaining:
         best_plan: InsertionPlan | None = None
@@ -360,7 +315,6 @@ def cheapest_insertion(dg: DestGraph) -> VisitSequence:
         if best_plan is None:
             raise NoInsertionError(f"no remaining destination of {remaining} is insertable")
         order = apply_insertion(order, best_plan)
-        cost += best_plan.delta_cost
         remaining.remove(best_plan.destination)
     return refine(dg, make_sequence(dg, order))
 

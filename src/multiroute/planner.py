@@ -94,21 +94,10 @@ def add_pseudo_destinations(
     dests: DestinationSet, pseudos: Sequence[tuple[int, bool]]
 ) -> DestinationSet:
     """Insert extra pseudo destinations ahead of the target."""
-    existing = list(zip(dests.node_ids, dests.required, dests.kinds))
-    head, tail = existing[:-1], existing[-1]
-    present = {n for n, _, _ in existing}
-    for p, mv in pseudos:
-        if p == dests.source_node or p == dests.target_node:
-            raise ValueError(f"pseudo destination {p} equals the source or target")
-        if p in present:
-            raise ValueError(f"pseudo destination {p} duplicates another destination")
-        present.add(p)
-        head.append((p, mv, "pseudo"))
-    rows = [*head, tail]
-    return DestinationSet(
-        node_ids=tuple(n for n, _, _ in rows),
-        required=tuple(r for _, r, _ in rows),
-        kinds=tuple(k for _, _, k in rows),
+    n_obj = dests.kinds.count("objective")
+    existing = list(zip(dests.node_ids, dests.required))[1 + n_obj : -1]
+    return DestinationSet.build(
+        dests.source_node, dests.target_node, dests.node_ids[1 : 1 + n_obj], [*existing, *pseudos]
     )
 
 
@@ -157,10 +146,9 @@ class SearchTree:
     neighbor outside the tree.
     """
 
-    __slots__ = ("root_index", "root_node", "parent", "cost", "edge_w", "children", "expandable", "_unvisited")
+    __slots__ = ("root_node", "parent", "cost", "edge_w", "children", "expandable", "_unvisited")
 
-    def __init__(self, root_index: int, root_node: int, graph: RoutingGraph) -> None:
-        self.root_index = root_index
+    def __init__(self, root_node: int, graph: RoutingGraph) -> None:
         self.root_node = root_node
         self.parent: dict[int, int | None] = {root_node: None}
         self.cost: dict[int, float] = {root_node: 0.0}
@@ -175,9 +163,6 @@ class SearchTree:
 
     def __contains__(self, node: int) -> bool:
         return node in self.cost
-
-    def __len__(self) -> int:
-        return len(self.cost)
 
     def add_node(self, node: int, parent: int, cost: float, weight: float, graph: RoutingGraph) -> None:
         self.parent[node] = parent
@@ -311,23 +296,18 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
 # ---------------------------------------------------------------------------
 
 class ConnectionTable:
-    """Connection nodes per destination pair and the induced distance matrix.
+    """Destination distance matrix plus one witness connection node per pair.
 
     ``matrix[i][k]`` is the best known path cost between destinations i and k,
-    realized by the cached connection node ``best[(i, k)]``; entries only ever
+    realized by the connection node ``best[(i, k)]``; entries only ever
     decrease as trees grow and rewire.
     """
 
     def __init__(self, n_dest: int) -> None:
-        self.n_dest = n_dest
-        self.nodes: dict[tuple[int, int], set[int]] = {}
-        self.best: dict[tuple[int, int], tuple[int, float]] = {}
+        self.best: dict[tuple[int, int], int] = {}
         self.matrix: list[list[float]] = [
             [0.0 if i == k else INF for k in range(n_dest)] for i in range(n_dest)
         ]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
 
 
 def update_connections(
@@ -338,9 +318,9 @@ def update_connections(
 ) -> list[tuple[int, int]]:
     """Account for node ``v`` of tree ``owner`` joining or getting cheaper.
 
-    Registers ``v`` as a connection node with every other tree containing it
-    and lowers the affected matrix entries where it now realizes a shorter
-    destination-to-destination path. Returns the improved pairs.
+    Lowers the matrix entry of every other tree containing ``v`` where ``v``
+    now realizes a shorter destination-to-destination path, and makes ``v``
+    that pair's witness. Returns the improved pairs.
     """
     improved: list[tuple[int, int]] = []
     cost_own = trees[owner].cost[v]
@@ -351,13 +331,11 @@ def update_connections(
         if c_other is None:
             continue
         pair = (owner, k) if owner < k else (k, owner)
-        self_nodes = conn.nodes.setdefault(pair, set())
-        self_nodes.add(v)
         cand = cost_own + c_other
         if cand < conn.matrix[pair[0]][pair[1]]:
             conn.matrix[pair[0]][pair[1]] = cand
             conn.matrix[pair[1]][pair[0]] = cand
-            conn.best[pair] = (v, cand)
+            conn.best[pair] = v
             improved.append(pair)
     return improved
 
@@ -390,22 +368,19 @@ class PlannerConfig:
     rng_seed: int = 0
     time_budget: float = 10.0
     max_iterations: int | None = None
-    tree_selection: str = "round_robin"
     # Ordering-solver strength: a light config for the in-loop re-solves that
     # follow every matrix improvement, full strength once at the end.
     solver_ga: GaConfig = field(
         default_factory=lambda: GaConfig(mutation_count=150, crossover_count=150, generations=3)
     )
-    final_polish_ga: GaConfig | None = field(default_factory=GaConfig)
+    final_polish_ga: GaConfig = field(default_factory=GaConfig)
     stop_after_first: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("goal_bias must lie in [0, 1]")
-        if self.time_budget <= 0.0:
+        if not self.time_budget > 0.0:
             raise ValueError("time_budget must be positive")
-        if self.tree_selection not in ("round_robin", "uniform_random"):
-            raise ValueError(f"unknown tree_selection {self.tree_selection!r}")
 
 
 @dataclass(frozen=True)
@@ -459,7 +434,7 @@ def stitch_node_path(
         if a == b:
             continue
         pair = (a, b) if a < b else (b, a)
-        c, _ = conn.best[pair]
+        c = conn.best[pair]
         leg = trees[a].branch_from_root(c)
         down = trees[b].branch_from_root(c)
         down.reverse()
@@ -498,7 +473,7 @@ def plan(
             raise ValueError(f"destination node {node} outside the graph")
     rng = random.Random(cfg.rng_seed)
     solver_seeds = random.Random(cfg.rng_seed ^ 0x9E3779B97F4A7C15)
-    trees = [SearchTree(i, node, graph) for i, node in enumerate(dests.node_ids)]
+    trees = [SearchTree(node, graph) for node in dests.node_ids]
     conn = ConnectionTable(dests.count)
     start = time.monotonic()
     explored = len(trees)
@@ -511,7 +486,7 @@ def plan(
 
     def try_solve(ga_cfg: GaConfig) -> None:
         nonlocal best_cost
-        dg = DestGraph(conn.as_array(), dests.source_index, dests.target_index, dests.required)
+        dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
         try:
             seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
         except (ordering.NoSequenceError, ordering.NoInsertionError):
@@ -540,17 +515,12 @@ def plan(
         if cfg.stop_after_first and solutions:
             break
         idx = -1
-        if cfg.tree_selection == "round_robin":
-            for off in range(n_trees):
-                cand = (rr_next + off) % n_trees
-                if trees[cand].expandable:
-                    idx = cand
-                    break
-            rr_next = (idx + 1) % n_trees
-        else:
-            active = [i for i, t in enumerate(trees) if t.expandable]
-            if active:
-                idx = active[rng.randrange(len(active))]
+        for off in range(n_trees):
+            cand = (rr_next + off) % n_trees
+            if trees[cand].expandable:
+                idx = cand
+                break
+        rr_next = (idx + 1) % n_trees
         if idx < 0:
             saturated = True  # every tree saturated its component: a fixpoint
             break
@@ -574,11 +544,7 @@ def plan(
         if improved and destinations_connected(conn.matrix, dests.required):
             try_solve(cfg.solver_ga)
 
-    if (
-        cfg.final_polish_ga is not None
-        and not (cfg.stop_after_first and solutions)
-        and destinations_connected(conn.matrix, dests.required)
-    ):
+    if not (cfg.stop_after_first and solutions) and destinations_connected(conn.matrix, dests.required):
         try_solve(cfg.final_polish_ga)
 
     if solutions:
@@ -632,13 +598,21 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
 
 
 def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> None:
-    """Assert cached best values equal a fresh scan over the connection sets."""
-    for pair, nodes in conn.nodes.items():
-        i, k = pair
-        fresh = min(trees[i].cost[c] + trees[k].cost[c] for c in nodes)
-        cached = conn.matrix[i][k]
-        if cached != fresh:
-            raise AssertionError(f"stale cache for pair {pair}: {cached} vs fresh {fresh}")
-        node, value = conn.best[pair]
-        if value != cached or trees[i].cost[node] + trees[k].cost[node] != cached:
-            raise AssertionError(f"cached witness for pair {pair} does not realize the value")
+    """Assert every matrix entry equals a fresh scan over the shared tree nodes.
+
+    The fresh value of a pair is the least summed cost-to-come over the nodes
+    both trees hold, ``INF`` if they share none; the pair's witness must
+    realize it.
+    """
+    for i, ti in enumerate(trees):
+        for k in range(i + 1, len(trees)):
+            tk = trees[k]
+            shared = ti.cost.keys() & tk.cost.keys()
+            fresh = min((ti.cost[c] + tk.cost[c] for c in shared), default=INF)
+            cached = conn.matrix[i][k]
+            if cached != fresh:
+                raise AssertionError(f"stale entry for pair {(i, k)}: {cached} vs fresh {fresh}")
+            if shared:
+                node = conn.best.get((i, k))
+                if node not in shared or ti.cost[node] + tk.cost[node] != cached:
+                    raise AssertionError(f"witness for pair {(i, k)} does not realize the value")

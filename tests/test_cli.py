@@ -200,14 +200,36 @@ def test_bad_run_values_are_usage_errors(fixtures, tmp_path, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "bench-oracle"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench-oracle", "--orders", "1"],
+        ["bench-oracle", "--instances", "0"],
+        ["bench-oracle", "--mutations", "0"],
+        ["gen", "--kind", "geometric", "--nodes", "10", "--objectives", "500"],
+    ],
+)
+def test_bad_bench_and_gen_values_are_usage_errors(tmp_path, capsys, argv):
+    rc = main([*argv, "--out", str(tmp_path / "sub" / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "bench-oracle", "gen"])
 def test_unwritable_out_is_file_error(fixtures, tmp_path, command):
     graph, scenario = fixtures
     out = tmp_path / "missing" / "r.out"
     if command == "run":
         args = ["--graph", str(graph), "--scenario", str(scenario)]
-    else:
+    elif command == "bench-oracle":
         args = ["--orders", "5", "--instances", "1"]
+    else:
+        # gen creates missing directories, so a file blocks it instead.
+        (tmp_path / "missing").write_text("")
+        args = ["--kind", "bugtrap"]
     proc = subprocess.run(
         [sys.executable, "-m", "multiroute", command, *args, "--out", str(out)],
         capture_output=True,

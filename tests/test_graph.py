@@ -8,7 +8,6 @@ from multiroute.graph import (
     DisjointSet,
     GraphError,
     RoutingGraph,
-    connectivity_check,
     dijkstra,
 )
 
@@ -124,17 +123,24 @@ def test_dijkstra_parent_chain_costs_are_consistent():
 # DisjointSet / connectivity
 # ---------------------------------------------------------------------------
 
+def components(ds, pairs):
+    """Union every pair into ``ds``; the number of distinct roots left."""
+    for a, b in pairs:
+        ds.union(a, b)
+    return len({ds.find(i) for i in range(len(ds))})
+
+
 def test_connectivity_singleton_universe():
-    assert connectivity_check(DisjointSet(1), []) is True
+    assert components(DisjointSet(1), []) == 1
 
 
 def test_connectivity_missing_link():
-    assert connectivity_check(DisjointSet(3), [(0, 1)]) is False
+    assert components(DisjointSet(3), [(0, 1)]) == 2
 
 
 def test_connectivity_out_of_range_pair():
     with pytest.raises(IndexError):
-        connectivity_check(DisjointSet(3), [(0, 5)])
+        components(DisjointSet(3), [(0, 5)])
 
 
 def test_find_is_idempotent_and_union_links():
@@ -153,5 +159,4 @@ def test_connectivity_matches_bfs_on_random_instances():
         m = rng.randint(0, 2 * n)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
         # Self-pairs are legal unions (no-ops); keep them to exercise that.
-        expected = bfs_components(n, pairs) == 1
-        assert connectivity_check(DisjointSet(n), pairs) is expected
+        assert components(DisjointSet(n), pairs) == bfs_components(n, pairs)

@@ -7,6 +7,7 @@ import pytest
 from multiroute.generate import random_complete_destgraph, random_incomplete_destgraph
 from multiroute.ordering import (
     Action,
+    _action_deltas,
     DestGraph,
     GaConfig,
     InsertionPlan,
@@ -21,7 +22,6 @@ from multiroute.ordering import (
     genetic_refine,
     hamiltonian_path_exists,
     initial_sequence,
-    insertion_cost,
     make_sequence,
     mutate,
     oracle_stats,
@@ -89,15 +89,21 @@ def test_seed_matches_independent_dijkstra_on_random_graphs():
 # Insertion costs
 # ---------------------------------------------------------------------------
 
+def action_deltas(dg, order, d, action):
+    """The solver's deltas keyed by anchor."""
+    deltas, offset = _action_deltas(dg, np.asarray(order, dtype=int), d, action)
+    return {offset + j: float(x) for j, x in enumerate(deltas)}
+
+
 def test_in_place_is_twice_theta():
     dg = dg_from([[0.0, 3.0, 5.0], [3.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
-    assert insertion_cost(dg, [0, 2], 0, 1, Action.IN_PLACE) == 6.0
+    assert action_deltas(dg, [0, 2], 1, Action.IN_PLACE)[0] == 6.0
 
 
 def test_in_sequence_formula():
     dg = dg_from([[0.0, 3.0, 5.0], [3.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
     # theta(anchor, d)=3, theta(d, next)=4, theta(anchor, next)=5 -> 2
-    assert insertion_cost(dg, [0, 2], 0, 1, Action.IN_SEQUENCE) == 2.0
+    assert action_deltas(dg, [0, 2], 1, Action.IN_SEQUENCE) == {0: 2.0}
 
 
 def rebuild(order, i, d, action):
@@ -132,23 +138,18 @@ def test_all_actions_match_rebuild_oracle_on_random_instances():
         middles = list(range(1, 6))
         rng.shuffle(middles)
         d = middles.pop()
-        order = [0, *middles, 6]
+        # Lengths 2 to 8 reach every action's empty and non-empty anchor
+        # ranges; repeats stand in for revisits.
+        order = [0, *rng.choices(middles, k=rng.randint(0, 6)), 6]
         before = rebuild_sequence_cost(dg.rows, order)
         for action in Action:
-            for i in legal_anchors(action, len(order)):
-                delta = insertion_cost(dg, order, i, d, action)
+            deltas = action_deltas(dg, order, d, action)
+            assert list(deltas) == list(legal_anchors(action, len(order)))
+            for i, delta in deltas.items():
                 after = rebuild_sequence_cost(dg.rows, rebuild(order, i, d, action))
                 assert delta == pytest.approx(after - before, rel=1e-9, abs=1e-9)
                 rebuilt = apply_insertion(order, InsertionPlan(action, i, d, delta))
                 assert rebuilt == rebuild(order, i, d, action)
-
-
-def test_illegal_anchor_raises():
-    dg = random_complete_destgraph(5, seed=1)
-    with pytest.raises(ValueError):
-        insertion_cost(dg, [0, 4], 1, 2, Action.IN_SEQUENCE)  # anchor is the target
-    with pytest.raises(ValueError):
-        insertion_cost(dg, [0, 1, 4], 1, 2, Action.SWAP_LEFT)
 
 
 def test_infinite_added_pair_excluded():
@@ -159,8 +160,8 @@ def test_infinite_added_pair_excluded():
         [2.0, 1.0, 1.0, 0.0],
     ]
     dg = dg_from(rows)
-    assert insertion_cost(dg, [0, 1, 3], 0, 2, Action.IN_SEQUENCE) == INF
-    assert insertion_cost(dg, [0, 1, 3], 1, 2, Action.IN_PLACE) == INF
+    assert action_deltas(dg, [0, 1, 3], 2, Action.IN_SEQUENCE)[0] == INF
+    assert action_deltas(dg, [0, 1, 3], 2, Action.IN_PLACE)[1] == INF
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,31 @@ def test_add_pseudo_keeps_target_last():
     d2 = add_pseudo_destinations(d, [(3, False), (4, True)])
     assert d2.node_ids == (0, 2, 3, 4, 1)
     assert d2.required == (True, True, False, True, True)
+    d3 = add_pseudo_destinations(d2, [(5, False)])
+    assert d3.node_ids == (0, 2, 3, 4, 5, 1)
+    assert d3.kinds == ("source", "objective", "pseudo", "pseudo", "pseudo", "target")
+    with pytest.raises(ValueError):
+        add_pseudo_destinations(d2, [(3, True)])
+
+
+# ---------------------------------------------------------------------------
+# PlannerConfig
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"goal_bias": -0.1},
+        {"goal_bias": 1.5},
+        {"goal_bias": math.nan},
+        {"time_budget": 0.0},
+        {"time_budget": -1.0},
+        {"time_budget": math.nan},
+    ],
+)
+def test_config_rejects_bad_values(kw):
+    with pytest.raises(ValueError):
+        PlannerConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +151,13 @@ def test_fixed_seed_identical_sample_stream():
 
 def test_single_frontier_node():
     g = detour_triangle_graph()
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     assert nearest_expandable(tree, 2, g) == 0
 
 
 def test_empty_frontier_returns_none():
     g = RoutingGraph(pts(2), [(0, 1, 1.0)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     extend(tree, 0, 1, g)
     assert tree.expandable == set()
     assert nearest_expandable(tree, 1, g) is None
@@ -150,7 +175,7 @@ def test_nearest_matches_exhaustive_scan():
     assert len(set(graphs[-1].nodes)) < graphs[-1].node_count // 2
     rng = random.Random(3)
     for g in graphs:
-        tree = SearchTree(0, largest_component(g)[0], g)
+        tree = SearchTree(largest_component(g)[0], g)
         while tree.expandable:
             v_rand = rng.randrange(g.node_count)
             anchor = nearest_expandable(tree, v_rand, g)
@@ -169,7 +194,7 @@ def test_nearest_matches_exhaustive_scan():
 
 def test_forced_corridor_both_added():
     g = RoutingGraph(pts(3), [(0, 1, 1.0), (1, 2, 1.0)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     added = extend(tree, 0, 2, g)
     assert added == [1, 2]
     validate_tree(tree, g)
@@ -179,7 +204,7 @@ def test_branch_node_stops_compression():
     # Anchor 0 connects to hub 1 with three more leaves: only the hub is added.
     edges = [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)]
     g = RoutingGraph(pts(5), edges)
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     added = extend(tree, 0, 4, g)
     assert added == [1]
     assert tree.expandable == {1}
@@ -188,7 +213,7 @@ def test_branch_node_stops_compression():
 def test_path_graph_single_extend_swallows_everything():
     n = 10
     g = RoutingGraph(pts(n), [(i, i + 1, 1.0) for i in range(n - 1)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     added = extend(tree, 0, n - 1, g)
     assert added == list(range(1, n))
     validate_tree(tree, g)
@@ -197,7 +222,7 @@ def test_path_graph_single_extend_swallows_everything():
 
 def test_dead_end_stops_corridor():
     g = RoutingGraph(pts(3), [(0, 1, 1.0), (1, 2, 1.0)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     added = extend(tree, 0, 0, g)  # v_rand already in tree: walk until dead end
     assert added == [1, 2]
 
@@ -208,7 +233,7 @@ def test_dead_end_stops_corridor():
 
 def test_single_in_tree_neighbor():
     g = RoutingGraph(pts(2), [(0, 1, 4.0)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     assert choose_parent(tree, 1, g) == 0
     assert tree.cost[1] == 4.0
 
@@ -217,7 +242,7 @@ def test_lowest_cost_parent_wins():
     # Node 2 can attach under 0 (cost 5 + 1) or 1 (cost 4 + 3): 6 beats 7.
     edges = [(3, 0, 5.0), (3, 1, 4.0), (0, 2, 1.0), (1, 2, 3.0)]
     g = RoutingGraph(pts(4), edges)
-    tree = SearchTree(0, 3, g)
+    tree = SearchTree(3, g)
     choose_parent(tree, 0, g)
     choose_parent(tree, 1, g)
     assert choose_parent(tree, 2, g) == 0
@@ -227,7 +252,7 @@ def test_lowest_cost_parent_wins():
 
 def test_no_in_tree_neighbor_is_internal_error():
     g = RoutingGraph(pts(3), [(0, 1, 1.0), (1, 2, 1.0)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     with pytest.raises(RuntimeError):
         choose_parent(tree, 2, g)
 
@@ -238,7 +263,7 @@ def test_random_trees_costs_match_root_recomputation():
         n = 40
         edges = random_weighted_graph_edges(rng, n, extra_edges=50)
         g = RoutingGraph(pts(n), edges)
-        tree = SearchTree(0, rng.randrange(n), g)
+        tree = SearchTree(rng.randrange(n), g)
         while tree.expandable:
             v_rand = rng.randrange(n)
             anchor = nearest_expandable(tree, v_rand, g)
@@ -261,7 +286,7 @@ def test_random_trees_costs_match_root_recomputation():
 
 def test_rewire_no_improvement():
     g = RoutingGraph(pts(3), [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     choose_parent(tree, 1, g)
     choose_parent(tree, 2, g)  # parent 1, cost 2
     count, changed = rewire(tree, 2, g)
@@ -270,7 +295,7 @@ def test_rewire_no_improvement():
 
 def test_rewire_triangle_shortcut():
     g = RoutingGraph(pts(3), [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)])
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     choose_parent(tree, 1, g)  # cost 5 via the long edge
     choose_parent(tree, 2, g)  # cost 1
     count, changed = rewire(tree, 2, g)
@@ -285,7 +310,7 @@ def test_rewire_propagates_to_subtree():
     # 0-1 long, 1-2 chain hanging under 1; later 0-3-1 shortcut rewires 1 and drags 2.
     edges = [(0, 1, 10.0), (1, 2, 1.0), (0, 3, 1.0), (3, 1, 1.0)]
     g = RoutingGraph(pts(4), edges)
-    tree = SearchTree(0, 0, g)
+    tree = SearchTree(0, g)
     choose_parent(tree, 1, g)  # cost 10
     choose_parent(tree, 2, g)  # cost 11
     choose_parent(tree, 3, g)  # cost 1
@@ -301,7 +326,7 @@ def test_saturated_tree_costs_dominated_by_dijkstra():
     g, _ = random_geometric_graph(200, 0.12, seed=4)
     comp = largest_component(g)
     root = comp[0]
-    tree = SearchTree(0, root, g)
+    tree = SearchTree(root, g)
     iterations = 0
     while tree.expandable and iterations < 10_000:
         iterations += 1
@@ -327,7 +352,7 @@ def test_saturated_tree_costs_dominated_by_dijkstra():
 
 def test_node_in_single_tree_changes_nothing():
     g = detour_triangle_graph()
-    trees = [SearchTree(0, 0, g), SearchTree(1, 2, g)]
+    trees = [SearchTree(0, g), SearchTree(2, g)]
     conn = ConnectionTable(2)
     assert update_connections(conn, trees, 0, 0) == []
     assert conn.matrix[0][1] == INF
@@ -335,7 +360,7 @@ def test_node_in_single_tree_changes_nothing():
 
 def test_first_shared_node_makes_entry_finite():
     g = detour_triangle_graph()
-    trees = [SearchTree(0, 0, g), SearchTree(1, 2, g)]
+    trees = [SearchTree(0, g), SearchTree(2, g)]
     conn = ConnectionTable(2)
     extend(trees[0], 0, 2, g)  # tree 0 reaches node 2
     improved = update_connections(conn, trees, 2, 0)
@@ -344,12 +369,44 @@ def test_first_shared_node_makes_entry_finite():
     validate_connections(conn, trees)
 
 
+def test_validator_catches_missed_connection_node():
+    # Grow two trees in turn until a batch first makes them share nodes, then
+    # skip update_connections for the cheapest shared node of that batch.
+    rng = random.Random(3)
+    g, _ = random_geometric_graph(80, 0.2, seed=2)
+    comp = largest_component(g)
+    trees = [SearchTree(comp[0], g), SearchTree(comp[-1], g)]
+    conn = ConnectionTable(2)
+    for it in range(4000):
+        owner = it % 2
+        tree, other = trees[owner], trees[1 - owner]
+        v_rand = rng.randrange(g.node_count)
+        added = extend(tree, nearest_expandable(tree, v_rand, g), v_rand, g)
+        changed = set(added)
+        for v in added:
+            changed.update(rewire(tree, v, g)[1])
+        shared = [v for v in sorted(changed) if v in other]
+        if shared:
+            break
+        for v in sorted(changed):
+            update_connections(conn, trees, v, owner)
+        validate_connections(conn, trees)
+    else:
+        pytest.fail("trees never met")
+    skipped = min(shared, key=lambda v: tree.cost[v] + other.cost[v])
+    for v in sorted(changed - {skipped}):
+        update_connections(conn, trees, v, owner)
+    assert conn.matrix[0][1] > tree.cost[skipped] + other.cost[skipped]
+    with pytest.raises(AssertionError, match="stale entry"):
+        validate_connections(conn, trees)
+
+
 def test_matrix_entries_never_increase_and_dominate_dijkstra():
     rng = random.Random(10)
     g, _ = random_geometric_graph(80, 0.2, seed=2)
     comp = largest_component(g)
     a, b = comp[0], comp[-1]
-    trees = [SearchTree(0, a, g), SearchTree(1, b, g)]
+    trees = [SearchTree(a, g), SearchTree(b, g)]
     conn = ConnectionTable(2)
     true_dist = dijkstra(g, a).cost[b]
     history = []
@@ -537,7 +594,7 @@ def test_invariants_hold_after_every_operation():
     comp = largest_component(g)
     rng = random.Random(6)
     picks = rng.sample(comp, 3)
-    trees = [SearchTree(i, n, g) for i, n in enumerate(picks)]
+    trees = [SearchTree(n, g) for n in picks]
     conn = ConnectionTable(3)
     for it in range(150):
         tree = trees[it % 3]
@@ -554,16 +611,6 @@ def test_invariants_hold_after_every_operation():
             update_connections(conn, trees, v, it % 3)
         validate_tree(tree, g)
         validate_connections(conn, trees)
-
-
-def test_uniform_random_tree_selection_solves_and_is_deterministic():
-    g = detour_triangle_graph()
-    dests = DestinationSet.build(0, 2, objectives=(1,))
-    cfg = light_cfg(rng_seed=13, tree_selection="uniform_random")
-    a = plan(g, dests, cfg)
-    b = plan(g, dests, light_cfg(rng_seed=13, tree_selection="uniform_random"))
-    assert a.final.total_cost == b.final.total_cost == 7.0
-    assert [s.total_cost for s in a.solutions] == [s.total_cost for s in b.solutions]
 
 
 def test_max_iterations_cap_respected():
