@@ -3,10 +3,12 @@
 Destinations live in a small weighted graph whose edge weights ``theta`` are
 path distances supplied by the route planner (infinite where no path is known
 yet). A visit sequence runs from a fixed source to a fixed target and may
-revisit destinations. The solver pipeline is: shortest-path seed sequence,
-cheapest insertion with revisit-aware actions, redundancy refinement, then a
-genetic polish. An exhaustive oracle over the metric closure provides exact
-optima for small instances.
+revisit destinations. ``solve`` orders the required destinations over the
+metric closure (all-pairs shortest paths) with a shortest-path seed, cheapest
+insertion, redundancy refinement and a genetic polish, then expands each
+closure leg back into the destinations it passes, which yields the revisits.
+An exhaustive oracle over the same closure provides exact optima for small
+instances.
 """
 
 from __future__ import annotations
@@ -228,12 +230,15 @@ def apply_insertion(order: Sequence[int], plan: InsertionPlan) -> list[int]:
     return s[: i - 1] + [s[i], s[i - 1], d, s[i + 2], s[i + 1]] + s[i + 3 :]
 
 
-def _action_deltas(dg: DestGraph, arr: np.ndarray, d_k: int, action: Action) -> tuple[np.ndarray, int]:
+def _action_deltas(
+    dg: DestGraph, arr: np.ndarray, d_k: int | np.ndarray, action: Action
+) -> tuple[np.ndarray, int]:
     """Cost deltas of inserting ``d_k`` with ``action`` at every legal anchor.
 
     Entry j is the delta at anchor j + offset; the offset is returned too. An
     entry is infinite when the insertion would create an unconnected
-    consecutive pair.
+    consecutive pair. A column of destinations (shape (R, 1)) gives one row
+    of deltas per destination.
     """
     th = dg.theta
     L = arr.shape[0]
@@ -275,27 +280,33 @@ def _action_deltas(dg: DestGraph, arr: np.ndarray, d_k: int, action: Action) -> 
     )
 
 
-def best_insertion(dg: DestGraph, order: Sequence[int], d_k: int) -> InsertionPlan:
-    """Cheapest (action, anchor) pair for ``d_k``.
+def _cheapest_plan(dg: DestGraph, order: Sequence[int], candidates: Sequence[int]) -> InsertionPlan:
+    """Cheapest (destination, action, anchor) over every candidate at once.
 
-    Ties resolve by action order (in-sequence, in-place, swap-left, swap-right,
-    swap-both) and then by the smaller anchor.
+    Each action's deltas for all candidates come from one ``_action_deltas``
+    call with the candidates as a column. Ties resolve by the earlier
+    candidate, then by action order (in-sequence, in-place, swap-left,
+    swap-right, swap-both), then by the smaller anchor: the C order of the
+    (candidate, action, anchor) array that one ``np.argmin`` scans.
     """
     arr = np.asarray(order, dtype=int)
-    best_delta = INF
-    best: InsertionPlan | None = None
+    cand = np.asarray(candidates, dtype=int)
+    L = arr.shape[0]
+    deltas = np.full((cand.shape[0], len(Action), L), INF)
     for action in Action:
-        deltas, offset = _action_deltas(dg, arr, d_k, action)
-        if deltas.size == 0:
-            continue
-        idx = int(np.argmin(deltas))
-        delta = float(deltas[idx])
-        if math.isfinite(delta) and delta < best_delta:
-            best_delta = delta
-            best = InsertionPlan(action=action, anchor=idx + offset, destination=d_k, delta_cost=delta)
-    if best is None:
-        raise NoInsertionError(f"destination {d_k} cannot be inserted anywhere")
-    return best
+        block, offset = _action_deltas(dg, arr, cand[:, None], action)
+        deltas[:, action, offset : offset + block.shape[-1]] = block
+    flat = int(np.argmin(deltas))
+    r, a, anchor = np.unravel_index(flat, deltas.shape)
+    delta = float(deltas.flat[flat])
+    if not math.isfinite(delta):
+        raise NoInsertionError(f"no destination of {list(candidates)} can be inserted anywhere")
+    return InsertionPlan(action=Action(a), anchor=int(anchor), destination=int(cand[r]), delta_cost=delta)
+
+
+def best_insertion(dg: DestGraph, order: Sequence[int], d_k: int) -> InsertionPlan:
+    """Cheapest (action, anchor) pair for ``d_k``, with ``_cheapest_plan``'s tie-break."""
+    return _cheapest_plan(dg, order, [d_k])
 
 
 def cheapest_insertion(dg: DestGraph) -> VisitSequence:
@@ -304,18 +315,9 @@ def cheapest_insertion(dg: DestGraph) -> VisitSequence:
     order = list(seed.order)
     remaining = [d for d in dg.required_intermediates() if d not in set(order)]
     while remaining:
-        best_plan: InsertionPlan | None = None
-        for d in remaining:
-            try:
-                plan = best_insertion(dg, order, d)
-            except NoInsertionError:
-                continue
-            if best_plan is None or plan.delta_cost < best_plan.delta_cost:
-                best_plan = plan
-        if best_plan is None:
-            raise NoInsertionError(f"no remaining destination of {remaining} is insertable")
-        order = apply_insertion(order, best_plan)
-        remaining.remove(best_plan.destination)
+        plan = _cheapest_plan(dg, order, remaining)
+        order = apply_insertion(order, plan)
+        remaining.remove(plan.destination)
     return refine(dg, make_sequence(dg, order))
 
 
@@ -488,11 +490,59 @@ def genetic_refine(
     return best
 
 
+# ---------------------------------------------------------------------------
+# Metric closure and the full pipeline
+# ---------------------------------------------------------------------------
+
+def _metric_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs shortest paths over theta with next-hop reconstruction.
+
+    Floyd-Warshall with one array step per intermediate ``k``. Row and column
+    ``k`` cannot change in step ``k`` (zero diagonal, positive weights), so the
+    whole-array update forms the same sums as the in-place scalar loop.
+    """
+    n = dg.n
+    dist = dg.theta.copy()
+    nxt = np.where(np.isfinite(dist), np.arange(n), -1)
+    for k in range(n):
+        alt = dist[:, k, None] + dist[k]
+        better = alt < dist
+        np.copyto(dist, alt, where=better)
+        np.copyto(nxt, nxt[:, k, None], where=better)
+    return dist, nxt
+
+
+def _closure_path(nxt: np.ndarray, stops: Sequence[int]) -> list[int]:
+    """Shortest paths between consecutive ``stops``, joined into one sequence."""
+    path = [stops[0]]
+    for b in stops[1:]:
+        while path[-1] != b:
+            step = int(nxt[path[-1], b])
+            if step < 0:
+                raise NoSequenceError(f"no path from destination {path[-1]} to {b}")
+            path.append(step)
+    return path
+
+
 def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
-    """Full ordering pipeline: seed, cheapest insertion, genetic refinement."""
+    """Order the required destinations over the metric closure, then expand.
+
+    Cheapest insertion and the genetic polish run on the complete, metric
+    graph of closure distances between required destinations, so optional
+    destinations and revisits appear only as stops on the expanded legs.
+    """
     if cfg is None:
         cfg = GaConfig()
-    return genetic_refine(dg, cheapest_insertion(dg), cfg)
+    closure, nxt = _metric_closure(dg)
+    keep = [i for i in range(dg.n) if dg.required[i]]
+    sub = closure[np.ix_(keep, keep)]
+    if not np.all(np.isfinite(sub)):
+        raise NoSequenceError("some required destinations are mutually unreachable")
+    # The two directions of a closure distance are summed in different orders
+    # and can differ in the last bit; DestGraph needs exact symmetry.
+    reduced = DestGraph(np.minimum(sub, sub.T), keep.index(dg.source), keep.index(dg.target))
+    seq = genetic_refine(reduced, cheapest_insertion(reduced), cfg)
+    return make_sequence(dg, _closure_path(nxt, [keep[i] for i in seq.order]))
 
 
 # ---------------------------------------------------------------------------
@@ -500,37 +550,6 @@ def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
 # ---------------------------------------------------------------------------
 
 ORACLE_MAX_DESTINATIONS = 12
-
-
-def _metric_closure(dg: DestGraph) -> tuple[np.ndarray, list[list[int]]]:
-    """All-pairs shortest paths over theta with next-hop reconstruction."""
-    n = dg.n
-    dist = dg.theta.copy()
-    nxt = [[j if math.isfinite(dg.rows[i][j]) else -1 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        nxt[i][i] = i
-    for k in range(n):
-        for i in range(n):
-            dik = dist[i, k]
-            if not math.isfinite(dik):
-                continue
-            row_i, row_k = dist[i], dist[k]
-            for j in range(n):
-                alt = dik + row_k[j]
-                if alt < row_i[j]:
-                    row_i[j] = alt
-                    nxt[i][j] = nxt[i][k]
-    return dist, nxt
-
-
-def _closure_path(nxt: list[list[int]], a: int, b: int) -> list[int]:
-    path = [a]
-    while path[-1] != b:
-        step = nxt[path[-1]][b]
-        if step < 0:
-            raise NoSequenceError(f"no path between destinations {a} and {b}")
-        path.append(step)
-    return path
 
 
 def brute_force_oracle(dg: DestGraph) -> tuple[float, VisitSequence]:
@@ -566,10 +585,7 @@ def brute_force_oracle(dg: DestGraph) -> tuple[float, VisitSequence]:
             if cost < best_cost:
                 best_cost = cost
                 best_perm = perm
-    order: list[int] = [s]
-    for d in (*best_perm, t):
-        order.extend(_closure_path(nxt, order[-1], d)[1:])
-    witness = make_sequence(dg, order)
+    witness = make_sequence(dg, _closure_path(nxt, (s, *best_perm, t)))
     return witness.total_cost, witness
 
 

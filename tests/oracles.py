@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they verify: Bellman-Ford instead of
 the heap Dijkstra, BFS component counting instead of union-find, dense-array
 Dijkstra for destination graphs, literal sequence rebuilding instead of
-insertion-delta formulas, and a haversine scan instead of the planner's
-chord-distance argmin.
+insertion-delta formulas, a haversine scan instead of the planner's
+chord-distance argmin, a scalar Floyd-Warshall instead of the array one, and
+a per-destination insertion loop instead of the batched selection.
 """
 
 from __future__ import annotations
@@ -14,8 +15,22 @@ import random
 from collections import deque
 from typing import Iterable
 
+import numpy as np
+
 from multiroute.geo import haversine
 from multiroute.graph import RoutingGraph
+from multiroute.ordering import (
+    Action,
+    DestGraph,
+    InsertionPlan,
+    NoInsertionError,
+    VisitSequence,
+    _action_deltas,
+    apply_insertion,
+    initial_sequence,
+    make_sequence,
+    refine,
+)
 
 
 def nearest_by_haversine(graph: RoutingGraph, candidates: Iterable[int], v_rand: int) -> int:
@@ -111,3 +126,65 @@ def random_weighted_graph_edges(
         if key not in edges:
             edges[key] = rng.uniform(w_lo, w_hi)
     return [(u, v, w) for (u, v), w in sorted(edges.items())]
+
+
+def scalar_metric_closure(theta: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """In-place Floyd-Warshall over a zero-diagonal matrix, next hops included."""
+    n = theta.shape[0]
+    dist = theta.copy()
+    nxt = [[j if math.isfinite(dist[i, j]) else -1 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        nxt[i][i] = i
+    for k in range(n):
+        for i in range(n):
+            dik = dist[i, k]
+            if not math.isfinite(dik):
+                continue
+            row_i, row_k = dist[i], dist[k]
+            for j in range(n):
+                alt = dik + row_k[j]
+                if alt < row_i[j]:
+                    row_i[j] = alt
+                    nxt[i][j] = nxt[i][k]
+    return dist, nxt
+
+
+def per_destination_best_insertion(dg: DestGraph, order: list[int], d_k: int) -> InsertionPlan:
+    """Each action's first cheapest anchor; a later action wins only when strictly cheaper."""
+    arr = np.asarray(order, dtype=int)
+    best: InsertionPlan | None = None
+    for action in Action:
+        deltas, offset = _action_deltas(dg, arr, d_k, action)
+        if deltas.size == 0:
+            continue
+        idx = int(np.argmin(deltas))
+        delta = float(deltas[idx])
+        if math.isfinite(delta) and (best is None or delta < best.delta_cost):
+            best = InsertionPlan(action=action, anchor=idx + offset, destination=d_k, delta_cost=delta)
+    if best is None:
+        raise NoInsertionError(f"destination {d_k} cannot be inserted anywhere")
+    return best
+
+
+def per_destination_cheapest_insertion(dg: DestGraph) -> VisitSequence:
+    """Cheapest insertion with one best-insertion query per remaining destination.
+
+    A later destination wins only when strictly cheaper; destinations that
+    cannot be inserted yet are skipped for the step.
+    """
+    order = list(initial_sequence(dg).order)
+    remaining = [d for d in dg.required_intermediates() if d not in set(order)]
+    while remaining:
+        best: InsertionPlan | None = None
+        for d in remaining:
+            try:
+                plan = per_destination_best_insertion(dg, order, d)
+            except NoInsertionError:
+                continue
+            if best is None or plan.delta_cost < best.delta_cost:
+                best = plan
+        if best is None:
+            raise NoInsertionError(f"no remaining destination of {remaining} is insertable")
+        order = apply_insertion(order, best)
+        remaining.remove(best.destination)
+    return refine(dg, make_sequence(dg, order))

@@ -1,4 +1,5 @@
 import json
+import statistics
 import subprocess
 import sys
 
@@ -306,6 +307,9 @@ def test_bench_oracle_row_counts_and_stats_recompute(tmp_path):
     assert float(stats_row[9]) == pytest.approx(recomputed.rho_std, rel=1e-12)
     assert float(stats_row[10]) == pytest.approx(recomputed.rho_optimality, rel=1e-12)
     assert float(stats_row[11]) == pytest.approx(recomputed.rho_worst, rel=1e-12)
+    times = [float(r[12]) for r in instances]
+    assert all(t > 0.0 for t in times)
+    assert float(stats_row[12]) == pytest.approx(statistics.median(times), rel=1e-12)
 
 
 def test_bench_oracle_refuses_large_orders(tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiroute.generate import random_complete_destgraph, random_incomplete_destgraph
 from multiroute.ordering import (
@@ -14,6 +16,7 @@ from multiroute.ordering import (
     NoInsertionError,
     NoSequenceError,
     OracleStats,
+    _metric_closure,
     apply_insertion,
     best_insertion,
     brute_force_oracle,
@@ -32,7 +35,13 @@ from multiroute.ordering import (
     validate_sequence,
 )
 
-from oracles import dense_dijkstra, rebuild_sequence_cost
+from multiroute.planner import destinations_connected
+from oracles import (
+    dense_dijkstra,
+    per_destination_cheapest_insertion,
+    rebuild_sequence_cost,
+    scalar_metric_closure,
+)
 
 INF = math.inf
 
@@ -40,6 +49,25 @@ INF = math.inf
 def dg_from(rows, source=0, target=None, required=None):
     n = len(rows)
     return DestGraph(np.array(rows, dtype=float), source, n - 1 if target is None else target, required)
+
+
+def random_theta(rng, n, edge_prob, integer=False, blocks=1):
+    """Random symmetric matrix; ``blocks`` > 1 splits the indices into unlinked groups."""
+    theta = np.full((n, n), INF)
+    np.fill_diagonal(theta, 0.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i % blocks == j % blocks and rng.random() < edge_prob:
+                theta[i, j] = theta[j, i] = float(rng.randint(1, 3)) if integer else rng.uniform(0.1, 10.0)
+    return theta
+
+
+def outcome(fn, dg):
+    try:
+        seq = fn(dg)
+    except (NoInsertionError, NoSequenceError) as exc:
+        return type(exc)
+    return seq.order, seq.total_cost
 
 
 def triangle_with_detour():
@@ -304,6 +332,25 @@ def test_unreachable_required_destination_raises():
         cheapest_insertion(dg_from(rows, source=0, target=1))
 
 
+def test_batched_insertion_matches_per_destination_loop():
+    # The reference queries one destination at a time, so equal orders pin
+    # the batched tie-break: delta, then position in ``remaining``, then
+    # action, then anchor. Uniform and small-integer weights tie everywhere.
+    rng = random.Random(41)
+    for trial in range(120):
+        n = 3 + trial % 10
+        kind = trial // 10 % 4
+        if kind == 0:
+            dg = random_complete_destgraph(n, seed=14_000 + trial)
+        elif kind == 1:
+            dg = random_incomplete_destgraph(n, seed=14_000 + trial)
+        elif kind == 2:
+            dg = dg_from([[0.0 if i == j else 2.0 for j in range(n)] for i in range(n)])
+        else:
+            dg = dg_from(random_theta(rng, n, edge_prob=rng.choice([0.5, 1.0]), integer=True))
+        assert outcome(cheapest_insertion, dg) == outcome(per_destination_cheapest_insertion, dg)
+
+
 # ---------------------------------------------------------------------------
 # refine
 # ---------------------------------------------------------------------------
@@ -536,6 +583,68 @@ def test_solve_order_batches_report_stats():
         pairs_by_order[order] = stats
     for order, stats in pairs_by_order.items():
         print(f"order {order}: rho_mean={stats.rho_mean:.4f} rho_opt={stats.rho_optimality:.3f}")
+
+
+def test_solve_bridges_through_optional_pseudo_destination():
+    # Destination 1 is reached only through the optional destination 2, which
+    # is off the seed path 0-3; the optimum goes 0, 2, 1, 2, 0, 3.
+    rows = [
+        [0.0, INF, 1.0, 1.0],
+        [INF, 0.0, 1.0, INF],
+        [1.0, 1.0, 0.0, INF],
+        [1.0, INF, INF, 0.0],
+    ]
+    dg = dg_from(rows, required=[True, True, False, True])
+    seq = solve(dg, GaConfig(mutation_count=50, crossover_count=50, generations=2))
+    validate_sequence(dg, seq)
+    assert seq.total_cost == 5.0
+    assert seq.total_cost == brute_force_oracle(dg)[0]
+
+
+@st.composite
+def incomplete_instances(draw):
+    n = draw(st.integers(4, 8))
+    weight = st.one_of(st.just(INF), st.integers(1, 9).map(float), st.floats(0.1, 10.0))
+    theta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            theta[i, j] = theta[j, i] = draw(weight)
+    middle = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+    return theta, [True, *middle, True]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(incomplete_instances())
+def test_solve_succeeds_whenever_required_destinations_connect(instance):
+    theta, required = instance
+    dg = dg_from(theta, required=required)
+    cfg = GaConfig(mutation_count=30, crossover_count=30, generations=2)
+    if not destinations_connected(theta, required):
+        with pytest.raises(NoSequenceError):
+            solve(dg, cfg)
+        return
+    seq = solve(dg, cfg)
+    validate_sequence(dg, seq)
+    opt, _ = brute_force_oracle(dg)
+    assert seq.total_cost >= opt - 1e-9 * opt
+
+
+# ---------------------------------------------------------------------------
+# Metric closure
+# ---------------------------------------------------------------------------
+
+def test_metric_closure_matches_scalar_reference():
+    rng = random.Random(43)
+    for trial in range(110):
+        n = 2 + trial % 11
+        kind = trial // 11 % 5
+        edge_prob = (1.0, 0.4, 0.4, 1.0, 0.7)[kind]
+        blocks = 2 if kind == 2 and n >= 4 else 1
+        theta = random_theta(rng, n, edge_prob, integer=kind >= 3, blocks=blocks)
+        dist, nxt = _metric_closure(dg_from(theta))
+        ref_dist, ref_nxt = scalar_metric_closure(theta)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(nxt, np.array(ref_nxt))
 
 
 # ---------------------------------------------------------------------------
