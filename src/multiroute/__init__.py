@@ -14,17 +14,12 @@ from .graphio import (
     serialize_scenario,
 )
 from .ordering import (
-    Action,
     DestGraph,
     GaConfig,
-    InsertionPlan,
-    NoInsertionError,
     NoSequenceError,
     OracleStats,
     VisitSequence,
     brute_force_oracle,
-    cheapest_insertion,
-    initial_sequence,
     oracle_stats,
     solve,
 )
@@ -58,17 +53,12 @@ __all__ = [
     "resolve_scenario",
     "serialize_edgelist",
     "serialize_scenario",
-    "Action",
     "DestGraph",
     "GaConfig",
-    "InsertionPlan",
-    "NoInsertionError",
     "NoSequenceError",
     "OracleStats",
     "VisitSequence",
     "brute_force_oracle",
-    "cheapest_insertion",
-    "initial_sequence",
     "oracle_stats",
     "solve",
     "AnytimeSolution",

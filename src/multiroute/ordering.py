@@ -4,11 +4,11 @@ Destinations live in a small weighted graph whose edge weights ``theta`` are
 path distances supplied by the route planner (infinite where no path is known
 yet). A visit sequence runs from a fixed source to a fixed target and may
 revisit destinations. ``solve`` orders the required destinations over the
-metric closure (all-pairs shortest paths) with a shortest-path seed, cheapest
-insertion, redundancy refinement and a genetic polish, then expands each
-closure leg back into the destinations it passes, which yields the revisits.
-An exhaustive oracle over the same closure provides exact optima for small
-instances.
+metric closure (all-pairs shortest paths) with cheapest insertion and a
+genetic polish, then expands each closure leg back into the destinations it
+passes, which yields the revisits. Insertion and the genetic operators take
+complete destination graphs only. An exhaustive oracle over the same closure
+provides exact optima for small instances.
 """
 
 from __future__ import annotations
@@ -25,27 +25,22 @@ import numpy as np
 
 INF = math.inf
 
-# Offspring that hit an unconnected destination pair are re-drawn this many
-# times before falling back to the parent.
-OFFSPRING_RETRY_BUDGET = 20
+# Mutation cuts a sequence into this many segments at least and at most.
+SEGMENT_MIN = 3
+SEGMENT_MAX = 7
 
 
 class NoSequenceError(ValueError):
     """No source-to-target sequence exists over the finite entries."""
 
 
-class NoInsertionError(ValueError):
-    """A required destination cannot be inserted anywhere in the sequence."""
-
-
 class Action(IntEnum):
     """Insertion actions; enum order is the tie-break order."""
 
     IN_SEQUENCE = 0
-    IN_PLACE = 1
-    SWAP_LEFT = 2
-    SWAP_RIGHT = 3
-    SWAP_BOTH = 4
+    SWAP_LEFT = 1
+    SWAP_RIGHT = 2
+    SWAP_BOTH = 3
 
 
 @dataclass(frozen=True)
@@ -69,12 +64,10 @@ class GaConfig:
     mutation_count: int = 2000
     crossover_count: int = 2000
     generations: int = 10
-    segment_min: int = 3
-    segment_max: int = 7
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("mutation_count", "crossover_count", "generations", "segment_min", "segment_max"):
+        for name in ("mutation_count", "crossover_count", "generations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -142,12 +135,8 @@ def sequence_cost(dg: DestGraph, order: Sequence[int]) -> float:
     return sum(rows[a][b] for a, b in zip(order, order[1:]))
 
 
-def validate_sequence(dg: DestGraph, seq: VisitSequence, require_all: bool = True) -> None:
-    """Raise ValueError when ``seq`` violates a visit-sequence invariant.
-
-    ``require_all=False`` skips the required-coverage check, which only applies
-    to completed sequences (the seed stage covers just the shortest path).
-    """
+def validate_sequence(dg: DestGraph, seq: VisitSequence) -> None:
+    """Raise ValueError when ``seq`` violates a visit-sequence invariant."""
     order = seq.order
     if len(order) < 2:
         raise ValueError("sequence must contain source and target")
@@ -155,11 +144,10 @@ def validate_sequence(dg: DestGraph, seq: VisitSequence, require_all: bool = Tru
         raise ValueError(f"sequence starts at {order[0]}, not the source {dg.source}")
     if order[-1] != dg.target:
         raise ValueError(f"sequence ends at {order[-1]}, not the target {dg.target}")
-    if require_all:
-        present = set(order)
-        missing = [i for i in range(dg.n) if dg.required[i] and i not in present]
-        if missing:
-            raise ValueError(f"required destinations missing from sequence: {missing}")
+    present = set(order)
+    missing = [i for i in range(dg.n) if dg.required[i] and i not in present]
+    if missing:
+        raise ValueError(f"required destinations missing from sequence: {missing}")
     rows = dg.rows
     for a, b in zip(order, order[1:]):
         if not math.isfinite(rows[a][b]):
@@ -174,43 +162,6 @@ def make_sequence(dg: DestGraph, order: Sequence[int]) -> VisitSequence:
 
 
 # ---------------------------------------------------------------------------
-# Seed sequence
-# ---------------------------------------------------------------------------
-
-def initial_sequence(dg: DestGraph) -> VisitSequence:
-    """Shortest source-to-target path over the destination graph as the seed."""
-    n = dg.n
-    rows = dg.rows
-    cost = [INF] * n
-    parent = [-1] * n
-    cost[dg.source] = 0.0
-    done = [False] * n
-    for _ in range(n):
-        u = -1
-        best = INF
-        for i in range(n):
-            if not done[i] and cost[i] < best:
-                best, u = cost[i], i
-        if u < 0:
-            break
-        done[u] = True
-        row = rows[u]
-        for v in range(n):
-            if not done[v] and math.isfinite(row[v]):
-                nc = cost[u] + row[v]
-                if nc < cost[v]:
-                    cost[v] = nc
-                    parent[v] = u
-    if not math.isfinite(cost[dg.target]):
-        raise NoSequenceError("target unreachable from source in the destination graph")
-    order = [dg.target]
-    while order[-1] != dg.source:
-        order.append(parent[order[-1]])
-    order.reverse()
-    return make_sequence(dg, order)
-
-
-# ---------------------------------------------------------------------------
 # Insertion actions
 # ---------------------------------------------------------------------------
 
@@ -218,8 +169,6 @@ def apply_insertion(order: Sequence[int], plan: InsertionPlan) -> list[int]:
     """Rebuild the sequence with ``plan`` applied."""
     s = list(order)
     i, d = plan.anchor, plan.destination
-    if plan.action is Action.IN_PLACE:
-        return s[: i + 1] + [d, s[i]] + s[i + 1 :]
     if plan.action is Action.IN_SEQUENCE:
         return s[: i + 1] + [d] + s[i + 1 :]
     if plan.action is Action.SWAP_LEFT:
@@ -235,16 +184,13 @@ def _action_deltas(
 ) -> tuple[np.ndarray, int]:
     """Cost deltas of inserting ``d_k`` with ``action`` at every legal anchor.
 
-    Entry j is the delta at anchor j + offset; the offset is returned too. An
-    entry is infinite when the insertion would create an unconnected
-    consecutive pair. A column of destinations (shape (R, 1)) gives one row
-    of deltas per destination.
+    Entry j is the delta at anchor j + offset; the offset is returned too. A
+    column of destinations (shape (R, 1)) gives one row of deltas per
+    destination.
     """
     th = dg.theta
     L = arr.shape[0]
     empty = np.empty(0)
-    if action is Action.IN_PLACE:
-        return 2.0 * th[arr, d_k], 0
     if action is Action.IN_SEQUENCE:
         if L < 2:
             return empty, 0
@@ -285,9 +231,10 @@ def _cheapest_plan(dg: DestGraph, order: Sequence[int], candidates: Sequence[int
 
     Each action's deltas for all candidates come from one ``_action_deltas``
     call with the candidates as a column. Ties resolve by the earlier
-    candidate, then by action order (in-sequence, in-place, swap-left,
-    swap-right, swap-both), then by the smaller anchor: the C order of the
-    (candidate, action, anchor) array that one ``np.argmin`` scans.
+    candidate, then by action order (in-sequence, swap-left, swap-right,
+    swap-both), then by the smaller anchor: the C order of the (candidate,
+    action, anchor) array that one ``np.argmin`` scans. Anchors an action
+    cannot use stay infinite.
     """
     arr = np.asarray(order, dtype=int)
     cand = np.asarray(candidates, dtype=int)
@@ -299,54 +246,23 @@ def _cheapest_plan(dg: DestGraph, order: Sequence[int], candidates: Sequence[int
     flat = int(np.argmin(deltas))
     r, a, anchor = np.unravel_index(flat, deltas.shape)
     delta = float(deltas.flat[flat])
-    if not math.isfinite(delta):
-        raise NoInsertionError(f"no destination of {list(candidates)} can be inserted anywhere")
     return InsertionPlan(action=Action(a), anchor=int(anchor), destination=int(cand[r]), delta_cost=delta)
 
 
-def best_insertion(dg: DestGraph, order: Sequence[int], d_k: int) -> InsertionPlan:
-    """Cheapest (action, anchor) pair for ``d_k``, with ``_cheapest_plan``'s tie-break."""
-    return _cheapest_plan(dg, order, [d_k])
-
-
 def cheapest_insertion(dg: DestGraph) -> VisitSequence:
-    """Insert every required destination at globally cheapest cost, then refine."""
-    seed = initial_sequence(dg)
-    order = list(seed.order)
-    remaining = [d for d in dg.required_intermediates() if d not in set(order)]
+    """Insert every required destination at globally cheapest cost.
+
+    Starts from ``[source, target]`` and needs a complete destination graph
+    (every theta entry finite), such as the metric closure ``solve`` orders.
+    """
+    if not np.all(np.isfinite(dg.theta)):
+        raise ValueError("cheapest_insertion needs a complete destination graph")
+    order = [dg.source, dg.target]
+    remaining = dg.required_intermediates()
     while remaining:
         plan = _cheapest_plan(dg, order, remaining)
         order = apply_insertion(order, plan)
         remaining.remove(plan.destination)
-    return refine(dg, make_sequence(dg, order))
-
-
-def refine(dg: DestGraph, seq: VisitSequence) -> VisitSequence:
-    """Drop revisits whose neighbors connect directly at no extra cost.
-
-    An interior entry is removed when the surrounding pair is connected, the
-    removal keeps every required destination present, and the total cost does
-    not increase. Repeats to a fixpoint.
-    """
-    order = list(seq.order)
-    rows = dg.rows
-    changed = True
-    while changed:
-        changed = False
-        counts = Counter(order)
-        for idx in range(1, len(order) - 1):
-            d = order[idx]
-            if dg.required[d] and counts[d] <= 1:
-                continue
-            prev, nxt = order[idx - 1], order[idx + 1]
-            bypass = rows[prev][nxt]
-            if not math.isfinite(bypass):
-                continue
-            if bypass > rows[prev][d] + rows[d][nxt]:
-                continue
-            del order[idx]
-            changed = True
-            break
     return make_sequence(dg, order)
 
 
@@ -354,41 +270,38 @@ def refine(dg: DestGraph, seq: VisitSequence) -> VisitSequence:
 # Genetic refinement
 # ---------------------------------------------------------------------------
 
-def mutate(dg: DestGraph, parent: VisitSequence, cfg: GaConfig, rng: random.Random) -> VisitSequence:
+def mutate(dg: DestGraph, parent: VisitSequence, rng: random.Random) -> VisitSequence:
     """Segment-shuffle offspring of ``parent``.
 
-    The sequence is cut into k segments; the first and last (holding the
+    The sequence is cut into k segments (``SEGMENT_MIN`` to ``SEGMENT_MAX``,
+    capped at one fewer than its length); the first and last (holding the
     endpoints) stay fixed, middle segments are each reversed with probability
-    one half and spliced back in random order. Offspring with an unconnected
-    consecutive pair are re-drawn; after the retry budget the parent wins.
+    one half and spliced back in random order.
     """
     order = parent.order
     L = len(order)
     if L <= 3:
         return parent
-    hi = min(cfg.segment_max, L - 1)
-    lo = min(cfg.segment_min, hi)
+    hi = min(SEGMENT_MAX, L - 1)
+    lo = min(SEGMENT_MIN, hi)
+    k = rng.randint(lo, hi)
+    cuts = sorted(rng.sample(range(1, L), k - 1))
+    bounds = [0, *cuts, L]
+    segments = [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    middle = segments[1:-1]
+    for seg in middle:
+        if rng.random() < 0.5:
+            seg.reverse()
+    rng.shuffle(middle)
+    child: list[int] = segments[0][:]
+    for seg in middle:
+        child.extend(seg)
+    child.extend(segments[-1])
     rows = dg.rows
-    for _ in range(OFFSPRING_RETRY_BUDGET):
-        k = rng.randint(lo, hi)
-        cuts = sorted(rng.sample(range(1, L), k - 1))
-        bounds = [0, *cuts, L]
-        segments = [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
-        middle = segments[1:-1]
-        for seg in middle:
-            if rng.random() < 0.5:
-                seg.reverse()
-        rng.shuffle(middle)
-        child: list[int] = segments[0][:]
-        for seg in middle:
-            child.extend(seg)
-        child.extend(segments[-1])
-        cost = 0.0
-        for a, b in zip(child, child[1:]):
-            cost += rows[a][b]
-        if math.isfinite(cost):
-            return VisitSequence(order=tuple(child), total_cost=cost)
-    return parent
+    cost = 0.0
+    for a, b in zip(child, child[1:]):
+        cost += rows[a][b]
+    return VisitSequence(order=tuple(child), total_cost=cost)
 
 
 def crossover(dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.Random) -> VisitSequence:
@@ -407,36 +320,33 @@ def crossover(dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.R
     M = L - 2
     if M <= 1:
         return pa
-    rows = dg.rows
-    for _ in range(OFFSPRING_RETRY_BUDGET):
-        donor, filler = (pa, pb) if rng.random() < 0.5 else (pb, pa)
-        d_int = list(donor.order[1:-1])
-        f_int = list(filler.order[1:-1])
-        a = rng.randrange(M)
-        b = rng.randrange(M)
-        lo, hi = (a, b) if a <= b else (b, a)
-        segment = d_int[lo : hi + 1]
-        if rng.random() < 0.5:
-            segment.reverse()
-        off = rng.randint(0, M - len(segment))
-        child: list[int | None] = [None] * M
-        child[off : off + len(segment)] = segment
-        need = Counter(f_int)
-        for x in segment:
+    donor, filler = (pa, pb) if rng.random() < 0.5 else (pb, pa)
+    d_int = list(donor.order[1:-1])
+    f_int = list(filler.order[1:-1])
+    a = rng.randrange(M)
+    b = rng.randrange(M)
+    lo, hi = (a, b) if a <= b else (b, a)
+    segment = d_int[lo : hi + 1]
+    if rng.random() < 0.5:
+        segment.reverse()
+    off = rng.randint(0, M - len(segment))
+    child: list[int | None] = [None] * M
+    child[off : off + len(segment)] = segment
+    need = Counter(f_int)
+    for x in segment:
+        need[x] -= 1
+    empty = [i for i in range(M) if child[i] is None]
+    fill_iter = iter(empty)
+    for x in f_int:
+        if need[x] > 0:
             need[x] -= 1
-        empty = [i for i in range(M) if child[i] is None]
-        fill_iter = iter(empty)
-        for x in f_int:
-            if need[x] > 0:
-                need[x] -= 1
-                child[next(fill_iter)] = x
-        full = [pa.order[0], *child, pa.order[-1]]
-        cost = 0.0
-        for u, v in zip(full, full[1:]):
-            cost += rows[u][v]
-        if math.isfinite(cost):
-            return VisitSequence(order=tuple(full), total_cost=cost)
-    return pa if pa.total_cost <= pb.total_cost else pb
+            child[next(fill_iter)] = x
+    full = [pa.order[0], *child, pa.order[-1]]
+    rows = dg.rows
+    cost = 0.0
+    for u, v in zip(full, full[1:]):
+        cost += rows[u][v]
+    return VisitSequence(order=tuple(full), total_cost=cost)
 
 
 def selection_weights(costs: Sequence[float]) -> list[float]:
@@ -465,7 +375,7 @@ def genetic_refine(
         return seed
     survivors = []
     for _ in range(cfg.mutation_count):
-        child = mutate(dg, seed, cfg, rng)
+        child = mutate(dg, seed, rng)
         if child.total_cost < seed.total_cost:
             survivors.append(child)
     if not survivors:
@@ -529,7 +439,10 @@ def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
 
     Cheapest insertion and the genetic polish run on the complete, metric
     graph of closure distances between required destinations, so optional
-    destinations and revisits appear only as stops on the expanded legs.
+    destinations and revisits appear only as stops on the expanded legs. On
+    that graph an insertion that returns to its anchor is never cheaper than
+    one between the anchor and its successor (triangle inequality), so no
+    in-place detour or revisit removal is needed.
     """
     if cfg is None:
         cfg = GaConfig()

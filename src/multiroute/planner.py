@@ -489,7 +489,7 @@ def plan(
         dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
         try:
             seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
-        except (ordering.NoSequenceError, ordering.NoInsertionError):
+        except ordering.NoSequenceError:
             return
         path = stitch_node_path(seq, trees, conn, graph)
         cost = node_path_cost(graph, path)

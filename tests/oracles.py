@@ -1,11 +1,11 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the code paths they verify: Bellman-Ford instead of
-the heap Dijkstra, BFS component counting instead of union-find, dense-array
-Dijkstra for destination graphs, literal sequence rebuilding instead of
-insertion-delta formulas, a haversine scan instead of the planner's
-chord-distance argmin, a scalar Floyd-Warshall instead of the array one, and
-a per-destination insertion loop instead of the batched selection.
+the heap Dijkstra, BFS component counting instead of union-find, literal
+sequence rebuilding instead of insertion-delta formulas, a haversine scan
+instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
+instead of the array one, and a per-destination insertion loop instead of
+the batched selection.
 """
 
 from __future__ import annotations
@@ -23,13 +23,10 @@ from multiroute.ordering import (
     Action,
     DestGraph,
     InsertionPlan,
-    NoInsertionError,
     VisitSequence,
     _action_deltas,
     apply_insertion,
-    initial_sequence,
     make_sequence,
-    refine,
 )
 
 
@@ -80,29 +77,6 @@ def bfs_components(n: int, pairs: list[tuple[int, int]]) -> int:
     return comps
 
 
-def dense_dijkstra(theta: list[list[float]], src: int) -> tuple[list[float], list[int]]:
-    """O(n^2) Dijkstra over a dense symmetric matrix with inf for non-edges."""
-    n = len(theta)
-    dist = [math.inf] * n
-    parent = [-1] * n
-    dist[src] = 0.0
-    visited = [False] * n
-    for _ in range(n):
-        u, best = -1, math.inf
-        for i in range(n):
-            if not visited[i] and dist[i] < best:
-                u, best = i, dist[i]
-        if u < 0:
-            break
-        visited[u] = True
-        for v in range(n):
-            w = theta[u][v]
-            if u != v and math.isfinite(w) and dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                parent[v] = u
-    return dist, parent
-
-
 def rebuild_sequence_cost(theta: list[list[float]], order: list[int]) -> float:
     return sum(theta[a][b] for a, b in zip(order, order[1:]))
 
@@ -149,42 +123,27 @@ def scalar_metric_closure(theta: np.ndarray) -> tuple[np.ndarray, list[list[int]
     return dist, nxt
 
 
-def per_destination_best_insertion(dg: DestGraph, order: list[int], d_k: int) -> InsertionPlan:
+def per_destination_plan(dg: DestGraph, order: list[int], d_k: int) -> InsertionPlan:
     """Each action's first cheapest anchor; a later action wins only when strictly cheaper."""
     arr = np.asarray(order, dtype=int)
-    best: InsertionPlan | None = None
+    plans = []
     for action in Action:
         deltas, offset = _action_deltas(dg, arr, d_k, action)
-        if deltas.size == 0:
-            continue
-        idx = int(np.argmin(deltas))
-        delta = float(deltas[idx])
-        if math.isfinite(delta) and (best is None or delta < best.delta_cost):
-            best = InsertionPlan(action=action, anchor=idx + offset, destination=d_k, delta_cost=delta)
-    if best is None:
-        raise NoInsertionError(f"destination {d_k} cannot be inserted anywhere")
-    return best
+        if deltas.size:
+            idx = int(np.argmin(deltas))
+            plans.append(InsertionPlan(action, idx + offset, d_k, float(deltas[idx])))
+    return min(plans, key=lambda p: p.delta_cost)
 
 
 def per_destination_cheapest_insertion(dg: DestGraph) -> VisitSequence:
-    """Cheapest insertion with one best-insertion query per remaining destination.
+    """Cheapest insertion from [source, target], one best-insertion query per destination.
 
-    A later destination wins only when strictly cheaper; destinations that
-    cannot be inserted yet are skipped for the step.
+    A later destination wins only when strictly cheaper.
     """
-    order = list(initial_sequence(dg).order)
-    remaining = [d for d in dg.required_intermediates() if d not in set(order)]
+    order = [dg.source, dg.target]
+    remaining = dg.required_intermediates()
     while remaining:
-        best: InsertionPlan | None = None
-        for d in remaining:
-            try:
-                plan = per_destination_best_insertion(dg, order, d)
-            except NoInsertionError:
-                continue
-            if best is None or plan.delta_cost < best.delta_cost:
-                best = plan
-        if best is None:
-            raise NoInsertionError(f"no remaining destination of {remaining} is insertable")
+        best = min((per_destination_plan(dg, order, d) for d in remaining), key=lambda p: p.delta_cost)
         order = apply_insertion(order, best)
         remaining.remove(best.destination)
-    return refine(dg, make_sequence(dg, order))
+    return make_sequence(dg, order)

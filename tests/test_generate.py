@@ -13,6 +13,7 @@ from multiroute.generate import (
     random_scenario,
 )
 from multiroute.graphio import serialize_edgelist
+from multiroute.planner import destinations_connected
 
 
 def reachable_without(graph, start, banned):
@@ -155,11 +156,9 @@ def test_complete_instances_are_metric():
 
 
 def test_incomplete_instances_connected_over_required():
-    from multiroute.ordering import initial_sequence
-
     for seed in range(30):
         dg = random_incomplete_destgraph(7, seed=seed)
-        assert initial_sequence(dg) is not None
+        assert destinations_connected(dg.rows, dg.required)
         off = dg.theta[~np.eye(dg.n, dtype=bool)]
         assert np.any(~np.isfinite(off)) or math.isfinite(off.max())
 
