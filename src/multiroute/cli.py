@@ -37,6 +37,8 @@ class RunReport:
     node_path: list[int] = field(default_factory=list)
     iterations: int = 0
     explored_nodes: int = 0
+    solver_calls: int = 0
+    solver_skips: int = 0
 
 
 def _sha256(path: Path) -> str:
@@ -166,6 +168,8 @@ def _run_planner(
     report.status = result.status
     report.iterations = result.iterations
     report.explored_nodes = result.explored_nodes
+    report.solver_calls = result.solver_calls
+    report.solver_skips = result.solver_skips
     if result.final is not None:
         report.final_cost = result.final.total_cost
         report.node_path = list(result.final.node_path)

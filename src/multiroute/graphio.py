@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .geo import GeoPoint
+from .geo import GeoPoint, haversine
 from .graph import GraphError, RoutingGraph
 from .planner import DestinationSet
 
 
 class ParseError(ValueError):
     """Raised for malformed graph or scenario input."""
+
+
+def _text(data: bytes | str) -> str:
+    """``data`` as text; bytes must be UTF-8."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: invalid byte at offset {exc.start}") from None
 
 
 @dataclass
@@ -94,6 +104,8 @@ def parse_osm_xml(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
             refs.append(ref)
         for a, b in zip(refs, refs[1:]):
             if a != b:
+                if haversine(coords[a], coords[b]) == 0.0:
+                    raise ParseError(f"way {way_id} joins nodes {a} and {b}, which lie at one point")
                 edge_pairs.append((a, b))
     ids = IdMap()
     for a, b in edge_pairs:
@@ -122,9 +134,7 @@ def parse_edgelist(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
     ``e <id> <id> [weight-meters]`` edge lines, ``#`` comments. Omitted
     weights default to the haversine length of the edge.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.splitlines()
+    lines = _text(data).splitlines()
     body = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
     body = [(no, ln) for no, ln in body if ln and not ln.startswith("#")]
     if not body or body[0][1] != EDGELIST_HEADER:
@@ -157,9 +167,14 @@ def parse_edgelist(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
                 raise ParseError(f"line {no}: {exc}") from None
             if a not in ids.to_internal or b not in ids.to_internal:
                 raise ParseError(f"line {no}: edge references undeclared node")
+            if a == b:
+                raise ParseError(f"line {no}: self-loop at node {a}")
+            ia, ib = ids.to_internal[a], ids.to_internal[b]
+            if w is None and haversine(points[ia], points[ib]) == 0.0:
+                raise ParseError(f"line {no}: nodes {a} and {b} lie at one point, so the edge needs a weight")
             if w is not None and (not math.isfinite(w) or w <= 0.0):
                 raise ParseError(f"line {no}: edge weight must be positive and finite, got {w}")
-            edges.append((ids.to_internal[a], ids.to_internal[b], w))
+            edges.append((ia, ib, w))
         else:
             raise ParseError(f"line {no}: unknown record kind {kind!r}")
     try:
@@ -190,8 +205,7 @@ def parse_scenario(data: bytes | str) -> ScenarioSpec:
     Keys, one per line: ``source <id>``, ``target <id>``, ``objectives <id>...``
     (repeatable), ``pseudo <id> [must_visit]`` (repeatable); ``#`` comments.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = _text(data)
     source: int | None = None
     target: int | None = None
     objectives: list[int] = []
@@ -241,15 +255,16 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
 
 
 def resolve_scenario(spec: ScenarioSpec, ids: IdMap) -> DestinationSet:
-    """Map a scenario's external ids onto internal destination indices."""
+    """Map a scenario's external ids onto internal destination indices.
+
+    The destination roles are checked over the external ids, so errors name
+    the ids the scenario file uses.
+    """
     try:
-        source = ids.resolve(spec.source)
-        target = ids.resolve(spec.target)
-        objectives = [ids.resolve(o) for o in spec.objectives]
-        pseudos = [(ids.resolve(p), mv) for p, mv in spec.pseudos]
-    except ParseError as exc:
-        raise ParseError(f"scenario references {exc}") from None
-    try:
-        return DestinationSet.build(source, target, objectives, pseudos)
+        external = DestinationSet.build(spec.source, spec.target, spec.objectives, spec.pseudos)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    try:
+        return replace(external, node_ids=tuple(ids.resolve(n) for n in external.node_ids))
+    except ParseError as exc:
+        raise ParseError(f"scenario references {exc}") from None

@@ -434,6 +434,25 @@ def _closure_path(nxt: np.ndarray, stops: Sequence[int]) -> list[int]:
     return path
 
 
+def required_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The ordering problem ``solve`` works on: the closure over required destinations.
+
+    Returns the symmetric metric-closure submatrix over the required
+    destinations, the next-hop matrix of the full closure and the required
+    destination indices in ascending order (the submatrix's rows). Two
+    ``DestGraph`` inputs with bit-identical submatrices give ``solve`` the
+    same problem. Raises ``NoSequenceError`` when an entry is infinite.
+    """
+    closure, nxt = _metric_closure(dg)
+    keep = [i for i in range(dg.n) if dg.required[i]]
+    sub = closure[np.ix_(keep, keep)]
+    if not np.all(np.isfinite(sub)):
+        raise NoSequenceError("some required destinations are mutually unreachable")
+    # The two directions of a closure distance are summed in different orders
+    # and can differ in the last bit; DestGraph needs exact symmetry.
+    return np.minimum(sub, sub.T), nxt, keep
+
+
 def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
     """Order the required destinations over the metric closure, then expand.
 
@@ -446,14 +465,8 @@ def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
     """
     if cfg is None:
         cfg = GaConfig()
-    closure, nxt = _metric_closure(dg)
-    keep = [i for i in range(dg.n) if dg.required[i]]
-    sub = closure[np.ix_(keep, keep)]
-    if not np.all(np.isfinite(sub)):
-        raise NoSequenceError("some required destinations are mutually unreachable")
-    # The two directions of a closure distance are summed in different orders
-    # and can differ in the last bit; DestGraph needs exact symmetry.
-    reduced = DestGraph(np.minimum(sub, sub.T), keep.index(dg.source), keep.index(dg.target))
+    theta, nxt, keep = required_closure(dg)
+    reduced = DestGraph(theta, keep.index(dg.source), keep.index(dg.target))
     seq = genetic_refine(reduced, cheapest_insertion(reduced), cfg)
     return make_sequence(dg, _closure_path(nxt, [keep[i] for i in seq.order]))
 

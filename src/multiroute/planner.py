@@ -3,10 +3,11 @@
 One search tree grows from every destination (source, objectives, optional
 waypoint hints, target) over the shared routing graph. Nodes reached by two
 trees connect their destinations; the best such meeting points feed a
-destination distance matrix. Whenever the matrix improves and the required
-destinations are mutually reachable, the ordering solver is re-run and any
-strictly better overall route is emitted, so solution quality only improves
-over a run. Single-threaded and deterministic for a fixed seed.
+destination distance matrix. Whenever the matrix improves, the required
+destinations are mutually reachable and their metric closure (the problem the
+ordering solver orders) changed, the solver is re-run and any strictly better
+overall route is emitted, so solution quality only improves over a run.
+Single-threaded and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -404,6 +405,10 @@ class PlanResult:
     explored_nodes: int
     wall_time: float
     distance_matrix: list[list[float]]
+    # In-loop ordering solves run, and those skipped because the required
+    # destinations' metric closure was bit-identical to the last one solved.
+    solver_calls: int = 0
+    solver_skips: int = 0
 
     @property
     def final(self) -> AnytimeSolution | None:
@@ -483,11 +488,27 @@ def plan(
     best_cost = INF
     solutions: list[AnytimeSolution] = []
     n_trees = len(trees)
+    solved_closure: np.ndarray | None = None
+    solver_calls = 0
+    solver_skips = 0
 
-    def try_solve(ga_cfg: GaConfig) -> None:
-        nonlocal best_cost
+    def try_solve(ga_cfg: GaConfig, in_loop: bool) -> None:
+        """Solve the current matrix and emit the route if it is strictly cheaper.
+
+        An in-loop solve is skipped when the ordering problem, the closure over
+        the required destinations, is bit-identical to the last one solved in
+        the loop: it could only re-roll the GA seed.
+        """
+        nonlocal best_cost, solved_closure, solver_calls, solver_skips
         dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
         try:
+            if in_loop:
+                closure = ordering.required_closure(dg)[0]
+                if solved_closure is not None and np.array_equal(closure, solved_closure):
+                    solver_skips += 1
+                    return
+                solved_closure = closure
+                solver_calls += 1
             seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
         except ordering.NoSequenceError:
             return
@@ -542,10 +563,10 @@ def plan(
         for v in sorted(changed):
             improved.extend(update_connections(conn, trees, v, idx))
         if improved and destinations_connected(conn.matrix, dests.required):
-            try_solve(cfg.solver_ga)
+            try_solve(cfg.solver_ga, in_loop=True)
 
     if not (cfg.stop_after_first and solutions) and destinations_connected(conn.matrix, dests.required):
-        try_solve(cfg.final_polish_ga)
+        try_solve(cfg.final_polish_ga, in_loop=False)
 
     if solutions:
         status = "solved"
@@ -560,6 +581,8 @@ def plan(
         explored_nodes=explored,
         wall_time=time.monotonic() - start,
         distance_matrix=[row[:] for row in conn.matrix],
+        solver_calls=solver_calls,
+        solver_skips=solver_skips,
     )
 
 

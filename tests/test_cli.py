@@ -69,6 +69,7 @@ def test_run_emits_trace_and_exits_zero(fixtures, tmp_path):
     assert summary["final_cost"] == 7.0
     assert summary["node_path"] == [0, 1, 0, 2]
     assert len(summary["graph_sha256"]) == 64
+    assert summary["solver_calls"] >= 1 and summary["solver_skips"] >= 0
     costs = [r["total_cost"] for r in solutions]
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
@@ -251,6 +252,18 @@ def test_missing_file_is_named(tmp_path, capsys):
     )
     assert rc == 1
     assert "absent.el" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["graph", "scenario"])
+def test_non_utf8_file_is_a_parse_error(fixtures, capsys, kind):
+    graph, scenario = fixtures
+    bad = graph if kind == "graph" else scenario
+    bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+    rc = main(["run", "--graph", str(graph), "--scenario", str(scenario)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file {bad}: not UTF-8 text")
+    assert "Traceback" not in err
 
 
 def test_csv_format(fixtures, tmp_path):

@@ -132,6 +132,30 @@ def test_zero_weight_rejected():
         parse_edgelist(bad)
 
 
+def test_self_loop_names_external_id_and_line():
+    bad = "graph v1\nn 5 45.0 7.0\nn 9 45.001 7.0\ne 9 9 3.0\n"
+    with pytest.raises(ParseError, match=r"^line 4: self-loop at node 9$"):
+        parse_edgelist(bad)
+
+
+def test_weightless_edge_between_coincident_nodes_names_external_ids():
+    bad = "graph v1\nn 5 45.0 7.0\nn 9 45.0 7.0\ne 5 9\n"
+    with pytest.raises(ParseError, match=r"^line 4: nodes 5 and 9 lie at one point"):
+        parse_edgelist(bad)
+    xml = osm(
+        "<node id='10' lat='45.0' lon='7.0'/><node id='11' lat='45.0' lon='7.0'/>"
+        "<way id='3'><nd ref='10'/><nd ref='11'/><tag k='highway' v='primary'/></way>"
+    )
+    with pytest.raises(ParseError, match="way 3 joins nodes 10 and 11"):
+        parse_osm_xml(xml)
+
+
+@pytest.mark.parametrize("parse", [parse_edgelist, parse_scenario])
+def test_non_utf8_bytes_name_the_offset(parse):
+    with pytest.raises(ParseError, match="offset 4$"):
+        parse(b"# \xc3\xa9\xff\n")
+
+
 def test_dangling_endpoint_rejected():
     bad = "graph v1\nn 1 45.0 7.0\ne 1 9 5.0\n"
     with pytest.raises(ParseError, match="undeclared"):
@@ -197,8 +221,14 @@ def test_duplicate_objective_rejected():
 
 def test_objective_equal_to_source_rejected():
     spec = parse_scenario("source 100\ntarget 101\nobjectives 100\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^objective 100 duplicates another destination$"):
         resolve_scenario(spec, ids_for(2))
+
+
+def test_pseudo_equal_to_source_names_external_id():
+    spec = parse_scenario("source 107\ntarget 101\npseudo 107\n")
+    with pytest.raises(ParseError, match="^pseudo destination 107 equals the source or target$"):
+        resolve_scenario(spec, ids_for(8))
 
 
 def test_unknown_external_id_named_in_error():

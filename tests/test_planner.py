@@ -1,6 +1,8 @@
 import math
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from multiroute.geo import GeoPoint
@@ -26,6 +28,8 @@ from multiroute.planner import (
     validate_node_path,
     validate_tree,
 )
+from multiroute import ordering
+from multiroute import planner as planner_module
 from multiroute.ordering import GaConfig
 
 from oracles import bfs_components, nearest_by_haversine, random_weighted_graph_edges
@@ -516,9 +520,86 @@ def test_plan_reruns_are_trace_identical():
             res.iterations,
             res.explored_nodes,
             res.distance_matrix,
+            res.solver_calls,
+            res.solver_skips,
         )
 
-    assert run() == run()
+    first = run()
+    assert first == run()
+    # The run saturates, and some of its matrix improvements leave the
+    # required destinations' closure unchanged.
+    assert first[-2] > 0 and first[-1] > 0
+
+
+def unit_grid(rows, cols):
+    pts = [GeoPoint(45.0 + 1e-4 * r, 7.0 + 1e-4 * c) for r in range(rows) for c in range(cols)]
+    edges = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            edges.append((v, v + 1, 1.0))
+        if v + cols < rows * cols:
+            edges.append((v, v + cols, 1.0))
+    return RoutingGraph(pts, edges)
+
+
+def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
+    # Source, objective and target on the top row of a 4 x 7 unit grid: the
+    # objective lies on every shortest source-target path, so once both of its
+    # pairs are exact a better source-target meeting point cannot lower the
+    # closure. Integer weights keep the closure sums exact.
+    g = unit_grid(4, 7)
+    dests = DestinationSet.build(0, 6, objectives=(3,))
+    cfg_loop = GaConfig(mutation_count=60, crossover_count=60, generations=2)
+    events = []
+
+    def checked(dg):
+        out = ordering.required_closure(dg)
+        events.append(("check", dg.theta.copy(), out[0].copy()))
+        return out
+
+    def solved(dg, cfg):
+        events.append(("solve", dg.theta.copy(), cfg.mutation_count == cfg_loop.mutation_count))
+        return ordering.solve(dg, cfg)
+
+    spy = SimpleNamespace(required_closure=checked, solve=solved, NoSequenceError=ordering.NoSequenceError)
+    monkeypatch.setattr(planner_module, "ordering", spy)
+    dominated = lowered = 0
+    for seed in range(6):
+        events.clear()
+        costs = []
+
+        def check(sol: AnytimeSolution) -> None:
+            costs.append(sol.total_cost)
+            validate_node_path(g, dests, sol.node_path)
+
+        result = plan(g, dests, light_cfg(rng_seed=seed, solver_ga=cfg_loop), on_solution=check)
+        assert result.status == "solved"
+        assert all(a > b for a, b in zip(costs, costs[1:]))
+        last = None  # (matrix, closure) of the check the last in-loop solve followed
+        runs = skips = 0
+        for i, (kind, theta, closure) in enumerate(events):
+            if kind != "check":
+                continue
+            ran = i + 1 < len(events) and events[i + 1][0] == "solve" and events[i + 1][2]
+            if last is None:
+                assert ran, "the first in-loop solve of a run is never skipped"
+            elif np.array_equal(closure, last[1]):
+                assert not ran
+                # A pair improved, but its entry stays above the path
+                # through a third destination.
+                down = theta < last[0]
+                dominated += bool(np.any(theta[down] > closure[down]))
+            else:
+                assert ran
+                lowered += bool(np.any(closure < last[1]))
+            runs += ran
+            skips += not ran
+            if ran:
+                last = (theta, closure)
+        assert (result.solver_calls, result.solver_skips) == (runs, skips)
+        # The full-strength polish always runs, last.
+        assert events[-1][0] == "solve" and not events[-1][2]
+    assert dominated > 0 and lowered > 0
 
 
 def test_final_matrix_dominates_dijkstra_distances():
