@@ -322,11 +322,11 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     prefix = Path(args.out)
     if args.kind == "geometric":
-        if args.nodes < 2 or not args.radius > 0 or args.objectives < 0:
-            print("error: need --nodes >= 2, --radius > 0 and --objectives >= 0", file=sys.stderr)
+        if args.objectives < 0:
+            print("error: need --objectives >= 0", file=sys.stderr)
             return EXIT_USAGE
-        graph, ids = generate.random_geometric_graph(args.nodes, args.radius, args.seed)
         try:
+            graph, ids = generate.random_geometric_graph(args.nodes, args.radius, args.seed)
             scenario = generate.random_scenario(graph, ids, args.objectives, args.seed)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

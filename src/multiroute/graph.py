@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,7 +27,7 @@ class RoutingGraph:
     ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``).
     """
 
-    __slots__ = ("nodes", "xyz", "_adj", "_weights", "edge_count")
+    __slots__ = ("nodes", "xyz", "_adj", "edge_count")
 
     def __init__(
         self,
@@ -52,7 +53,6 @@ class RoutingGraph:
             prev = weights.get(key)
             if prev is None or w < prev:
                 weights[key] = w
-        self._weights = weights
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for (u, v), w in weights.items():
             adj[u].append((v, w))
@@ -69,12 +69,16 @@ class RoutingGraph:
         return self._adj[u]
 
     def edge_weight(self, u: int, v: int) -> float | None:
-        key = (u, v) if u < v else (v, u)
-        return self._weights.get(key)
+        """Weight of edge (u, v), or None when it is not an edge."""
+        if not 0 <= u < len(self._adj):
+            return None
+        nbrs = self._adj[u]
+        i = bisect_left(nbrs, (v,))
+        return nbrs[i][1] if i < len(nbrs) and nbrs[i][0] == v else None
 
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """All undirected edges as (u, v, w) with u < v, sorted."""
-        return ((u, v, w) for (u, v), w in sorted(self._weights.items()))
+        return ((u, v, w) for u, nbrs in enumerate(self._adj) for v, w in nbrs if u < v)
 
 
 def node_path_cost(graph: RoutingGraph, path: Sequence[int]) -> float:

@@ -87,7 +87,10 @@ def parse_osm_xml(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
             lon = float(node.attrib["lon"])
         except (KeyError, ValueError) as exc:
             raise ParseError(f"node element missing or bad id/lat/lon: {exc}") from None
-        coords[ext] = GeoPoint(lat, lon)
+        try:
+            coords[ext] = GeoPoint(lat, lon)
+        except ValueError as exc:
+            raise ParseError(f"node {ext}: {exc}") from None
     edge_pairs: list[tuple[int, int]] = []
     for way in root.iter("way"):
         way_id = way.attrib.get("id", "?")

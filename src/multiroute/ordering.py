@@ -356,21 +356,15 @@ def selection_weights(costs: Sequence[float]) -> list[float]:
     return [f / total for f in fitness]
 
 
-def genetic_refine(
-    dg: DestGraph,
-    seed: VisitSequence,
-    cfg: GaConfig,
-    rng: random.Random | None = None,
-) -> VisitSequence:
+def genetic_refine(dg: DestGraph, seed: VisitSequence, cfg: GaConfig) -> VisitSequence:
     """Mutation of the single seed, then fitness-weighted crossover generations.
 
     Only offspring strictly cheaper than the seed survive mutation; each
     crossover generation keeps offspring strictly cheaper than the best of the
-    previous generation. Returns the best sequence ever seen (the seed when
-    nothing improves).
+    previous generation, so the best of the last generation kept is the best
+    sequence ever seen. Returns it (the seed when nothing improves).
     """
-    if rng is None:
-        rng = random.Random(cfg.rng_seed)
+    rng = random.Random(cfg.rng_seed)
     if len(seed.order) <= 3:
         return seed
     survivors = []
@@ -380,7 +374,6 @@ def genetic_refine(
             survivors.append(child)
     if not survivors:
         return seed
-    best = min(survivors, key=lambda s: s.total_cost)
     population = survivors
     for _ in range(cfg.generations):
         threshold = min(s.total_cost for s in population)
@@ -394,10 +387,7 @@ def genetic_refine(
         if not next_gen:
             break
         population = next_gen
-        gen_best = min(population, key=lambda s: s.total_cost)
-        if gen_best.total_cost < best.total_cost:
-            best = gen_best
-    return best
+    return min(population, key=lambda s: s.total_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -143,18 +143,18 @@ class SearchTree:
     """Rooted spanning tree of explored graph nodes for one destination.
 
     ``cost`` holds the exact cost-to-come from the root along parent links;
+    ``children[u]`` maps each child of ``u`` to the weight of its tree edge;
     ``expandable`` is the growth frontier: tree nodes with at least one graph
     neighbor outside the tree.
     """
 
-    __slots__ = ("root_node", "parent", "cost", "edge_w", "children", "expandable", "_unvisited")
+    __slots__ = ("root_node", "parent", "cost", "children", "expandable", "_unvisited")
 
     def __init__(self, root_node: int, graph: RoutingGraph) -> None:
         self.root_node = root_node
         self.parent: dict[int, int | None] = {root_node: None}
         self.cost: dict[int, float] = {root_node: 0.0}
-        self.edge_w: dict[int, float] = {}
-        self.children: dict[int, set[int]] = {root_node: set()}
+        self.children: dict[int, dict[int, float]] = {root_node: {}}
         self.expandable = Frontier(graph.node_count)
         self._unvisited: dict[int, int] = {}
         ud = sum(1 for n, _ in graph.neighbors(root_node) if n not in self.cost)
@@ -168,14 +168,11 @@ class SearchTree:
     def add_node(self, node: int, parent: int, cost: float, weight: float, graph: RoutingGraph) -> None:
         self.parent[node] = parent
         self.cost[node] = cost
-        self.edge_w[node] = weight
-        self.children[node] = set()
-        self.children[parent].add(node)
+        self.children[node] = {}
+        self.children[parent][node] = weight
         ud = 0
         for n, _ in graph.neighbors(node):
             if n in self.cost:
-                if n == node:
-                    continue
                 left = self._unvisited[n] - 1
                 self._unvisited[n] = left
                 if left == 0:
@@ -272,21 +269,18 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
             continue
         nc = base + w
         if nc < old:
-            old_parent = tree.parent[n]
-            if old_parent is not None:
-                tree.children[old_parent].discard(n)
+            del tree.children[tree.parent[n]][n]
             tree.parent[n] = v_new
-            tree.children[v_new].add(n)
+            tree.children[v_new][n] = w
             tree.cost[n] = nc
-            tree.edge_w[n] = w
             count += 1
             changed.append(n)
             stack = [n]
             while stack:
                 u = stack.pop()
                 cu = tree.cost[u]
-                for c in tree.children[u]:
-                    tree.cost[c] = cu + tree.edge_w[c]
+                for c, wc in tree.children[u].items():
+                    tree.cost[c] = cu + wc
                     changed.append(c)
                     stack.append(c)
     return count, changed
@@ -549,11 +543,7 @@ def plan(
         tree = trees[idx]
         v_rand = sample(cfg, graph, dests, rng)
         anchor = nearest_expandable(tree, v_rand, graph)
-        if anchor is None:
-            continue
         added = extend(tree, anchor, v_rand, graph)
-        if not added:
-            continue
         explored += len(added)
         changed: set[int] = set(added)
         for v in added:
@@ -565,12 +555,13 @@ def plan(
         if improved and destinations_connected(conn.matrix, dests.required):
             try_solve(cfg.solver_ga, in_loop=True)
 
-    if not (cfg.stop_after_first and solutions) and destinations_connected(conn.matrix, dests.required):
+    connected = destinations_connected(conn.matrix, dests.required)
+    if connected and not (cfg.stop_after_first and solutions):
         try_solve(cfg.final_polish_ga, in_loop=False)
 
     if solutions:
         status = "solved"
-    elif saturated and not destinations_connected(conn.matrix, dests.required):
+    elif saturated and not connected:
         status = "no_path"
     else:
         status = "no_path_yet"
@@ -584,58 +575,3 @@ def plan(
         solver_calls=solver_calls,
         solver_skips=solver_skips,
     )
-
-
-# ---------------------------------------------------------------------------
-# Debug validators
-# ---------------------------------------------------------------------------
-
-def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
-    """Assert acyclic parents, an exact cost recurrence, and a correct frontier."""
-    for node in tree.cost:
-        seen = set()
-        cur: int | None = node
-        while cur is not None:
-            if cur in seen:
-                raise AssertionError(f"parent cycle through node {cur}")
-            seen.add(cur)
-            cur = tree.parent[cur]
-        if tree.root_node not in seen:
-            raise AssertionError(f"node {node} does not reach the root")
-    for node, parent in tree.parent.items():
-        if parent is None:
-            if tree.cost[node] != 0.0:
-                raise AssertionError("root cost must be zero")
-            continue
-        w = graph.edge_weight(parent, node)
-        if w is None:
-            raise AssertionError(f"tree edge ({parent}, {node}) is not a graph edge")
-        if tree.cost[node] != tree.cost[parent] + tree.edge_w[node] or tree.edge_w[node] != w:
-            raise AssertionError(f"cost recurrence broken at node {node}")
-    frontier = {
-        node for node in tree.cost if any(n not in tree.cost for n, _ in graph.neighbors(node))
-    }
-    if tree.expandable != frontier:
-        wrong = sorted(frontier.symmetric_difference(tree.expandable))
-        raise AssertionError(f"frontier wrong for nodes {wrong} (size {len(tree.expandable)})")
-
-
-def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> None:
-    """Assert every matrix entry equals a fresh scan over the shared tree nodes.
-
-    The fresh value of a pair is the least summed cost-to-come over the nodes
-    both trees hold, ``INF`` if they share none; the pair's witness must
-    realize it.
-    """
-    for i, ti in enumerate(trees):
-        for k in range(i + 1, len(trees)):
-            tk = trees[k]
-            shared = ti.cost.keys() & tk.cost.keys()
-            fresh = min((ti.cost[c] + tk.cost[c] for c in shared), default=INF)
-            cached = conn.matrix[i][k]
-            if cached != fresh:
-                raise AssertionError(f"stale entry for pair {(i, k)}: {cached} vs fresh {fresh}")
-            if shared:
-                node = conn.best.get((i, k))
-                if node not in shared or ti.cost[node] + tk.cost[node] != cached:
-                    raise AssertionError(f"witness for pair {(i, k)} does not realize the value")

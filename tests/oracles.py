@@ -5,7 +5,8 @@ the heap Dijkstra, BFS component counting instead of union-find, literal
 sequence rebuilding instead of insertion-delta formulas, a haversine scan
 instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
 instead of the array one, and a per-destination insertion loop instead of
-the batched selection.
+the batched selection. The planner validators rebuild each tree's frontier,
+child links and cost recurrence, and each matrix entry, from scratch.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from multiroute.ordering import (
     apply_insertion,
     make_sequence,
 )
+from multiroute.planner import ConnectionTable, SearchTree
 
 
 def nearest_by_haversine(graph: RoutingGraph, candidates: Iterable[int], v_rand: int) -> int:
@@ -147,3 +149,65 @@ def per_destination_cheapest_insertion(dg: DestGraph) -> VisitSequence:
         order = apply_insertion(order, best)
         remaining.remove(best.destination)
     return make_sequence(dg, order)
+
+
+def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
+    """Assert acyclic parents, mirrored child maps, exact costs and a correct frontier.
+
+    Each parent link must appear once in the parent's ``children`` map, with
+    the graph's weight for that edge, and no other child link may exist.
+    """
+    if tree.parent.keys() != tree.cost.keys() or tree.children.keys() != tree.cost.keys():
+        raise AssertionError("parent, cost and children hold different nodes")
+    for node in tree.cost:
+        seen = set()
+        cur: int | None = node
+        while cur is not None:
+            if cur in seen:
+                raise AssertionError(f"parent cycle through node {cur}")
+            seen.add(cur)
+            cur = tree.parent[cur]
+        if tree.root_node not in seen:
+            raise AssertionError(f"node {node} does not reach the root")
+    links = {(p, c) for p, kids in tree.children.items() for c in kids}
+    if links != {(p, c) for c, p in tree.parent.items() if p is not None}:
+        raise AssertionError("child maps do not mirror the parent links")
+    for node, parent in tree.parent.items():
+        if parent is None:
+            if tree.cost[node] != 0.0:
+                raise AssertionError("root cost must be zero")
+            continue
+        w = graph.edge_weight(parent, node)
+        if w is None:
+            raise AssertionError(f"tree edge ({parent}, {node}) is not a graph edge")
+        if tree.children[parent][node] != w:
+            raise AssertionError(f"child map of {parent} holds the wrong weight for {node}")
+        if tree.cost[node] != tree.cost[parent] + w:
+            raise AssertionError(f"cost recurrence broken at node {node}")
+    frontier = {
+        node for node in tree.cost if any(n not in tree.cost for n, _ in graph.neighbors(node))
+    }
+    if tree.expandable != frontier:
+        wrong = sorted(frontier.symmetric_difference(tree.expandable))
+        raise AssertionError(f"frontier wrong for nodes {wrong} (size {len(tree.expandable)})")
+
+
+def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> None:
+    """Assert every matrix entry equals a fresh scan over the shared tree nodes.
+
+    The fresh value of a pair is the least summed cost-to-come over the nodes
+    both trees hold, ``inf`` if they share none; the pair's witness must
+    realize it.
+    """
+    for i, ti in enumerate(trees):
+        for k in range(i + 1, len(trees)):
+            tk = trees[k]
+            shared = ti.cost.keys() & tk.cost.keys()
+            fresh = min((ti.cost[c] + tk.cost[c] for c in shared), default=math.inf)
+            cached = conn.matrix[i][k]
+            if cached != fresh:
+                raise AssertionError(f"stale entry for pair {(i, k)}: {cached} vs fresh {fresh}")
+            if shared:
+                node = conn.best.get((i, k))
+                if node not in shared or ti.cost[node] + tk.cost[node] != cached:
+                    raise AssertionError(f"witness for pair {(i, k)} does not realize the value")

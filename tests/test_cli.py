@@ -209,6 +209,8 @@ def test_bad_run_values_are_usage_errors(fixtures, tmp_path, capsys, flags):
         ["bench-oracle", "--instances", "0"],
         ["bench-oracle", "--mutations", "0"],
         ["gen", "--kind", "geometric", "--nodes", "10", "--objectives", "500"],
+        ["gen", "--kind", "geometric", "--radius", "2"],
+        ["gen", "--kind", "geometric", "--radius", "inf"],
     ],
 )
 def test_bad_bench_and_gen_values_are_usage_errors(tmp_path, capsys, argv):
@@ -264,6 +266,24 @@ def test_non_utf8_file_is_a_parse_error(fixtures, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {kind} file {bad}: not UTF-8 text")
     assert "Traceback" not in err
+
+
+def test_osm_node_with_bad_coordinates_is_a_parse_error(fixtures, tmp_path):
+    _, scenario = fixtures
+    graph = tmp_path / "map.osm"
+    graph.write_text(
+        "<osm><node id='0' lat='95' lon='7.0'/><node id='2' lat='45.0' lon='7.0'/>"
+        "<way id='1'><nd ref='0'/><nd ref='2'/><tag k='highway' v='primary'/></way></osm>"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiroute", "run", "--graph", str(graph), "--scenario", str(scenario)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: graph file {graph}: node 0: latitude")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_csv_format(fixtures, tmp_path):

@@ -45,6 +45,28 @@ def test_default_weight_is_haversine():
     assert g.edge_weight(0, 1) == haversine(pts[0], pts[1])
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_lookups_match_an_independent_edge_map(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    raw = random_weighted_graph_edges(rng, n, extra_edges=2 * n)
+    raw += [(v, u, w + rng.choice((-0.5, 0.5))) for u, v, w in rng.sample(raw, len(raw) // 3)]
+    expected: dict[tuple[int, int], float] = {}
+    for u, v, w in raw:
+        key = (min(u, v), max(u, v))
+        expected[key] = min(w, expected.get(key, math.inf))
+    g = RoutingGraph(grid_points(n), raw)
+    listed = list(g.edges())
+    assert listed == sorted((u, v, w) for (u, v), w in expected.items())
+    for u, v, w in listed:
+        assert g.edge_weight(u, v) == w and g.edge_weight(v, u) == w
+    outside = (-n - 1, -n, -1, n, n + 3)
+    for u in (*range(n), *outside):
+        for v in (*range(n), *outside):
+            if (min(u, v), max(u, v)) not in expected:
+                assert g.edge_weight(u, v) is None, (u, v)
+
+
 @pytest.mark.parametrize("edge", [(0, 0, 1.0), (0, 1, 0.0), (0, 1, -2.0), (0, 1, math.inf), (0, 5, 1.0)])
 def test_bad_edges_rejected(edge):
     with pytest.raises(GraphError):

@@ -67,6 +67,21 @@ def test_missing_nd_ref_names_way():
         parse_osm_xml(xml)
 
 
+@pytest.mark.parametrize(
+    "lat, lon, problem",
+    [
+        ("95", "7.0", "latitude"),
+        ("45.0", "-181", "longitude"),
+        ("nan", "7.0", "non-finite"),
+        ("45.0", "inf", "non-finite"),
+    ],
+)
+def test_out_of_range_coordinates_name_the_node(lat, lon, problem):
+    xml = osm(f"<node id='10' lat='45.0' lon='7.0'/><node id='42' lat='{lat}' lon='{lon}'/>")
+    with pytest.raises(ParseError, match=f"^node 42: {problem}"):
+        parse_osm_xml(xml)
+
+
 def test_hundred_way_fixture_matches_independent_count():
     rng = random.Random(5)
     n_nodes = 120

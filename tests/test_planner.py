@@ -24,15 +24,19 @@ from multiroute.planner import (
     rewire,
     sample,
     update_connections,
-    validate_connections,
     validate_node_path,
-    validate_tree,
 )
 from multiroute import ordering
 from multiroute import planner as planner_module
 from multiroute.ordering import GaConfig
 
-from oracles import bfs_components, nearest_by_haversine, random_weighted_graph_edges
+from oracles import (
+    bfs_components,
+    nearest_by_haversine,
+    random_weighted_graph_edges,
+    validate_connections,
+    validate_tree,
+)
 
 INF = math.inf
 
