@@ -8,13 +8,17 @@ import time
 from dataclasses import dataclass
 
 from .geo import haversine
-from .graph import RoutingGraph, node_path_cost
+from .graph import RoutingGraph, node_path_cost, path_from_root
 
 INF = math.inf
 
 
 class NoPathError(ValueError):
-    """Source and target are disconnected."""
+    """Source and target are disconnected; ``endpoints`` holds both node ids."""
+
+    def __init__(self, s: int, t: int) -> None:
+        super().__init__(f"no path between {s} and {t}")
+        self.endpoints = (s, t)
 
 
 class NoPathYet(RuntimeError):
@@ -31,30 +35,33 @@ class BaselineResult:
     cost: float
     explored_nodes: int
     wall_time: float
-    trace: tuple[tuple[float, float], ...] = ()  # (wall_time, cost) improvements
+    trace: tuple[tuple[float, float], ...]  # (wall_time, cost) per improvement
 
 
-def _goal_heuristic(graph: RoutingGraph, goal: int) -> list[float]:
-    ref = graph.nodes[goal]
-    return [haversine(p, ref) for p in graph.nodes]
+def _goal_heuristics(graph: RoutingGraph, *goals: int) -> list[list[float]]:
+    """Per goal, each node's great-circle distance to it times ``great_circle_scale``."""
+    scale = graph.great_circle_scale()
+    nodes = graph.nodes
+    return [[scale * haversine(p, nodes[goal]) for p in nodes] for goal in goals]
 
 
 def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
     """Exact shortest path via simultaneous searches from both endpoints.
 
-    Uses the great-circle distance to the opposite endpoint as the heuristic
-    (admissible and consistent when edge weights are at least the great-circle
-    length). Stops once either frontier's best f-value reaches the best
-    meeting cost seen, which proves that cost optimal.
+    Uses the great-circle distance to the opposite endpoint as the heuristic,
+    scaled down when explicit edge weights are shorter than the great-circle
+    length so that it stays consistent. Stops once either frontier's best
+    f-value reaches the best meeting cost seen, which proves that cost optimal.
     """
     n = graph.node_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"endpoint outside 0..{n - 1}")
     start = time.monotonic()
     if s == t:
-        return BaselineResult(node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0)
-    h_fwd = _goal_heuristic(graph, t)
-    h_bwd = _goal_heuristic(graph, s)
+        return BaselineResult(
+            node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
+        )
+    h_fwd, h_bwd = _goal_heuristics(graph, t, s)
     g = ({s: 0.0}, {t: 0.0})
     parent: tuple[dict[int, int | None], dict[int, int | None]] = ({s: None}, {t: None})
     done: tuple[set[int], set[int]] = (set(), set())
@@ -105,18 +112,12 @@ def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
                         mu = cand
                         meet = v
     if meet < 0:
-        raise NoPathError(f"no path between {s} and {t}")
-    fwd = [meet]
-    while (p := parent[0][fwd[-1]]) is not None:
-        fwd.append(p)
-    fwd.reverse()
-    while (p := parent[1][fwd[-1]]) is not None:
-        fwd.append(p)
+        raise NoPathError(s, t)
+    path = path_from_root(parent[0], meet) + path_from_root(parent[1], meet)[-2::-1]
+    cost = node_path_cost(graph, path)
+    wall = time.monotonic() - start
     return BaselineResult(
-        node_path=tuple(fwd),
-        cost=node_path_cost(graph, fwd),
-        explored_nodes=explored,
-        wall_time=time.monotonic() - start,
+        node_path=tuple(path), cost=cost, explored_nodes=explored, wall_time=wall, trace=((wall, cost),)
     )
 
 
@@ -125,8 +126,10 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
 
     Repeatedly expands the open node maximizing (G - g) / h, where G is the
     incumbent cost; every time the goal is reached with g < G the incumbent
-    improves and the open list is re-keyed and pruned. With no budget the
-    search runs to exhaustion and the final cost is optimal.
+    improves and the open list is re-keyed and pruned. The heuristic is the
+    scaled great-circle distance of ``bidirectional_astar``, so with no budget
+    the search runs to exhaustion and the final cost is optimal, whatever the
+    positive edge weights.
     """
     n = graph.node_count
     if not (0 <= s < n and 0 <= t < n):
@@ -139,7 +142,7 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    h = _goal_heuristic(graph, t)
+    (h,) = _goal_heuristics(graph, t)
     g = {s: 0.0}
     parent: dict[int, int | None] = {s: None}
     big_g = INF
@@ -177,12 +180,9 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
                 heapq.heappush(heap, (key(v, ng), v, ng))
     if not trace:
         if not heap:
-            raise NoPathError(f"no path between {s} and {t}")
+            raise NoPathError(s, t)
         raise NoPathYet(len(expanded))
-    path = [t]
-    while (p := parent[path[-1]]) is not None:
-        path.append(p)
-    path.reverse()
+    path = path_from_root(parent, t)
     return BaselineResult(
         node_path=tuple(path),
         cost=node_path_cost(graph, path),
@@ -199,27 +199,31 @@ def leg_sequence(
 
     Multi-destination comparison helper: baselines have no native notion of
     intermediate objectives, so a visit order must be supplied by the caller.
+    One leg returns that leg's own result; several legs return their joined
+    path, with one trace entry for the summed cost.
     """
     if len(nodes) < 2:
         raise ValueError("need at least source and target")
+    if algo not in ("biastar", "anastar"):
+        raise ValueError(f"unknown baseline {algo!r}")
+    per_leg = None if budget is None else budget / (len(nodes) - 1)
+    start = time.monotonic()
+    legs = [
+        bidirectional_astar(graph, a, b) if algo == "biastar" else anastar(graph, a, b, per_leg)
+        for a, b in zip(nodes, nodes[1:])
+    ]
+    if len(legs) == 1:
+        return legs[0]
     path: list[int] = [nodes[0]]
     cost = 0.0
-    explored = 0
-    start = time.monotonic()
-    for a, b in zip(nodes, nodes[1:]):
-        if algo == "biastar":
-            leg = bidirectional_astar(graph, a, b)
-        elif algo == "anastar":
-            per_leg = None if budget is None else budget / (len(nodes) - 1)
-            leg = anastar(graph, a, b, per_leg)
-        else:
-            raise ValueError(f"unknown baseline {algo!r}")
+    for leg in legs:
         path.extend(leg.node_path[1:])
         cost += leg.cost
-        explored += leg.explored_nodes
+    wall = time.monotonic() - start
     return BaselineResult(
         node_path=tuple(path),
         cost=cost,
-        explored_nodes=explored,
-        wall_time=time.monotonic() - start,
+        explored_nodes=sum(leg.explored_nodes for leg in legs),
+        wall_time=wall,
+        trace=((wall, cost),),
     )

@@ -134,7 +134,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         if args.algo == "imomd":
             return _run_planner(args, graph, dests, report, writer)
-        return _run_baseline(args, graph, dests, report, writer)
+        return _run_baseline(args, graph, ids, dests, report, writer)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -180,6 +180,7 @@ def _run_planner(
 def _run_baseline(
     args: argparse.Namespace,
     graph: graphio.RoutingGraph,
+    ids: graphio.IdMap,
     dests: planner.DestinationSet,
     report: RunReport,
     writer: _TraceWriter,
@@ -187,40 +188,29 @@ def _run_baseline(
     # Baselines are single-pair planners; objectives are visited in the
     # scenario's listed order, legs solved independently and summed.
     nodes = [n for n, req in zip(dests.node_ids, dests.required) if req]
-    start = time.monotonic()
+    budget = args.budget if args.algo == "anastar" else None
     try:
-        if args.algo == "anastar" and len(nodes) == 2:
-            res = baselines.anastar(graph, nodes[0], nodes[1], args.budget)
-            for wall, cost in res.trace:
-                rec = {
-                    "wall_time": wall,
-                    "total_cost": cost,
-                    "explored_nodes": res.explored_nodes,
-                    "visit_order": [0, 1],
-                }
-                report.trace.append(rec)
-                writer.row(rec)
-        else:
-            budget = args.budget if args.algo == "anastar" else None
-            res = baselines.leg_sequence(graph, nodes, args.algo, budget)
-            rec = {
-                "wall_time": time.monotonic() - start,
-                "total_cost": res.cost,
-                "explored_nodes": res.explored_nodes,
-                "visit_order": list(range(len(nodes))),
-            }
-            report.trace.append(rec)
-            writer.row(rec)
+        res = baselines.leg_sequence(graph, nodes, args.algo, budget)
     except baselines.NoPathYet as exc:
         report.status = "no_path_yet"
         report.explored_nodes = exc.explored_nodes
         writer.summary(report)
         return EXIT_NO_PATH_YET
     except baselines.NoPathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        a, b = (ids.to_external[n] for n in exc.endpoints)
+        print(f"error: no path between {a} and {b}", file=sys.stderr)
         report.status = "no_path"
         writer.summary(report)
         return EXIT_NO_PATH
+    for wall, cost in res.trace:
+        rec = {
+            "wall_time": wall,
+            "total_cost": cost,
+            "explored_nodes": res.explored_nodes,
+            "visit_order": list(range(len(nodes))),
+        }
+        report.trace.append(rec)
+        writer.row(rec)
     report.status = "solved"
     report.final_cost = res.cost
     report.node_path = list(res.node_path)

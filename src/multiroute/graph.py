@@ -6,7 +6,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class RoutingGraph:
     ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``).
     """
 
-    __slots__ = ("nodes", "xyz", "_adj", "edge_count")
+    __slots__ = ("nodes", "xyz", "_adj", "edge_count", "_gc_scale")
 
     def __init__(
         self,
@@ -59,6 +59,7 @@ class RoutingGraph:
             adj[v].append((u, w))
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self.edge_count = len(weights)
+        self._gc_scale: float | None = None
 
     @property
     def node_count(self) -> int:
@@ -79,6 +80,31 @@ class RoutingGraph:
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """All undirected edges as (u, v, w) with u < v, sorted."""
         return ((u, v, w) for u, nbrs in enumerate(self._adj) for v, w in nbrs if u < v)
+
+    def great_circle_scale(self) -> float:
+        """Largest s <= 1 with every edge weighing at least s times its haversine length.
+
+        Exactly 1.0 when weights default to the haversine length. Computed on
+        the first call and kept, since the graph never changes.
+        """
+        if self._gc_scale is None:
+            nodes = self.nodes
+            ratios = [w / d for u, v, w in self.edges() if (d := haversine(nodes[u], nodes[v])) > 0.0]
+            self._gc_scale = min([1.0, *ratios])
+        return self._gc_scale
+
+
+def path_from_root(parent: Mapping[int, int | None] | Sequence[int | None], node: int) -> list[int]:
+    """Nodes from the root down to ``node`` along ``parent`` links, root first.
+
+    ``parent`` maps a node id (dict key or list index) to its parent, and the
+    root to None.
+    """
+    path = [node]
+    while (p := parent[path[-1]]) is not None:
+        path.append(p)
+    path.reverse()
+    return path
 
 
 def node_path_cost(graph: RoutingGraph, path: Sequence[int]) -> float:
@@ -107,11 +133,7 @@ class ShortestPaths:
         """Node path from the source to ``v``; raises if unreachable."""
         if not self.reachable(v):
             raise GraphError(f"node {v} unreachable from {self.source}")
-        path = [v]
-        while (p := self.parent[path[-1]]) is not None:
-            path.append(p)
-        path.reverse()
-        return path
+        return path_from_root(self.parent, v)
 
 
 def dijkstra(graph: RoutingGraph, src: int) -> ShortestPaths:

@@ -131,8 +131,12 @@ class DestGraph:
 
 
 def sequence_cost(dg: DestGraph, order: Sequence[int]) -> float:
+    """Theta summed over consecutive pairs, left to right."""
     rows = dg.rows
-    return sum(rows[a][b] for a, b in zip(order, order[1:]))
+    cost = 0.0
+    for a, b in zip(order, order[1:]):
+        cost += rows[a][b]
+    return cost
 
 
 def validate_sequence(dg: DestGraph, seq: VisitSequence) -> None:
@@ -297,11 +301,7 @@ def mutate(dg: DestGraph, parent: VisitSequence, rng: random.Random) -> VisitSeq
     for seg in middle:
         child.extend(seg)
     child.extend(segments[-1])
-    rows = dg.rows
-    cost = 0.0
-    for a, b in zip(child, child[1:]):
-        cost += rows[a][b]
-    return VisitSequence(order=tuple(child), total_cost=cost)
+    return make_sequence(dg, child)
 
 
 def crossover(dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.Random) -> VisitSequence:
@@ -341,12 +341,7 @@ def crossover(dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.R
         if need[x] > 0:
             need[x] -= 1
             child[next(fill_iter)] = x
-    full = [pa.order[0], *child, pa.order[-1]]
-    rows = dg.rows
-    cost = 0.0
-    for u, v in zip(full, full[1:]):
-        cost += rows[u][v]
-    return VisitSequence(order=tuple(full), total_cost=cost)
+    return make_sequence(dg, [pa.order[0], *child, pa.order[-1]])
 
 
 def selection_weights(costs: Sequence[float]) -> list[float]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import DisjointSet, RoutingGraph, node_path_cost
+from .graph import DisjointSet, RoutingGraph, node_path_cost, path_from_root
 from . import ordering
 from .ordering import DestGraph, GaConfig, VisitSequence
 
@@ -145,7 +145,8 @@ class SearchTree:
     ``cost`` holds the exact cost-to-come from the root along parent links;
     ``children[u]`` maps each child of ``u`` to the weight of its tree edge;
     ``expandable`` is the growth frontier: tree nodes with at least one graph
-    neighbor outside the tree.
+    neighbor outside the tree, whose number ``_unvisited[u]`` holds.
+    ``choose_parent`` attaches nodes and keeps both.
     """
 
     __slots__ = ("root_node", "parent", "cost", "children", "expandable", "_unvisited")
@@ -156,40 +157,10 @@ class SearchTree:
         self.cost: dict[int, float] = {root_node: 0.0}
         self.children: dict[int, dict[int, float]] = {root_node: {}}
         self.expandable = Frontier(graph.node_count)
-        self._unvisited: dict[int, int] = {}
-        ud = sum(1 for n, _ in graph.neighbors(root_node) if n not in self.cost)
-        self._unvisited[root_node] = ud
+        ud = len(graph.neighbors(root_node))  # no self-loops: all lie outside
+        self._unvisited: dict[int, int] = {root_node: ud}
         if ud:
             self.expandable.add(root_node)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.cost
-
-    def add_node(self, node: int, parent: int, cost: float, weight: float, graph: RoutingGraph) -> None:
-        self.parent[node] = parent
-        self.cost[node] = cost
-        self.children[node] = {}
-        self.children[parent][node] = weight
-        ud = 0
-        for n, _ in graph.neighbors(node):
-            if n in self.cost:
-                left = self._unvisited[n] - 1
-                self._unvisited[n] = left
-                if left == 0:
-                    self.expandable.discard(n)
-            else:
-                ud += 1
-        self._unvisited[node] = ud
-        if ud:
-            self.expandable.add(node)
-
-    def branch_from_root(self, node: int) -> list[int]:
-        """Node path from the root down to ``node`` along parent links."""
-        chain = [node]
-        while (p := self.parent[chain[-1]]) is not None:
-            chain.append(p)
-        chain.reverse()
-        return chain
 
 
 def _nearest(candidates: np.ndarray, v_rand: int, graph: RoutingGraph) -> int:
@@ -212,19 +183,39 @@ def nearest_expandable(tree: SearchTree, v_rand: int, graph: RoutingGraph) -> in
 
 
 def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
-    """Attach ``v_new`` under the in-tree neighbor giving the least cost-to-come."""
+    """Attach ``v_new`` under the in-tree neighbor giving the least cost-to-come.
+
+    The same pass over the neighbors keeps the frontier: every in-tree
+    neighbor has one unvisited neighbor fewer, and ``v_new`` joins the
+    frontier when some neighbor lies outside the tree.
+    """
     best_parent = -1
     best_cost = INF
     best_w = 0.0
+    unvisited = tree._unvisited
+    ud = 0
     for n, w in graph.neighbors(v_new):
         c = tree.cost.get(n)
-        if c is not None and c + w < best_cost:
+        if c is None:
+            ud += 1
+            continue
+        if c + w < best_cost:
             best_cost = c + w
             best_parent = n
             best_w = w
+        left = unvisited[n] - 1
+        unvisited[n] = left
+        if left == 0:
+            tree.expandable.discard(n)
     if best_parent < 0:
         raise RuntimeError(f"planner bug: node {v_new} has no neighbor in the tree")
-    tree.add_node(v_new, best_parent, best_cost, best_w, graph)
+    tree.parent[v_new] = best_parent
+    tree.cost[v_new] = best_cost
+    tree.children[v_new] = {}
+    tree.children[best_parent][v_new] = best_w
+    unvisited[v_new] = ud
+    if ud:
+        tree.expandable.add(v_new)
     return best_parent
 
 
@@ -243,11 +234,8 @@ def extend(tree: SearchTree, v_anchor: int, v_rand: int, graph: RoutingGraph) ->
     v_new = candidates[0] if len(candidates) == 1 else _nearest(np.array(candidates), v_rand, graph)
     choose_parent(tree, v_new, graph)
     added.append(v_new)
-    while v_new != v_rand:
-        unvisited = [n for n, _ in graph.neighbors(v_new) if n not in tree.cost]
-        if len(unvisited) != 1:
-            break
-        v_new = unvisited[0]
+    while v_new != v_rand and tree._unvisited[v_new] == 1:
+        v_new = next(n for n, _ in graph.neighbors(v_new) if n not in tree.cost)
         choose_parent(tree, v_new, graph)
         added.append(v_new)
     return added
@@ -432,13 +420,9 @@ def stitch_node_path(
     for a, b in zip(seq.order, seq.order[1:]):
         if a == b:
             continue
-        pair = (a, b) if a < b else (b, a)
-        c = conn.best[pair]
-        leg = trees[a].branch_from_root(c)
-        down = trees[b].branch_from_root(c)
-        down.reverse()
-        leg.extend(down[1:])
-        path.extend(leg[1:])
+        c = conn.best[(a, b) if a < b else (b, a)]
+        path += path_from_root(trees[a].parent, c)[1:]
+        path += path_from_root(trees[b].parent, c)[-2::-1]
     return path
 
 

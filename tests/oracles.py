@@ -155,7 +155,9 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
     """Assert acyclic parents, mirrored child maps, exact costs and a correct frontier.
 
     Each parent link must appear once in the parent's ``children`` map, with
-    the graph's weight for that edge, and no other child link may exist.
+    the graph's weight for that edge, and no other child link may exist. The
+    frontier is checked together with every node's count of unvisited
+    neighbors, which ``extend`` reads to follow degree-two corridors.
     """
     if tree.parent.keys() != tree.cost.keys() or tree.children.keys() != tree.cost.keys():
         raise AssertionError("parent, cost and children hold different nodes")
@@ -184,9 +186,10 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
             raise AssertionError(f"child map of {parent} holds the wrong weight for {node}")
         if tree.cost[node] != tree.cost[parent] + w:
             raise AssertionError(f"cost recurrence broken at node {node}")
-    frontier = {
-        node for node in tree.cost if any(n not in tree.cost for n, _ in graph.neighbors(node))
-    }
+    outside = {node: sum(n not in tree.cost for n, _ in graph.neighbors(node)) for node in tree.cost}
+    if tree._unvisited != outside:
+        raise AssertionError("unvisited-neighbor counts differ from a fresh count")
+    frontier = {node for node, count in outside.items() if count}
     if tree.expandable != frontier:
         wrong = sorted(frontier.symmetric_difference(tree.expandable))
         raise AssertionError(f"frontier wrong for nodes {wrong} (size {len(tree.expandable)})")

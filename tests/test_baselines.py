@@ -143,5 +143,45 @@ def test_leg_sequence_sums_legs():
     res = leg_sequence(g, [0, 2, 3], algo="biastar")
     assert res.cost == 7.0
     assert res.node_path == (0, 1, 2, 3)
+    assert res.trace == ((res.wall_time, 7.0),)
     res2 = leg_sequence(g, [0, 2, 3], algo="anastar")
     assert res2.cost == 7.0
+    assert res2.trace == ((res2.wall_time, 7.0),)
+
+
+def test_single_leg_returns_the_leg_result_with_its_trace():
+    g, _ = random_geometric_graph(200, 0.15, seed=8)
+    s, t = seeded_pairs(g, 1, seed=8)[0]
+    bi = leg_sequence(g, [s, t], algo="biastar")
+    assert bi.trace == ((bi.wall_time, bi.cost),)
+    assert bi.cost == bidirectional_astar(g, s, t).cost
+    ana = leg_sequence(g, [s, t], algo="anastar")
+    ref = anastar(g, s, t)
+    assert [c for _, c in ana.trace] == [c for _, c in ref.trace]
+    assert ana.cost == ana.trace[-1][1] == ref.cost
+
+
+# ---------------------------------------------------------------------------
+# explicit weights below the great-circle length
+# ---------------------------------------------------------------------------
+
+def test_weights_below_great_circle_stay_exact():
+    # Node 1 lies 111 m from node 0, and the detour through node 2 costs 2 m.
+    g = RoutingGraph(
+        [GeoPoint(45.0, 7.0), GeoPoint(45.001, 7.0), GeoPoint(45.0, 7.01)],
+        [(0, 1, None), (0, 2, 1.0), (2, 1, 1.0)],
+    )
+    assert dijkstra(g, 0).cost[1] == 2.0
+    for res in (bidirectional_astar(g, 0, 1), anastar(g, 0, 1), anastar(g, 1, 0)):
+        assert res.cost == 2.0
+        assert set(res.node_path) == {0, 1, 2}
+
+
+def test_underweighted_random_graphs_match_dijkstra():
+    rng = random.Random(12)
+    base, _ = random_geometric_graph(150, 0.15, seed=12)
+    g = RoutingGraph(base.nodes, [(u, v, w * rng.uniform(0.05, 2.0)) for u, v, w in base.edges()])
+    for s, t in seeded_pairs(g, 30, seed=12):
+        ref = dijkstra(g, s).cost[t]
+        assert bidirectional_astar(g, s, t).cost == ref
+        assert anastar(g, s, t).cost == ref

@@ -136,19 +136,21 @@ def test_biastar_legs_follow_scenario_order(fixtures, tmp_path):
     assert summary["final_cost"] == 7.0
 
 
-def test_no_path_exit_code(tmp_path):
-    # Two components: both trees saturate without meeting, which proves no path.
+@pytest.mark.parametrize("algo", ["imomd", "biastar", "anastar"])
+def test_no_path_exit_code(tmp_path, capsys, algo):
+    # Two components: both trees saturate without meeting, which proves no
+    # path. External ids 100..400 are internal ids 0..3.
     (tmp_path / "g.el").write_text(
-        "graph v1\nn 0 45.0 7.0\nn 1 45.0001 7.0\nn 2 45.0002 7.0\nn 3 45.0003 7.0\n"
-        "e 0 1 1.0\ne 2 3 1.0\n"
+        "graph v1\nn 100 45.0 7.0\nn 200 45.0001 7.0\nn 300 45.0002 7.0\nn 400 45.0003 7.0\n"
+        "e 100 200 1.0\ne 300 400 1.0\n"
     )
-    (tmp_path / "s.txt").write_text("source 0\ntarget 3\n")
+    (tmp_path / "s.txt").write_text("source 100\ntarget 400\n")
     rc = main(
         [
             "run",
             "--graph", str(tmp_path / "g.el"),
             "--scenario", str(tmp_path / "s.txt"),
-            "--algo", "imomd",
+            "--algo", algo,
             "--budget", "0.2",
             "--out", str(tmp_path / "r.jsonl"),
         ]
@@ -156,11 +158,15 @@ def test_no_path_exit_code(tmp_path):
     assert rc == 4
     summary = read_jsonl(tmp_path / "r.jsonl")[-1]
     assert summary["status"] == "no_path"
+    if algo != "imomd":
+        assert capsys.readouterr().err == "error: no path between 100 and 400\n"
 
 
-def test_no_path_yet_exit_code(tmp_path):
+@pytest.mark.parametrize("algo", ["imomd", "anastar"])
+def test_no_path_yet_exit_code(tmp_path, algo):
     # A connected 12x12 grid with corner endpoints: the budget ends within the
-    # first iterations, long before trees rooted 22 hops apart can meet.
+    # first iterations (expansions, for ANA*), long before trees rooted 22
+    # hops apart can meet or a search can cross the grid.
     side = 12
     lines = ["graph v1"]
     for r in range(side):
@@ -178,6 +184,7 @@ def test_no_path_yet_exit_code(tmp_path):
             "run",
             "--graph", str(tmp_path / "g.el"),
             "--scenario", str(tmp_path / "s.txt"),
+            "--algo", algo,
             "--budget", "1e-6",
             "--out", str(tmp_path / "r.jsonl"),
         ]

@@ -9,6 +9,7 @@ from multiroute.graph import (
     GraphError,
     RoutingGraph,
     dijkstra,
+    path_from_root,
 )
 
 from oracles import bellman_ford, bfs_components, random_weighted_graph_edges
@@ -89,6 +90,28 @@ def test_dijkstra_path_graph():
     sp = dijkstra(g, 0)
     assert sp.cost[2] == 5.0
     assert sp.path_to(2) == [0, 1, 2]
+
+
+def test_great_circle_scale():
+    from multiroute.generate import random_geometric_graph
+    from multiroute.geo import haversine
+    from multiroute.graphio import parse_edgelist, serialize_edgelist
+
+    g, ids = random_geometric_graph(200, 0.15, seed=4)
+    assert g.great_circle_scale() == 1.0
+    assert parse_edgelist(serialize_edgelist(g, ids))[0].great_circle_scale() == 1.0
+    pts = [GeoPoint(45.0, 7.0), GeoPoint(45.001, 7.0), GeoPoint(45.001, 7.0)]
+    h = haversine(pts[0], pts[1])
+    # Edge 1-2 joins two nodes at one point and has no ratio.
+    g = RoutingGraph(pts, [(0, 1, h / 4), (1, 2, 5.0), (0, 2, 2 * h)])
+    assert g.great_circle_scale() == 0.25
+
+
+def test_path_from_root_on_dict_and_list_parents():
+    assert path_from_root({4: None, 7: 4, 2: 7}, 2) == [4, 7, 2]
+    assert path_from_root({4: None, 7: 4, 2: 7}, 4) == [4]
+    assert path_from_root([None, 0, 1, 1], 3) == [0, 1, 3]
+    assert path_from_root([None, 0, 1, 1], 0) == [0]
 
 
 def test_dijkstra_unreachable_marked_infinite():

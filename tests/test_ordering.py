@@ -27,6 +27,7 @@ from multiroute.ordering import (
     mutate,
     oracle_stats,
     selection_weights,
+    sequence_cost,
     solve,
     validate_sequence,
 )
@@ -322,6 +323,22 @@ def test_incompatible_parents_rejected():
     pb = make_sequence(dg, [0, 2, 1, 3, 5])
     with pytest.raises(ValueError):
         crossover(dg, pa, pb, random.Random(0))
+
+
+def test_offspring_costs_equal_sequence_cost_exactly():
+    # Seeds and offspring are priced by the one left-to-right loop, so an
+    # offspring's cost has the same bits as sequence_cost of its order.
+    rng = random.Random(29)
+    for n in (5, 8, 12):
+        dg = random_complete_destgraph(n, seed=400 + n)
+        middles = list(range(1, n - 1))
+        for _ in range(300):
+            rng.shuffle(middles)
+            pa = make_sequence(dg, [0, *middles, n - 1])
+            rng.shuffle(middles)
+            pb = make_sequence(dg, [0, *middles, n - 1])
+            for child in (mutate(dg, pa, rng), crossover(dg, pa, pb, rng)):
+                assert child.total_cost == sequence_cost(dg, child.order)
 
 
 # ---------------------------------------------------------------------------

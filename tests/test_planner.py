@@ -188,7 +188,7 @@ def test_nearest_matches_exhaustive_scan():
             v_rand = rng.randrange(g.node_count)
             anchor = nearest_expandable(tree, v_rand, g)
             assert anchor == nearest_by_haversine(g, tree.expandable, v_rand)
-            candidates = [n for n, _ in g.neighbors(anchor) if n not in tree]
+            candidates = [n for n, _ in g.neighbors(anchor) if n not in tree.cost]
             added = extend(tree, anchor, v_rand, g)
             assert added[0] == nearest_by_haversine(g, candidates, v_rand)
             for v in added:
@@ -393,7 +393,7 @@ def test_validator_catches_missed_connection_node():
         changed = set(added)
         for v in added:
             changed.update(rewire(tree, v, g)[1])
-        shared = [v for v in sorted(changed) if v in other]
+        shared = [v for v in sorted(changed) if v in other.cost]
         if shared:
             break
         for v in sorted(changed):
