@@ -38,11 +38,29 @@ class BaselineResult:
     trace: tuple[tuple[float, float], ...]  # (wall_time, cost) per improvement
 
 
-def _goal_heuristics(graph: RoutingGraph, *goals: int) -> list[list[float]]:
-    """Per goal, each node's great-circle distance to it times ``great_circle_scale``."""
-    scale = graph.great_circle_scale()
-    nodes = graph.nodes
-    return [[scale * haversine(p, nodes[goal]) for p in nodes] for goal in goals]
+class _GoalHeuristic(dict):
+    """Node id to its great-circle distance to one goal times ``great_circle_scale``.
+
+    Each value is computed on first lookup: a search reaches a small part of
+    the graph, and evaluating every node up front cost more than the search.
+    """
+
+    __slots__ = ("_nodes", "_goal", "_scale")
+
+    def __init__(self, graph: RoutingGraph, goal: int) -> None:
+        super().__init__()
+        self._nodes = graph.nodes
+        self._goal = graph.nodes[goal]
+        self._scale = graph.great_circle_scale()
+
+    def __missing__(self, node: int) -> float:
+        h = self[node] = self._scale * haversine(self._nodes[node], self._goal)
+        return h
+
+
+def _goal_heuristics(graph: RoutingGraph, *goals: int) -> list[_GoalHeuristic]:
+    """One lazily filled heuristic per goal."""
+    return [_GoalHeuristic(graph, goal) for goal in goals]
 
 
 def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:

@@ -29,6 +29,11 @@ INF = math.inf
 SEGMENT_MIN = 3
 SEGMENT_MAX = 7
 
+# Population size up to which CPython's ``random.sample`` draws k items by
+# swapping within a pool list rather than by rejecting repeats against a set,
+# indexed by k (0 to SEGMENT_MAX - 1, the cut counts ``mutate`` samples).
+_SAMPLE_POOL_MAX = [21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0) for k in range(SEGMENT_MAX)]
+
 
 class NoSequenceError(ValueError):
     """No source-to-target sequence exists over the finite entries."""
@@ -88,7 +93,7 @@ class DestGraph:
     destinations that every valid sequence must contain at least once.
     """
 
-    __slots__ = ("theta", "rows", "source", "target", "required", "n")
+    __slots__ = ("theta", "rows", "source", "target", "required", "n", "_required_closure")
 
     def __init__(
         self,
@@ -121,6 +126,7 @@ class DestGraph:
         if not (req[source] and req[target]):
             raise ValueError("source and target are always required")
         self.required = req
+        self._required_closure: tuple[np.ndarray, np.ndarray, list[int]] | None = None
 
     def required_intermediates(self) -> list[int]:
         return [
@@ -281,27 +287,74 @@ def mutate(dg: DestGraph, parent: VisitSequence, rng: random.Random) -> VisitSeq
     capped at one fewer than its length); the first and last (holding the
     endpoints) stay fixed, middle segments are each reversed with probability
     one half and spliced back in random order.
+
+    The draws are those of ``rng.randint(lo, hi)``, ``rng.sample(range(1, L),
+    k - 1)`` and ``rng.shuffle(middle)``, taken straight from
+    ``rng.getrandbits`` with CPython's rules: rejection sampling below n, the
+    pool or the set branch of ``sample``, Fisher-Yates. So the child is the one
+    those calls give, without their per-call overhead.
     """
     order = parent.order
     L = len(order)
     if L <= 3:
         return parent
+    bits = rng.getrandbits
     hi = min(SEGMENT_MAX, L - 1)
     lo = min(SEGMENT_MIN, hi)
-    k = rng.randint(lo, hi)
-    cuts = sorted(rng.sample(range(1, L), k - 1))
-    bounds = [0, *cuts, L]
-    segments = [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
-    middle = segments[1:-1]
+    # k = rng.randint(lo, hi); n_cuts = k - 1
+    m = hi - lo + 1
+    w = m.bit_length()
+    r = bits(w)
+    while r >= m:
+        r = bits(w)
+    n_cuts = lo + r - 1
+    # cuts = sorted(rng.sample(range(1, L), n_cuts))
+    n = L - 1
+    if n <= _SAMPLE_POOL_MAX[n_cuts]:
+        pool = list(range(1, L))
+        cuts = []
+        for m in range(n, n - n_cuts, -1):
+            w = m.bit_length()
+            j = bits(w)
+            while j >= m:
+                j = bits(w)
+            cuts.append(pool[j])
+            pool[j] = pool[m - 1]
+        cuts.sort()
+    else:
+        w = n.bit_length()
+        picked: set[int] = set()
+        for _ in range(n_cuts):
+            j = bits(w)
+            while j >= n or j in picked:
+                j = bits(w)
+            picked.add(j)
+        cuts = sorted(j + 1 for j in picked)
+    random_ = rng.random
+    middle = []
+    for a, b in zip(cuts, cuts[1:]):
+        seg = order[a:b]
+        middle.append(seg[::-1] if random_() < 0.5 else seg)
+    # rng.shuffle(middle)
+    for i in range(len(middle) - 1, 0, -1):
+        m = i + 1
+        w = m.bit_length()
+        j = bits(w)
+        while j >= m:
+            j = bits(w)
+        middle[i], middle[j] = middle[j], middle[i]
+    child = order[: cuts[0]]
     for seg in middle:
-        if rng.random() < 0.5:
-            seg.reverse()
-    rng.shuffle(middle)
-    child: list[int] = segments[0][:]
-    for seg in middle:
-        child.extend(seg)
-    child.extend(segments[-1])
-    return make_sequence(dg, child)
+        child += seg
+    child += order[cuts[-1] :]
+    # sequence_cost, inline
+    rows = dg.rows
+    cost = 0.0
+    prev = child[0]
+    for x in child[1:]:
+        cost += rows[prev][x]
+        prev = x
+    return VisitSequence(order=child, total_cost=cost)
 
 
 def crossover(dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.Random) -> VisitSequence:
@@ -312,10 +365,10 @@ def crossover(dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.R
     skipping occurrences the slice already consumed. Identical parents
     short-circuit to a copy.
     """
-    if sorted(pa.order) != sorted(pb.order) or pa.order[0] != pb.order[0] or pa.order[-1] != pb.order[-1]:
-        raise ValueError("crossover parents must share one destination multiset and endpoints")
     if pa.order == pb.order:
         return pa
+    if sorted(pa.order) != sorted(pb.order) or pa.order[0] != pb.order[0] or pa.order[-1] != pb.order[-1]:
+        raise ValueError("crossover parents must share one destination multiset and endpoints")
     L = len(pa.order)
     M = L - 2
     if M <= 1:
@@ -372,10 +425,12 @@ def genetic_refine(dg: DestGraph, seed: VisitSequence, cfg: GaConfig) -> VisitSe
     population = survivors
     for _ in range(cfg.generations):
         threshold = min(s.total_cost for s in population)
-        weights = selection_weights([s.total_cost for s in population])
+        # Given weights, choices accumulates them on every call; the same
+        # cumulative weights, made once per generation, draw the same parents.
+        cum_weights = list(itertools.accumulate(selection_weights([s.total_cost for s in population])))
         next_gen = []
         for _ in range(cfg.crossover_count):
-            pa, pb = rng.choices(population, weights=weights, k=2)
+            pa, pb = rng.choices(population, cum_weights=cum_weights, k=2)
             child = crossover(dg, pa, pb, rng)
             if child.total_cost < threshold:
                 next_gen.append(child)
@@ -427,15 +482,20 @@ def required_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray, list[int]]:
     destination indices in ascending order (the submatrix's rows). Two
     ``DestGraph`` inputs with bit-identical submatrices give ``solve`` the
     same problem. Raises ``NoSequenceError`` when an entry is infinite.
+    Computed on the first call and kept on ``dg``, so the planner's change
+    test and the ``solve`` that follows it share one closure; callers must not
+    modify the arrays.
     """
-    closure, nxt = _metric_closure(dg)
-    keep = [i for i in range(dg.n) if dg.required[i]]
-    sub = closure[np.ix_(keep, keep)]
-    if not np.all(np.isfinite(sub)):
-        raise NoSequenceError("some required destinations are mutually unreachable")
-    # The two directions of a closure distance are summed in different orders
-    # and can differ in the last bit; DestGraph needs exact symmetry.
-    return np.minimum(sub, sub.T), nxt, keep
+    if dg._required_closure is None:
+        closure, nxt = _metric_closure(dg)
+        keep = [i for i in range(dg.n) if dg.required[i]]
+        sub = closure[np.ix_(keep, keep)]
+        if not np.all(np.isfinite(sub)):
+            raise NoSequenceError("some required destinations are mutually unreachable")
+        # The two directions of a closure distance are summed in different
+        # orders and can differ in the last bit; DestGraph needs exact symmetry.
+        dg._required_closure = (np.minimum(sub, sub.T), nxt, keep)
+    return dg._required_closure
 
 
 def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:

@@ -21,6 +21,8 @@ import numpy as np
 from multiroute.geo import haversine
 from multiroute.graph import RoutingGraph
 from multiroute.ordering import (
+    SEGMENT_MAX,
+    SEGMENT_MIN,
     Action,
     DestGraph,
     InsertionPlan,
@@ -36,6 +38,13 @@ def nearest_by_haversine(graph: RoutingGraph, candidates: Iterable[int], v_rand:
     """Candidate nearest to ``v_rand`` by great-circle distance, ties on the smaller id."""
     ref = graph.nodes[v_rand]
     return min(candidates, key=lambda n: (haversine(graph.nodes[n], ref), n))
+
+
+def full_goal_heuristics(graph: RoutingGraph, *goals: int) -> list[list[float]]:
+    """Per goal, every node's scaled great-circle distance to it, built up front."""
+    scale = graph.great_circle_scale()
+    nodes = graph.nodes
+    return [[scale * haversine(p, nodes[goal]) for p in nodes] for goal in goals]
 
 
 def bellman_ford(n: int, edges: list[tuple[int, int, float]], src: int) -> list[float]:
@@ -81,6 +90,30 @@ def bfs_components(n: int, pairs: list[tuple[int, int]]) -> int:
 
 def rebuild_sequence_cost(theta: list[list[float]], order: list[int]) -> float:
     return sum(theta[a][b] for a, b in zip(order, order[1:]))
+
+
+def reference_mutate(dg: DestGraph, parent: VisitSequence, rng: random.Random) -> VisitSequence:
+    """``ordering.mutate`` drawing through ``randint``, ``sample`` and ``shuffle``."""
+    order = parent.order
+    L = len(order)
+    if L <= 3:
+        return parent
+    hi = min(SEGMENT_MAX, L - 1)
+    lo = min(SEGMENT_MIN, hi)
+    k = rng.randint(lo, hi)
+    cuts = sorted(rng.sample(range(1, L), k - 1))
+    bounds = [0, *cuts, L]
+    segments = [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    middle = segments[1:-1]
+    for seg in middle:
+        if rng.random() < 0.5:
+            seg.reverse()
+    rng.shuffle(middle)
+    child: list[int] = segments[0][:]
+    for seg in middle:
+        child.extend(seg)
+    child.extend(segments[-1])
+    return make_sequence(dg, child)
 
 
 def random_weighted_graph_edges(

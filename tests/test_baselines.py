@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from multiroute import baselines
 from multiroute.baselines import (
     NoPathError,
     NoPathYet,
@@ -13,6 +14,8 @@ from multiroute.generate import largest_component, random_geometric_graph
 from multiroute.geo import GeoPoint
 from multiroute.graph import RoutingGraph, dijkstra
 from multiroute.planner import node_path_cost
+
+from oracles import full_goal_heuristics
 
 
 def pts(n):
@@ -185,3 +188,25 @@ def test_underweighted_random_graphs_match_dijkstra():
         ref = dijkstra(g, s).cost[t]
         assert bidirectional_astar(g, s, t).cost == ref
         assert anastar(g, s, t).cost == ref
+
+
+def test_lazy_heuristics_give_the_results_of_full_lists(monkeypatch):
+    # Heuristic values come from the same expression whether computed on first
+    # touch or for every node up front, so every search step is the same.
+    rng = random.Random(70)
+    base, _ = random_geometric_graph(1000, 0.06, seed=70)
+    g = RoutingGraph(base.nodes, [(u, v, w * rng.uniform(0.7, 1.5)) for u, v, w in base.edges()])
+    assert g.great_circle_scale() < 1.0
+    pairs = seeded_pairs(g, 50, seed=70)
+
+    def run():
+        out = []
+        for algo in ("biastar", "anastar"):
+            for s, t in pairs:
+                res = leg_sequence(g, [s, t], algo=algo)
+                out.append((res.node_path, res.cost, res.explored_nodes, [c for _, c in res.trace]))
+        return out
+
+    lazy = run()
+    monkeypatch.setattr(baselines, "_goal_heuristics", full_goal_heuristics)
+    assert lazy == run()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiroute import ordering
 from multiroute.generate import random_complete_destgraph, random_incomplete_destgraph
 from multiroute.ordering import (
     Action,
@@ -36,6 +37,7 @@ from multiroute.planner import destinations_connected
 from oracles import (
     per_destination_cheapest_insertion,
     rebuild_sequence_cost,
+    reference_mutate,
     scalar_metric_closure,
 )
 
@@ -269,6 +271,46 @@ def test_offspring_validity_and_cost_fuzz():
         assert child.total_cost == pytest.approx(
             rebuild_sequence_cost(dg.rows, list(child.order)), rel=1e-12
         )
+
+
+def test_mutate_draws_what_randint_sample_and_shuffle_draw():
+    # mutate takes randint's, sample's and shuffle's draws straight from
+    # getrandbits. The reference calls them, so this checks the copy of their
+    # rules against the running interpreter. Above length 22, sample keeps
+    # up to five cuts in a set instead of a pool list.
+    for L in range(4, 71):
+        dg = random_complete_destgraph(L, seed=L)
+        for seed in range(200):
+            rng = random.Random(seed)
+            middles = list(range(1, L - 1))
+            rng.shuffle(middles)
+            parent = make_sequence(dg, [0, *middles, L - 1])
+            ours, ref = random.Random(seed + 1), random.Random(seed + 1)
+            for _ in range(5):
+                child, expected = mutate(dg, parent, ours), reference_mutate(dg, parent, ref)
+                assert child.order == expected.order
+                assert child.total_cost.hex() == expected.total_cost.hex()
+            assert ours.getstate() == ref.getstate()
+
+
+def test_ga_and_solve_unchanged_under_the_reference_mutate(monkeypatch):
+    cases = []
+    for order in range(5, 13):
+        for make in (random_complete_destgraph, random_incomplete_destgraph):
+            for seed in range(3):
+                dg = make(order, seed=100 * order + seed)
+                cfg = GaConfig(mutation_count=200, crossover_count=200, generations=3, rng_seed=seed)
+                reduced = closure_of(dg)
+                cases.append((dg, reduced, cheapest_insertion(reduced), cfg))
+
+    def run():
+        return [(genetic_refine(r, start, cfg), solve(dg, cfg)) for dg, r, start, cfg in cases]
+
+    ours = run()
+    monkeypatch.setattr(ordering, "mutate", reference_mutate)
+    for (ga, sol), (ref_ga, ref_sol) in zip(ours, run()):
+        assert (ga.order, ga.total_cost.hex()) == (ref_ga.order, ref_ga.total_cost.hex())
+        assert (sol.order, sol.total_cost.hex()) == (ref_sol.order, ref_sol.total_cost.hex())
 
 
 def test_mutation_preserves_pinned_endpoints():

@@ -606,6 +606,45 @@ def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
     assert dominated > 0 and lowered > 0
 
 
+def test_in_loop_solve_reuses_the_closure_of_its_change_test(monkeypatch):
+    # The skip test computes the required closure of the DestGraph it then
+    # hands to solve; solve finds it there. The final polish makes its own.
+    g, _ = random_geometric_graph(150, 0.15, seed=31)
+    picks = random.Random(31).sample(largest_component(g), 6)
+    dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
+    cfg = light_cfg(rng_seed=3)
+    real_closure, real_solve = ordering._metric_closure, ordering.solve
+    closures = 0
+    solves = []  # (in loop, closures made before the call, closures made by its return)
+
+    def counted_closure(dg):
+        nonlocal closures
+        closures += 1
+        return real_closure(dg)
+
+    def counted_solve(dg, ga_cfg):
+        entry = closures
+        out = real_solve(dg, ga_cfg)
+        solves.append((ga_cfg.mutation_count == cfg.solver_ga.mutation_count, entry, closures))
+        return out
+
+    monkeypatch.setattr(ordering, "_metric_closure", counted_closure)
+    monkeypatch.setattr(ordering, "solve", counted_solve)
+    result = plan(g, dests, cfg)
+    assert result.status == "solved"
+    assert sum(s[0] for s in solves) == result.solver_calls >= 2
+    prev_exit = 0
+    for in_loop, entry, exit_ in solves[:-1]:
+        assert in_loop
+        # Its skip test made one closure since the last solve; it made none.
+        assert entry > prev_exit and exit_ == entry
+        prev_exit = exit_
+    in_loop, entry, exit_ = solves[-1]
+    assert not in_loop and exit_ == entry + 1
+    # One closure per skip test, skipped or not, and one for the polish.
+    assert closures == result.solver_calls + result.solver_skips + 1
+
+
 def test_final_matrix_dominates_dijkstra_distances():
     g, _ = random_geometric_graph(120, 0.15, seed=77)
     comp = largest_component(g)
