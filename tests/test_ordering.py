@@ -368,8 +368,9 @@ def test_incompatible_parents_rejected():
 
 
 def test_offspring_costs_equal_sequence_cost_exactly():
-    # Seeds and offspring are priced by the one left-to-right loop, so an
-    # offspring's cost has the same bits as sequence_cost of its order.
+    # Seeds and offspring are priced left to right (mutate inlines
+    # sequence_cost's loop), so an offspring's cost has the same bits as
+    # sequence_cost of its order.
     rng = random.Random(29)
     for n in (5, 8, 12):
         dg = random_complete_destgraph(n, seed=400 + n)
