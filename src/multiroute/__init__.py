@@ -1,7 +1,7 @@
 """Anytime multi-destination route planning on weighted geographic graphs."""
 
 from .geo import EARTH_RADIUS_M, GeoPoint, haversine
-from .graph import DisjointSet, GraphError, RoutingGraph, ShortestPaths, dijkstra
+from .graph import GraphError, RoutingGraph, ShortestPaths, dijkstra
 from .graphio import (
     IdMap,
     ParseError,
@@ -39,7 +39,6 @@ __all__ = [
     "EARTH_RADIUS_M",
     "GeoPoint",
     "haversine",
-    "DisjointSet",
     "GraphError",
     "RoutingGraph",
     "ShortestPaths",

@@ -1,4 +1,4 @@
-"""Routing graph, shortest paths, and disjoint-set connectivity."""
+"""Routing graph, shortest-path trees, and path helpers."""
 
 from __future__ import annotations
 
@@ -159,39 +159,3 @@ def dijkstra(graph: RoutingGraph, src: int) -> ShortestPaths:
                 heapq.heappush(heap, (nc, v))
     return ShortestPaths(source=src, cost=cost, parent=parent)
 
-
-class DisjointSet:
-    """Union-find over a fixed universe of dense indices."""
-
-    __slots__ = ("_parent", "_size")
-
-    def __init__(self, size: int) -> None:
-        if size < 0:
-            raise ValueError("universe size must be non-negative")
-        self._parent = list(range(size))
-        self._size = [1] * size
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        if not 0 <= x < len(parent):
-            raise IndexError(f"element {x} outside universe of {len(parent)}")
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True

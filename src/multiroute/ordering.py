@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -360,41 +359,31 @@ def mutate(dg: DestGraph, parent: VisitSequence, rng: random.Random) -> VisitSeq
 def crossover(dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.Random) -> VisitSequence:
     """Recombine two sequences over the same destination multiset.
 
-    A random (possibly reversed) interior slice of one parent lands at a random
-    offset in the child; the remaining slots fill in the other parent's order,
-    skipping occurrences the slice already consumed. Identical parents
-    short-circuit to a copy.
+    A random (possibly reversed) interior slice of one parent, the donor,
+    lands at a random offset in the child. The other parent, the filler,
+    gives the rest of the interior in its own order, less one occurrence of
+    each slice item, split around the slice at that offset. On permutations
+    this is a variant of Davis's order crossover. Identical parents return
+    ``pa`` itself; so do all parents with at most one interior destination,
+    since shared endpoints and multiset leave them nothing to differ in.
     """
     if pa.order == pb.order:
         return pa
     if sorted(pa.order) != sorted(pb.order) or pa.order[0] != pb.order[0] or pa.order[-1] != pb.order[-1]:
         raise ValueError("crossover parents must share one destination multiset and endpoints")
-    L = len(pa.order)
-    M = L - 2
-    if M <= 1:
-        return pa
+    M = len(pa.order) - 2
     donor, filler = (pa, pb) if rng.random() < 0.5 else (pb, pa)
-    d_int = list(donor.order[1:-1])
-    f_int = list(filler.order[1:-1])
     a = rng.randrange(M)
     b = rng.randrange(M)
     lo, hi = (a, b) if a <= b else (b, a)
-    segment = d_int[lo : hi + 1]
+    segment = list(donor.order[lo + 1 : hi + 2])
     if rng.random() < 0.5:
         segment.reverse()
     off = rng.randint(0, M - len(segment))
-    child: list[int | None] = [None] * M
-    child[off : off + len(segment)] = segment
-    need = Counter(f_int)
+    rest = list(filler.order[1:-1])
     for x in segment:
-        need[x] -= 1
-    empty = [i for i in range(M) if child[i] is None]
-    fill_iter = iter(empty)
-    for x in f_int:
-        if need[x] > 0:
-            need[x] -= 1
-            child[next(fill_iter)] = x
-    return make_sequence(dg, [pa.order[0], *child, pa.order[-1]])
+        rest.remove(x)
+    return make_sequence(dg, [pa.order[0], *rest[:off], *segment, *rest[off:], pa.order[-1]])
 
 
 def selection_weights(costs: Sequence[float]) -> list[float]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import DisjointSet, RoutingGraph, node_path_cost, path_from_root
+from .graph import RoutingGraph, node_path_cost, path_from_root
 from . import ordering
 from .ordering import DestGraph, GaConfig, VisitSequence
 
@@ -326,19 +326,25 @@ def update_connections(
 def destinations_connected(
     matrix: Sequence[Sequence[float]], required: Sequence[bool] | None = None
 ) -> bool:
-    """True iff the finite matrix entries connect all (required) destinations."""
+    """True iff the finite matrix entries connect all (required) destinations.
+
+    Sweeps matrix rows from the first required destination with a stack; any
+    entry below INF links its row and column.
+    """
     n = len(matrix)
     if n == 0:
         return True
-    ds = DisjointSet(n)
-    for i in range(n):
-        row = matrix[i]
-        for k in range(i + 1, n):
-            if math.isfinite(row[k]):
-                ds.union(i, k)
-    indices = [i for i in range(n) if required is None or required[i]]
-    root = ds.find(indices[0])
-    return all(ds.find(i) == root for i in indices[1:])
+    want = range(n) if required is None else [i for i in range(n) if required[i]]
+    seen = [False] * n
+    seen[want[0]] = True
+    stack = [want[0]]
+    while stack:
+        row = matrix[stack.pop()]
+        for k in range(n):
+            if not seen[k] and row[k] < INF:
+                seen[k] = True
+                stack.append(k)
+    return all(seen[i] for i in want)
 
 
 # ---------------------------------------------------------------------------

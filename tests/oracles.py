@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the code paths they verify: Bellman-Ford instead of
-the heap Dijkstra, BFS component counting instead of union-find, literal
+the heap Dijkstra, BFS over edge pairs instead of the planner's row sweep,
+slot filling by occurrence counts instead of crossover's splice, literal
 sequence rebuilding instead of insertion-delta formulas, a haversine scan
 instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
 instead of the array one, and a per-destination insertion loop instead of
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,6 +89,23 @@ def bfs_components(n: int, pairs: list[tuple[int, int]]) -> int:
     return comps
 
 
+def bfs_connects(n: int, pairs: list[tuple[int, int]], required: Sequence[bool]) -> bool:
+    """True iff the pairs join every required node into one component."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    want = [i for i in range(n) if required[i]]
+    seen = {want[0]}
+    q = deque([want[0]])
+    while q:
+        for v in adj[q.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                q.append(v)
+    return seen.issuperset(want)
+
+
 def rebuild_sequence_cost(theta: list[list[float]], order: list[int]) -> float:
     return sum(theta[a][b] for a, b in zip(order, order[1:]))
 
@@ -114,6 +132,42 @@ def reference_mutate(dg: DestGraph, parent: VisitSequence, rng: random.Random) -
         child.extend(seg)
     child.extend(segments[-1])
     return make_sequence(dg, child)
+
+
+def reference_crossover(
+    dg: DestGraph, pa: VisitSequence, pb: VisitSequence, rng: random.Random
+) -> VisitSequence:
+    """``ordering.crossover`` filling the free slots by occurrence counts."""
+    if pa.order == pb.order:
+        return pa
+    if sorted(pa.order) != sorted(pb.order) or pa.order[0] != pb.order[0] or pa.order[-1] != pb.order[-1]:
+        raise ValueError("crossover parents must share one destination multiset and endpoints")
+    L = len(pa.order)
+    M = L - 2
+    if M <= 1:
+        return pa
+    donor, filler = (pa, pb) if rng.random() < 0.5 else (pb, pa)
+    d_int = list(donor.order[1:-1])
+    f_int = list(filler.order[1:-1])
+    a = rng.randrange(M)
+    b = rng.randrange(M)
+    lo, hi = (a, b) if a <= b else (b, a)
+    segment = d_int[lo : hi + 1]
+    if rng.random() < 0.5:
+        segment.reverse()
+    off = rng.randint(0, M - len(segment))
+    child: list[int | None] = [None] * M
+    child[off : off + len(segment)] = segment
+    need = Counter(f_int)
+    for x in segment:
+        need[x] -= 1
+    empty = [i for i in range(M) if child[i] is None]
+    fill_iter = iter(empty)
+    for x in f_int:
+        if need[x] > 0:
+            need[x] -= 1
+            child[next(fill_iter)] = x
+    return make_sequence(dg, [pa.order[0], *child, pa.order[-1]])
 
 
 def random_weighted_graph_edges(

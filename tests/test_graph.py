@@ -5,14 +5,13 @@ import pytest
 
 from multiroute.geo import GeoPoint
 from multiroute.graph import (
-    DisjointSet,
     GraphError,
     RoutingGraph,
     dijkstra,
     path_from_root,
 )
 
-from oracles import bellman_ford, bfs_components, random_weighted_graph_edges
+from oracles import bellman_ford, random_weighted_graph_edges
 
 
 def grid_points(n):
@@ -163,45 +162,3 @@ def test_dijkstra_parent_chain_costs_are_consistent():
             w = g.edge_weight(sp.parent[v], v)
             assert sp.cost[v] == pytest.approx(sp.cost[sp.parent[v]] + w, rel=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# DisjointSet / connectivity
-# ---------------------------------------------------------------------------
-
-def components(ds, pairs):
-    """Union every pair into ``ds``; the number of distinct roots left."""
-    for a, b in pairs:
-        ds.union(a, b)
-    return len({ds.find(i) for i in range(len(ds))})
-
-
-def test_connectivity_singleton_universe():
-    assert components(DisjointSet(1), []) == 1
-
-
-def test_connectivity_missing_link():
-    assert components(DisjointSet(3), [(0, 1)]) == 2
-
-
-def test_connectivity_out_of_range_pair():
-    with pytest.raises(IndexError):
-        components(DisjointSet(3), [(0, 5)])
-
-
-def test_find_is_idempotent_and_union_links():
-    ds = DisjointSet(6)
-    ds.union(1, 4)
-    ds.union(4, 5)
-    assert ds.find(ds.find(5)) == ds.find(5)
-    assert ds.find(1) == ds.find(5)
-    assert ds.find(0) != ds.find(1)
-
-
-def test_connectivity_matches_bfs_on_random_instances():
-    rng = random.Random(99)
-    for _ in range(1000):
-        n = rng.randint(1, 20)
-        m = rng.randint(0, 2 * n)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
-        # Self-pairs are legal unions (no-ops); keep them to exercise that.
-        assert components(DisjointSet(n), pairs) == bfs_components(n, pairs)

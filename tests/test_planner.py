@@ -32,6 +32,7 @@ from multiroute.ordering import GaConfig
 
 from oracles import (
     bfs_components,
+    bfs_connects,
     nearest_by_haversine,
     random_weighted_graph_edges,
     validate_connections,
@@ -449,8 +450,22 @@ def test_connected_trivial_cases():
     assert destinations_connected(m) is False
 
 
+def hub_and_isolated_cases():
+    """Required destinations linked only through optional ``j``, then optional
+    ``j`` isolated beside a chain of the required ones, as (n, pairs, required)."""
+    for n in range(3, 10):
+        for j in range(n):
+            others = [i != j for i in range(n)]
+            yield n, [(min(i, j), max(i, j)) for i in range(n) if i != j], others
+            chain = [(a, a + 1) for a in range(n - 1) if j not in (a, a + 1)]
+            if 0 < j < n - 1:
+                chain.append((j - 1, j + 1))
+            yield n, chain, others
+
+
 def test_connected_matches_bfs_on_random_threshold_matrices():
     rng = random.Random(12)
+    masks = random.Random(13)
     for _ in range(300):
         n = rng.randint(1, 9)
         m = [[INF] * n for _ in range(n)]
@@ -461,6 +476,17 @@ def test_connected_matches_bfs_on_random_threshold_matrices():
                 if rng.random() < 0.3:
                     m[i][k] = m[k][i] = rng.uniform(1, 5)
                     pairs.append((i, k))
+        assert destinations_connected(m) is (bfs_components(n, pairs) == 1)
+        for _ in range(5):
+            required = [masks.random() < 0.5 for _ in range(n)]
+            required[masks.randrange(n)] = True
+            assert destinations_connected(m, required) is bfs_connects(n, pairs, required)
+    for n, pairs, required in hub_and_isolated_cases():
+        m = [[0.0 if i == k else INF for k in range(n)] for i in range(n)]
+        for i, k in pairs:
+            m[i][k] = m[k][i] = 1.0 + i + k
+        assert bfs_connects(n, pairs, required)
+        assert destinations_connected(m, required) is True
         assert destinations_connected(m) is (bfs_components(n, pairs) == 1)
 
 
