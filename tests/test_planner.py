@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from types import SimpleNamespace
@@ -781,3 +782,58 @@ def test_must_visit_pseudo_appears_in_path():
     assert 3 in result.final.node_path
     assert result.final.total_cost == 9.0
     validate_node_path(g, informed, result.final.node_path)
+
+
+# ---------------------------------------------------------------------------
+# Golden traces
+# ---------------------------------------------------------------------------
+
+def golden_cases():
+    """Three geometric graphs with seeded destinations. The last keeps its edge
+    weights on coordinates rounded to 1e-3 degrees, so many nodes coincide and
+    exact distance ties reach both nearest-node choices."""
+    fine = random_geometric_graph(220, 0.12, seed=5)[0]
+    rounded = RoutingGraph([GeoPoint(round(p.lat, 3), round(p.lon, 3)) for p in fine.nodes], list(fine.edges()))
+    assert len(set(rounded.nodes)) < rounded.node_count // 2
+    graphs = [
+        (random_geometric_graph(300, 0.1, seed=3)[0], 6),
+        (random_geometric_graph(250, 0.12, seed=17)[0], 8),
+        (rounded, 6),
+    ]
+    for i, (g, k) in enumerate(graphs):
+        picks = random.Random(i).sample(largest_component(g), k)
+        yield g, DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
+
+
+def trace_digest(result) -> str:
+    """First 16 hex digits of a SHA-256 over the run's integer trace."""
+    key = (
+        result.iterations,
+        result.explored_nodes,
+        result.solver_calls,
+        result.solver_skips,
+        [(s.iteration, list(map(int, s.visit_order.order)), list(map(int, s.node_path))) for s in result.solutions],
+    )
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
+# Per graph of golden_cases(), per planner seed 1 and 2: the fixpoint run's
+# digest, then the first-route run's. Any change to the planner's choices
+# (sampling, nearest frontier node, extend, parent choice, rewire, matrix
+# witnesses, solve triggers) changes some of them.
+GOLDEN_TRACES = [
+    "b8f76bfea66aebc4", "960577490d42b18f", "648590239229fb2a", "7fb66f4956608268",
+    "13c9812f227b6140", "09406b24b09419bb", "de661c911369441b", "2d54020055a92202",
+    "169cf12c22c33a6a", "a25197d1a1034317", "afe8c66b39cf4ebe", "5d9acc316ffdb09c",
+]
+
+
+def test_seeded_traces_match_the_golden_digests():
+    digests = []
+    for g, dests in golden_cases():
+        for seed in (1, 2):
+            for first in (False, True):
+                result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, stop_after_first=first))
+                assert result.status == "solved"
+                digests.append(trace_digest(result))
+    assert digests == GOLDEN_TRACES
