@@ -94,6 +94,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not 0.0 <= args.goal_bias <= 1.0:
         print(f"error: --goal-bias must lie in [0, 1], got {args.goal_bias}", file=sys.stderr)
         return EXIT_USAGE
+    if args.max_iterations is not None:
+        if args.algo != "imomd":
+            print(f"error: --max-iterations applies to --algo imomd only, not {args.algo}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.max_iterations < 1:
+            print(f"error: --max-iterations must be at least 1, got {args.max_iterations}", file=sys.stderr)
+            return EXIT_USAGE
     graph_path = Path(args.graph)
     scenario_path = Path(args.scenario)
     try:
@@ -121,6 +128,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "budget": args.budget,
             "goal_bias": args.goal_bias,
             "algo": args.algo,
+            "max_iterations": args.max_iterations,
         },
         graph_sha256=_sha256(graph_path),
         scenario_sha256=_sha256(scenario_path),
@@ -151,6 +159,7 @@ def _run_planner(
         goal_bias=args.goal_bias,
         rng_seed=args.seed,
         time_budget=args.budget,
+        max_iterations=args.max_iterations,
     )
 
     def emit(sol: planner.AnytimeSolution) -> None:
@@ -368,6 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget", type=float, default=10.0, help="time budget in seconds")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--goal-bias", type=float, default=0.2, dest="goal_bias")
+    run.add_argument(
+        "--max-iterations",
+        type=int,
+        dest="max_iterations",
+        help="imomd only: stop after N planner iterations; runs stopped this way replay exactly",
+    )
     run.add_argument("--out", default="-")
     run.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     run.set_defaults(func=cmd_run)

@@ -24,10 +24,12 @@ class RoutingGraph:
     default to the haversine length of the edge when not given. Duplicate
     edges collapse to the minimum weight; self-loops are rejected. Instances
     are immutable after construction and safe to share across readers.
-    ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``).
+    ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``), and
+    ``xyz_rows`` the same coordinates as Python float triples, for loops over a
+    few nodes at a time.
     """
 
-    __slots__ = ("nodes", "xyz", "_adj", "edge_count", "_gc_scale")
+    __slots__ = ("nodes", "xyz", "xyz_rows", "_adj", "edge_count", "_gc_scale")
 
     def __init__(
         self,
@@ -37,6 +39,7 @@ class RoutingGraph:
         self.nodes: tuple[GeoPoint, ...] = tuple(nodes)
         self.xyz: np.ndarray = unit_xyz(self.nodes)
         self.xyz.flags.writeable = False
+        self.xyz_rows: tuple[tuple[float, float, float], ...] = tuple(map(tuple, self.xyz.tolist()))
         n = len(self.nodes)
         weights: dict[tuple[int, int], float] = {}
         for u, v, w in edges:

@@ -107,79 +107,134 @@ def add_pseudo_destinations(
 # ---------------------------------------------------------------------------
 
 class Frontier(Set):
-    """Growth frontier of one tree: a boolean mask over graph nodes, read as a set.
+    """Growth frontier of one tree, packed for the nearest-node scan, read as a set.
 
-    Iteration yields node ids in ascending order; ``size`` counts the set
-    mask entries, so ``len`` and truth tests cost no scan.
+    ``ids`` lists the frontier's node ids in no particular order, and entry
+    ``i`` of the arrays ``x``, ``y`` and ``z`` holds the unit-sphere point of
+    ``ids[i]``; ``pos[node]`` is the node's index in ``ids``, or -1 outside the
+    frontier. Adding appends; discarding moves the last entry into the freed
+    one, so both cost O(1). Iteration yields node ids in ascending order.
     """
 
-    __slots__ = ("mask", "size")
+    __slots__ = ("ids", "x", "y", "z", "pos", "_rows")
 
-    def __init__(self, node_count: int) -> None:
-        self.mask = np.zeros(node_count, dtype=bool)
-        self.size = 0
+    def __init__(self, graph: RoutingGraph) -> None:
+        n = graph.node_count
+        self.ids: list[int] = []
+        self.x = np.empty(n)
+        self.y = np.empty(n)
+        self.z = np.empty(n)
+        self.pos = [-1] * n
+        self._rows = graph.xyz_rows
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.ids)
 
     def __contains__(self, node: int) -> bool:
-        return 0 <= node < len(self.mask) and bool(self.mask[node])
+        return 0 <= node < len(self.pos) and self.pos[node] >= 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self.mask).tolist())
+        return iter(sorted(self.ids))
 
     def add(self, node: int) -> None:
-        if not self.mask[node]:
-            self.mask[node] = True
-            self.size += 1
+        if self.pos[node] < 0:
+            self.ids.append(node)
+            self._put(len(self.ids) - 1, node)
 
     def discard(self, node: int) -> None:
-        if self.mask[node]:
-            self.mask[node] = False
-            self.size -= 1
+        i = self.pos[node]
+        if i < 0:
+            return
+        self.pos[node] = -1
+        last = self.ids.pop()
+        if last != node:
+            self.ids[i] = last
+            self._put(i, last)
+
+    def _put(self, i: int, node: int) -> None:
+        self.pos[node] = i
+        self.x[i], self.y[i], self.z[i] = self._rows[node]
 
 
 class SearchTree:
     """Rooted spanning tree of explored graph nodes for one destination.
 
-    ``cost`` holds the exact cost-to-come from the root along parent links;
-    ``children[u]`` maps each child of ``u`` to the weight of its tree edge;
-    ``expandable`` is the growth frontier: tree nodes with at least one graph
-    neighbor outside the tree, whose number ``_unvisited[u]`` holds.
-    ``choose_parent`` attaches nodes and keeps both.
+    Per graph node: ``cost`` holds the exact cost-to-come from the root along
+    parent links, INF outside the tree; ``parent`` the tree parent (None at the
+    root and outside the tree); ``_unvisited`` the number of graph neighbors
+    outside the tree. ``children[u]`` maps each child of tree node ``u`` to the
+    weight of its tree edge. ``expandable`` is the growth frontier: the tree
+    nodes with an unvisited neighbor. ``choose_parent`` attaches nodes and
+    keeps all of these.
     """
 
     __slots__ = ("root_node", "parent", "cost", "children", "expandable", "_unvisited")
 
     def __init__(self, root_node: int, graph: RoutingGraph) -> None:
+        n = graph.node_count
         self.root_node = root_node
-        self.parent: dict[int, int | None] = {root_node: None}
-        self.cost: dict[int, float] = {root_node: 0.0}
+        self.parent: list[int | None] = [None] * n
+        self.cost: list[float] = [INF] * n
+        self.cost[root_node] = 0.0
         self.children: dict[int, dict[int, float]] = {root_node: {}}
-        self.expandable = Frontier(graph.node_count)
+        self.expandable = Frontier(graph)
         ud = len(graph.neighbors(root_node))  # no self-loops: all lie outside
-        self._unvisited: dict[int, int] = {root_node: ud}
+        self._unvisited: list[int] = [0] * n
+        self._unvisited[root_node] = ud
         if ud:
             self.expandable.add(root_node)
 
 
-def _nearest(candidates: np.ndarray, v_rand: int, graph: RoutingGraph) -> int:
-    """The candidate nearest to ``v_rand`` by great-circle distance.
+# Frontier size from which one numpy pass beats a plain-Python loop: numpy's
+# fixed cost per call is about that of 40 loop steps.
+NUMPY_SCAN_MIN = 40
+
+
+def _nearest(nodes: Sequence[int], v_rand: int, rows: Sequence[tuple[float, float, float]]) -> int:
+    """The node of ``nodes`` (non-empty) nearest to ``v_rand``, ties on the smaller id.
 
     Compares squared chord lengths between unit-sphere points, which order
-    like great-circle distances; ``candidates`` ascend, so ``argmin`` breaks
-    ties on the smaller node id.
+    like great-circle distances, summing the terms x, z, y as
+    ``nearest_expandable``'s array pass does.
     """
-    d = graph.xyz.take(candidates, axis=0)
-    d -= graph.xyz[v_rand]
-    return int(candidates[np.argmin(np.einsum("ij,ij->i", d, d))])
+    x, y, z = rows[v_rand]
+    best = INF
+    best_node = -1
+    for n in nodes:
+        a, b, c = rows[n]
+        dx, dy, dz = a - x, b - y, c - z
+        d2 = dx * dx + dz * dz + dy * dy
+        if d2 < best or (d2 == best and n < best_node):
+            best = d2
+            best_node = n
+    return best_node
 
 
 def nearest_expandable(tree: SearchTree, v_rand: int, graph: RoutingGraph) -> int | None:
-    """Frontier node nearest to ``v_rand`` by great-circle distance, or None."""
-    if not tree.expandable:
-        return None
-    return _nearest(np.flatnonzero(tree.expandable.mask), v_rand, graph)
+    """Frontier node nearest to ``v_rand`` by great-circle distance, or None.
+
+    Small frontiers go through ``_nearest``; from ``NUMPY_SCAN_MIN`` nodes on,
+    one array pass over the packed points computes the same squared chord
+    lengths, bit for bit. Ties go to the smaller node id either way.
+    """
+    f = tree.expandable
+    ids = f.ids
+    n = len(ids)
+    if n < NUMPY_SCAN_MIN:
+        return _nearest(ids, v_rand, graph.xyz_rows) if n else None
+    x, y, z = graph.xyz_rows[v_rand]
+    d2 = f.x[:n] - x
+    d2 *= d2
+    dz = f.z[:n] - z
+    dz *= dz
+    d2 += dz
+    dy = f.y[:n] - y
+    dy *= dy
+    d2 += dy
+    i = int(d2.argmin())
+    if n - 1 - int(d2[::-1].argmin()) != i:  # the least value occurs again
+        return min(ids[j] for j in np.flatnonzero(d2 == d2[i]).tolist())
+    return ids[i]
 
 
 def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
@@ -192,11 +247,12 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     best_parent = -1
     best_cost = INF
     best_w = 0.0
+    cost = tree.cost
     unvisited = tree._unvisited
     ud = 0
     for n, w in graph.neighbors(v_new):
-        c = tree.cost.get(n)
-        if c is None:
+        c = cost[n]
+        if c == INF:
             ud += 1
             continue
         if c + w < best_cost:
@@ -210,7 +266,7 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     if best_parent < 0:
         raise RuntimeError(f"planner bug: node {v_new} has no neighbor in the tree")
     tree.parent[v_new] = best_parent
-    tree.cost[v_new] = best_cost
+    cost[v_new] = best_cost
     tree.children[v_new] = {}
     tree.children[best_parent][v_new] = best_w
     unvisited[v_new] = ud
@@ -228,14 +284,15 @@ def extend(tree: SearchTree, v_anchor: int, v_rand: int, graph: RoutingGraph) ->
     branch node, a dead end, or ``v_rand`` itself.
     """
     added: list[int] = []
-    candidates = [n for n, _ in graph.neighbors(v_anchor) if n not in tree.cost]
+    cost = tree.cost
+    candidates = [n for n, _ in graph.neighbors(v_anchor) if cost[n] == INF]
     if not candidates:
         return added
-    v_new = candidates[0] if len(candidates) == 1 else _nearest(np.array(candidates), v_rand, graph)
+    v_new = candidates[0] if len(candidates) == 1 else _nearest(candidates, v_rand, graph.xyz_rows)
     choose_parent(tree, v_new, graph)
     added.append(v_new)
     while v_new != v_rand and tree._unvisited[v_new] == 1:
-        v_new = next(n for n, _ in graph.neighbors(v_new) if n not in tree.cost)
+        v_new = next(n for n, _ in graph.neighbors(v_new) if cost[n] == INF)
         choose_parent(tree, v_new, graph)
         added.append(v_new)
     return added
@@ -250,25 +307,25 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
     """
     changed: list[int] = []
     count = 0
-    base = tree.cost[v_new]
+    cost = tree.cost
+    parent = tree.parent
+    children = tree.children
+    base = cost[v_new]
     for n, w in graph.neighbors(v_new):
-        old = tree.cost.get(n)
-        if old is None:
-            continue
         nc = base + w
-        if nc < old:
-            del tree.children[tree.parent[n]][n]
-            tree.parent[n] = v_new
-            tree.children[v_new][n] = w
-            tree.cost[n] = nc
+        if nc < cost[n] < INF:
+            del children[parent[n]][n]
+            parent[n] = v_new
+            children[v_new][n] = w
+            cost[n] = nc
             count += 1
             changed.append(n)
             stack = [n]
             while stack:
                 u = stack.pop()
-                cu = tree.cost[u]
-                for c, wc in tree.children[u].items():
-                    tree.cost[c] = cu + wc
+                cu = cost[u]
+                for c, wc in children[u].items():
+                    cost[c] = cu + wc
                     changed.append(c)
                     stack.append(c)
     return count, changed
@@ -296,30 +353,34 @@ class ConnectionTable:
 def update_connections(
     conn: ConnectionTable,
     trees: Sequence[SearchTree],
-    v: int,
+    changed: Sequence[int],
     owner: int,
 ) -> list[tuple[int, int]]:
-    """Account for node ``v`` of tree ``owner`` joining or getting cheaper.
+    """Account for the nodes ``changed`` of tree ``owner`` joining or getting cheaper.
 
-    Lowers the matrix entry of every other tree containing ``v`` where ``v``
-    now realizes a shorter destination-to-destination path, and makes ``v``
-    that pair's witness. Returns the improved pairs.
+    For each other tree, lowers the pair's matrix entry wherever a node of
+    ``changed`` that both trees hold realizes a shorter destination-to-
+    destination path, and makes that node the pair's witness; of equal sums
+    the first in ``changed`` order wins. Pass ``changed`` in ascending order so
+    the witnesses do not depend on set order. Returns one pair per improvement.
     """
     improved: list[tuple[int, int]] = []
-    cost_own = trees[owner].cost[v]
+    own = trees[owner].cost
+    matrix = conn.matrix
     for k, other in enumerate(trees):
         if k == owner:
             continue
-        c_other = other.cost.get(v)
-        if c_other is None:
-            continue
-        pair = (owner, k) if owner < k else (k, owner)
-        cand = cost_own + c_other
-        if cand < conn.matrix[pair[0]][pair[1]]:
-            conn.matrix[pair[0]][pair[1]] = cand
-            conn.matrix[pair[1]][pair[0]] = cand
-            conn.best[pair] = v
-            improved.append(pair)
+        oc = other.cost
+        entry = matrix[owner][k]
+        for v in changed:
+            cand = own[v] + oc[v]  # INF when ``other`` lacks v
+            if cand < entry:
+                entry = cand
+                matrix[owner][k] = cand
+                matrix[k][owner] = cand
+                pair = (owner, k) if owner < k else (k, owner)
+                conn.best[pair] = v
+                improved.append(pair)
     return improved
 
 
@@ -370,6 +431,8 @@ class PlannerConfig:
             raise ValueError("goal_bias must lie in [0, 1]")
         if not self.time_budget > 0.0:
             raise ValueError("time_budget must be positive")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -539,9 +602,7 @@ def plan(
         for v in added:
             _, ch = rewire(tree, v, graph)
             changed.update(ch)
-        improved: list[tuple[int, int]] = []
-        for v in sorted(changed):
-            improved.extend(update_connections(conn, trees, v, idx))
+        improved = update_connections(conn, trees, sorted(changed), idx)
         if improved and destinations_connected(conn.matrix, dests.required):
             try_solve(cfg.solver_ga, in_loop=True)
 

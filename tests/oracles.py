@@ -238,33 +238,50 @@ def per_destination_cheapest_insertion(dg: DestGraph) -> VisitSequence:
     return make_sequence(dg, order)
 
 
+def tree_nodes(tree: SearchTree) -> list[int]:
+    """Ascending ids of the nodes a tree holds: those with a finite cost-to-come."""
+    return [v for v, c in enumerate(tree.cost) if math.isfinite(c)]
+
+
 def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
     """Assert acyclic parents, mirrored child maps, exact costs and a correct frontier.
 
     Each parent link must appear once in the parent's ``children`` map, with
     the graph's weight for that edge, and no other child link may exist. The
     frontier is checked together with every node's count of unvisited
-    neighbors, which ``extend`` reads to follow degree-two corridors.
+    neighbors, which ``extend`` reads to follow degree-two corridors, and its
+    packed entries against the graph's points.
     """
-    if tree.parent.keys() != tree.cost.keys() or tree.children.keys() != tree.cost.keys():
-        raise AssertionError("parent, cost and children hold different nodes")
-    for node in tree.cost:
+    n = graph.node_count
+    if not len(tree.cost) == len(tree.parent) == len(tree._unvisited) == n:
+        raise AssertionError("per-node lists do not cover the graph")
+    members = tree_nodes(tree)
+    inside = set(members)
+    if tree.cost[tree.root_node] != 0.0 or tree.parent[tree.root_node] is not None:
+        raise AssertionError("root must have cost zero and no parent")
+    if tree.children.keys() != inside:
+        raise AssertionError("children maps and finite costs hold different nodes")
+    for node in range(n):
+        if node not in inside and (tree.parent[node] is not None or tree.cost[node] != math.inf):
+            raise AssertionError(f"node {node} outside the tree has a parent or a cost")
+    for node in members:
         seen = set()
         cur: int | None = node
         while cur is not None:
             if cur in seen:
                 raise AssertionError(f"parent cycle through node {cur}")
+            if cur not in inside:
+                raise AssertionError(f"parent chain of node {node} leaves the tree at {cur}")
             seen.add(cur)
             cur = tree.parent[cur]
         if tree.root_node not in seen:
             raise AssertionError(f"node {node} does not reach the root")
     links = {(p, c) for p, kids in tree.children.items() for c in kids}
-    if links != {(p, c) for c, p in tree.parent.items() if p is not None}:
+    if links != {(tree.parent[c], c) for c in members if c != tree.root_node}:
         raise AssertionError("child maps do not mirror the parent links")
-    for node, parent in tree.parent.items():
+    for node in members:
+        parent = tree.parent[node]
         if parent is None:
-            if tree.cost[node] != 0.0:
-                raise AssertionError("root cost must be zero")
             continue
         w = graph.edge_weight(parent, node)
         if w is None:
@@ -273,13 +290,21 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
             raise AssertionError(f"child map of {parent} holds the wrong weight for {node}")
         if tree.cost[node] != tree.cost[parent] + w:
             raise AssertionError(f"cost recurrence broken at node {node}")
-    outside = {node: sum(n not in tree.cost for n, _ in graph.neighbors(node)) for node in tree.cost}
+    outside = [sum(v not in inside for v, _ in graph.neighbors(u)) if u in inside else 0 for u in range(n)]
     if tree._unvisited != outside:
         raise AssertionError("unvisited-neighbor counts differ from a fresh count")
-    frontier = {node for node, count in outside.items() if count}
-    if tree.expandable != frontier:
-        wrong = sorted(frontier.symmetric_difference(tree.expandable))
-        raise AssertionError(f"frontier wrong for nodes {wrong} (size {len(tree.expandable)})")
+    frontier = {u for u in members if outside[u]}
+    f = tree.expandable
+    if f != frontier:
+        wrong = sorted(frontier.symmetric_difference(f))
+        raise AssertionError(f"frontier wrong for nodes {wrong} (size {len(f)})")
+    if sorted(f.ids) != sorted(frontier) or list(f) != sorted(frontier):
+        raise AssertionError("packed frontier ids differ from the frontier")
+    if [f.pos[u] for u in f.ids] != list(range(len(f))) or sum(p >= 0 for p in f.pos) != len(f):
+        raise AssertionError("frontier positions do not index the packed ids")
+    points = np.stack([f.x, f.y, f.z], axis=1)[: len(f)]
+    if not np.array_equal(points, graph.xyz[f.ids].reshape(-1, 3)):
+        raise AssertionError("packed frontier points differ from the graph's points")
 
 
 def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> None:
@@ -292,10 +317,10 @@ def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> 
     for i, ti in enumerate(trees):
         for k in range(i + 1, len(trees)):
             tk = trees[k]
-            shared = ti.cost.keys() & tk.cost.keys()
+            shared = set(tree_nodes(ti)) & set(tree_nodes(tk))
             fresh = min((ti.cost[c] + tk.cost[c] for c in shared), default=math.inf)
             cached = conn.matrix[i][k]
-            if cached != fresh:
+            if cached != fresh or conn.matrix[k][i] != fresh:
                 raise AssertionError(f"stale entry for pair {(i, k)}: {cached} vs fresh {fresh}")
             if shared:
                 node = conn.best.get((i, k))

@@ -95,6 +95,45 @@ def test_repeat_runs_identical_minus_wall_time(fixtures, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_max_iterations_runs_replay_exactly(tmp_path):
+    # Five trees on a 400-node graph need far more than 400 iterations to
+    # saturate, so the cap, not the host's speed, ends the run.
+    assert main(["gen", "--kind", "geometric", "--nodes", "400", "--radius", "0.1",
+                 "--objectives", "3", "--seed", "4", "--out", str(tmp_path / "g")]) == 0
+    reports = []
+    for name in ("a.jsonl", "b.jsonl"):
+        out = tmp_path / name
+        rc = main(
+            [
+                "run",
+                "--graph", str(tmp_path / "g.el"),
+                "--scenario", str(tmp_path / "g.scenario"),
+                "--budget", "600",
+                "--seed", "5",
+                "--max-iterations", "400",
+                "--out", str(out),
+            ]
+        )
+        reports.append((rc, strip_wall_times(read_jsonl(out))))
+    assert reports[0] == reports[1]
+    rc, records = reports[0]
+    summary = records[-1]
+    assert rc == 0 and summary["status"] == "solved"
+    assert summary["iterations"] == 400 and summary["config"]["max_iterations"] == 400
+
+
+def test_max_iterations_non_integer_is_a_usage_error(fixtures):
+    graph, scenario = fixtures
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiroute", "run", "--graph", str(graph), "--scenario", str(scenario),
+         "--max-iterations", "2.5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "--max-iterations" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_anastar_two_node_single_row(tmp_path):
     (tmp_path / "two.el").write_text(
         "graph v1\nn 0 45.0 7.0\nn 1 45.0001 7.0\ne 0 1 5.0\n"
@@ -196,7 +235,17 @@ def test_no_path_yet_exit_code(tmp_path, algo):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--budget", "0"], ["--budget", "-1"], ["--goal-bias", "3"], ["--goal-bias", "-0.1"]]
+    "flags",
+    [
+        ["--budget", "0"],
+        ["--budget", "-1"],
+        ["--goal-bias", "3"],
+        ["--goal-bias", "-0.1"],
+        ["--max-iterations", "0"],
+        ["--max-iterations", "-5"],
+        ["--max-iterations", "10", "--algo", "biastar"],
+        ["--max-iterations", "10", "--algo", "anastar"],
+    ],
 )
 def test_bad_run_values_are_usage_errors(fixtures, tmp_path, capsys, flags):
     graph, scenario = fixtures

@@ -2,9 +2,12 @@ import hashlib
 import math
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiroute.geo import GeoPoint
 from multiroute.graph import RoutingGraph, dijkstra
@@ -36,6 +39,7 @@ from oracles import (
     bfs_connects,
     nearest_by_haversine,
     random_weighted_graph_edges,
+    tree_nodes,
     validate_connections,
     validate_tree,
 )
@@ -108,6 +112,8 @@ def test_add_pseudo_keeps_target_last():
         {"time_budget": 0.0},
         {"time_budget": -1.0},
         {"time_budget": math.nan},
+        {"max_iterations": 0},
+        {"max_iterations": -3},
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -173,10 +179,13 @@ def test_empty_frontier_returns_none():
     assert nearest_expandable(tree, 1, g) is None
 
 
-def test_nearest_matches_exhaustive_scan():
-    # Grow trees to saturation. The last graph keeps its edges and weights on
-    # rounded coordinates, so many nodes coincide and exact distance ties
-    # exercise the smaller-id rule.
+@pytest.mark.parametrize("scan_min", [1, planner_module.NUMPY_SCAN_MIN, 10**9])
+def test_nearest_matches_exhaustive_scan(monkeypatch, scan_min):
+    # Grow trees to saturation, with every frontier scan on numpy, the
+    # default split, and every scan in plain Python. The last graph keeps its
+    # edges and weights on rounded coordinates, so many nodes coincide and
+    # exact distance ties exercise the smaller-id rule.
+    monkeypatch.setattr(planner_module, "NUMPY_SCAN_MIN", scan_min)
     graphs = [random_geometric_graph(70, 0.25, seed=s)[0] for s in (9, 23, 41)]
     fine = random_geometric_graph(90, 0.2, seed=5)[0]
     graphs.append(
@@ -190,12 +199,33 @@ def test_nearest_matches_exhaustive_scan():
             v_rand = rng.randrange(g.node_count)
             anchor = nearest_expandable(tree, v_rand, g)
             assert anchor == nearest_by_haversine(g, tree.expandable, v_rand)
-            candidates = [n for n, _ in g.neighbors(anchor) if n not in tree.cost]
+            candidates = [n for n, _ in g.neighbors(anchor) if tree.cost[n] == INF]
             added = extend(tree, anchor, v_rand, g)
             assert added[0] == nearest_by_haversine(g, candidates, v_rand)
             for v in added:
                 rewire(tree, v, g)
             validate_tree(tree, g)
+
+
+def test_scalar_and_array_scans_round_alike(monkeypatch):
+    # Points a = (dx, dy, dz) and b = (dx, dz, dy) lie at one exact distance
+    # from the origin, but summing the squares in different orders rounds
+    # them apart in the last bit, and the order decides which one is nearer.
+    # The plain-Python scan and the array pass must pick the same node.
+    monkeypatch.setattr(planner_module, "NUMPY_SCAN_MIN", 1)
+    rng = random.Random(5)
+    split = 0
+    for _ in range(300):
+        dx, dy, dz = (rng.uniform(-1.0, 1.0) for _ in range(3))
+        rows = [(0.0, 0.0, 0.0), (dx, dy, dz), (dx, dz, dy)]
+        split += dx * dx + dy * dy + dz * dz != dx * dx + dz * dz + dy * dy
+        graph = SimpleNamespace(node_count=3, xyz_rows=rows)
+        frontier = planner_module.Frontier(graph)
+        for v in rng.sample([1, 2], 2):
+            frontier.add(v)
+        tree = SimpleNamespace(expandable=frontier)
+        assert nearest_expandable(tree, 0, graph) == planner_module._nearest([1, 2], 0, rows)
+    assert split > 30
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +311,7 @@ def test_random_trees_costs_match_root_recomputation():
                 rewire(tree, v, g)
         validate_tree(tree, g)
         # Recompute costs by walking from the root.
-        for node in tree.cost:
+        for node in tree_nodes(tree):
             total = 0.0
             cur = node
             while tree.parent[cur] is not None:
@@ -347,12 +377,15 @@ def test_saturated_tree_costs_dominated_by_dijkstra():
     validate_tree(tree, g)
     sp = dijkstra(g, root)
     equal = 0
-    for node, cost in tree.cost.items():
+    members = tree_nodes(tree)
+    assert members == [v for v in comp if math.isfinite(sp.cost[v])]
+    for node in members:
+        cost = tree.cost[node]
         assert cost >= sp.cost[node] - 1e-9
         if abs(cost - sp.cost[node]) <= 1e-9 * max(1.0, cost):
             equal += 1
-    rate = equal / len(tree.cost)
-    print(f"tree-vs-dijkstra equality rate: {rate:.3f} over {len(tree.cost)} nodes")
+    rate = equal / len(members)
+    print(f"tree-vs-dijkstra equality rate: {rate:.3f} over {len(members)} nodes")
     assert rate > 0.5
 
 
@@ -364,7 +397,7 @@ def test_node_in_single_tree_changes_nothing():
     g = detour_triangle_graph()
     trees = [SearchTree(0, g), SearchTree(2, g)]
     conn = ConnectionTable(2)
-    assert update_connections(conn, trees, 0, 0) == []
+    assert update_connections(conn, trees, [0], 0) == []
     assert conn.matrix[0][1] == INF
 
 
@@ -373,7 +406,7 @@ def test_first_shared_node_makes_entry_finite():
     trees = [SearchTree(0, g), SearchTree(2, g)]
     conn = ConnectionTable(2)
     extend(trees[0], 0, 2, g)  # tree 0 reaches node 2
-    improved = update_connections(conn, trees, 2, 0)
+    improved = update_connections(conn, trees, [2], 0)
     assert improved == [(0, 1)]
     assert conn.matrix[0][1] == trees[0].cost[2]
     validate_connections(conn, trees)
@@ -395,17 +428,15 @@ def test_validator_catches_missed_connection_node():
         changed = set(added)
         for v in added:
             changed.update(rewire(tree, v, g)[1])
-        shared = [v for v in sorted(changed) if v in other.cost]
+        shared = [v for v in sorted(changed) if other.cost[v] < INF]
         if shared:
             break
-        for v in sorted(changed):
-            update_connections(conn, trees, v, owner)
+        update_connections(conn, trees, sorted(changed), owner)
         validate_connections(conn, trees)
     else:
         pytest.fail("trees never met")
     skipped = min(shared, key=lambda v: tree.cost[v] + other.cost[v])
-    for v in sorted(changed - {skipped}):
-        update_connections(conn, trees, v, owner)
+    update_connections(conn, trees, sorted(changed - {skipped}), owner)
     assert conn.matrix[0][1] > tree.cost[skipped] + other.cost[skipped]
     with pytest.raises(AssertionError, match="stale entry"):
         validate_connections(conn, trees)
@@ -433,8 +464,7 @@ def test_matrix_entries_never_increase_and_dominate_dijkstra():
         for v in added:
             _, ch = rewire(tree, v, g)
             changed.update(ch)
-        for v in sorted(changed):
-            update_connections(conn, trees, v, it % 2)
+        update_connections(conn, trees, sorted(changed), it % 2)
         history.append(conn.matrix[0][1])
     validate_connections(conn, trees)
     assert all(x >= y - 1e-12 for x, y in zip(history, history[1:]))
@@ -758,10 +788,64 @@ def test_invariants_hold_after_every_operation():
         for v in added:
             _, ch = rewire(tree, v, g)
             changed.update(ch)
-        for v in sorted(changed):
-            update_connections(conn, trees, v, it % 3)
+        update_connections(conn, trees, sorted(changed), it % 3)
         validate_tree(tree, g)
         validate_connections(conn, trees)
+
+
+@st.composite
+def small_planner_cases(draw):
+    """A random small graph, maybe disconnected, with 2-4 destinations.
+
+    Tie-heavy cases put the nodes on a 3 x 3 lattice of points and give the
+    edges weights 1 or 2, so distances and costs tie exactly.
+    """
+    n = draw(st.integers(2, 24))
+    ties = draw(st.booleans())
+    grid = 2 if ties else 1000
+    weights = st.sampled_from([1.0, 2.0]) if ties else st.floats(0.5, 10.0)
+    cells = draw(st.lists(st.tuples(st.integers(0, grid), st.integers(0, grid)), min_size=n, max_size=n))
+    nodes = [GeoPoint(45.0 + 1e-5 * a, 7.0 + 1e-5 * b) for a, b in cells]
+    triples = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights), max_size=3 * n))
+    edges = [(u, v, w) for u, v, w in triples if u != v]
+    k = draw(st.integers(2, min(n, 4)))
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return RoutingGraph(nodes, edges), picks, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(small_planner_cases())
+def test_validators_hold_after_every_iteration(case):
+    # Mirror the plan loop, round-robin over the trees with a frontier, and
+    # rebuild every tree and matrix entry from scratch after each iteration,
+    # until all trees saturate. Half the cases scan every frontier on numpy.
+    g, picks, seed, numpy_scan = case
+    dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
+    cfg = PlannerConfig(rng_seed=seed)
+    rng = random.Random(seed)
+    trees = [SearchTree(v, g) for v in dests.node_ids]
+    conn = ConnectionTable(dests.count)
+    for tree in trees:
+        validate_tree(tree, g)
+    with mock.patch.object(planner_module, "NUMPY_SCAN_MIN", 1 if numpy_scan else planner_module.NUMPY_SCAN_MIN):
+        while any(t.expandable for t in trees):
+            for idx, tree in enumerate(trees):
+                if not tree.expandable:
+                    continue
+                v_rand = sample(cfg, g, dests, rng)
+                anchor = nearest_expandable(tree, v_rand, g)
+                assert anchor == nearest_by_haversine(g, tree.expandable, v_rand)
+                added = extend(tree, anchor, v_rand, g)
+                assert added
+                changed = set(added)
+                for v in added:
+                    changed.update(rewire(tree, v, g)[1])
+                update_connections(conn, trees, sorted(changed), idx)
+                validate_tree(tree, g)
+                validate_connections(conn, trees)
+    for tree in trees:
+        sp = dijkstra(g, tree.root_node)
+        assert tree_nodes(tree) == [v for v in range(g.node_count) if math.isfinite(sp.cost[v])]
 
 
 def test_max_iterations_cap_respected():
