@@ -8,8 +8,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .geo import GeoPoint, haversine, unit_xyz
 
 
@@ -24,12 +22,11 @@ class RoutingGraph:
     default to the haversine length of the edge when not given. Duplicate
     edges collapse to the minimum weight; self-loops are rejected. Instances
     are immutable after construction and safe to share across readers.
-    ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``), and
-    ``xyz_rows`` the same coordinates as Python float triples, for loops over a
-    few nodes at a time.
+    ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``) as a
+    triple of Python floats.
     """
 
-    __slots__ = ("nodes", "xyz", "xyz_rows", "_adj", "edge_count", "_gc_scale")
+    __slots__ = ("nodes", "xyz", "_adj", "edge_count", "_gc_scale")
 
     def __init__(
         self,
@@ -37,9 +34,7 @@ class RoutingGraph:
         edges: Iterable[tuple[int, int, float | None]],
     ) -> None:
         self.nodes: tuple[GeoPoint, ...] = tuple(nodes)
-        self.xyz: np.ndarray = unit_xyz(self.nodes)
-        self.xyz.flags.writeable = False
-        self.xyz_rows: tuple[tuple[float, float, float], ...] = tuple(map(tuple, self.xyz.tolist()))
+        self.xyz: tuple[tuple[float, float, float], ...] = tuple(map(tuple, unit_xyz(self.nodes).tolist()))
         n = len(self.nodes)
         weights: dict[tuple[int, int], float] = {}
         for u, v, w in edges:

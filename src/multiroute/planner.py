@@ -125,7 +125,7 @@ class Frontier(Set):
         self.y = np.empty(n)
         self.z = np.empty(n)
         self.pos = [-1] * n
-        self._rows = graph.xyz_rows
+        self._rows = graph.xyz
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -221,8 +221,8 @@ def nearest_expandable(tree: SearchTree, v_rand: int, graph: RoutingGraph) -> in
     ids = f.ids
     n = len(ids)
     if n < NUMPY_SCAN_MIN:
-        return _nearest(ids, v_rand, graph.xyz_rows) if n else None
-    x, y, z = graph.xyz_rows[v_rand]
+        return _nearest(ids, v_rand, graph.xyz) if n else None
+    x, y, z = graph.xyz[v_rand]
     d2 = f.x[:n] - x
     d2 *= d2
     dz = f.z[:n] - z
@@ -288,7 +288,7 @@ def extend(tree: SearchTree, v_anchor: int, v_rand: int, graph: RoutingGraph) ->
     candidates = [n for n, _ in graph.neighbors(v_anchor) if cost[n] == INF]
     if not candidates:
         return added
-    v_new = candidates[0] if len(candidates) == 1 else _nearest(candidates, v_rand, graph.xyz_rows)
+    v_new = _nearest(candidates, v_rand, graph.xyz)
     choose_parent(tree, v_new, graph)
     added.append(v_new)
     while v_new != v_rand and tree._unvisited[v_new] == 1:

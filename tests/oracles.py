@@ -302,8 +302,8 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
         raise AssertionError("packed frontier ids differ from the frontier")
     if [f.pos[u] for u in f.ids] != list(range(len(f))) or sum(p >= 0 for p in f.pos) != len(f):
         raise AssertionError("frontier positions do not index the packed ids")
-    points = np.stack([f.x, f.y, f.z], axis=1)[: len(f)]
-    if not np.array_equal(points, graph.xyz[f.ids].reshape(-1, 3)):
+    points = list(zip(f.x.tolist(), f.y.tolist(), f.z.tolist()))[: len(f)]
+    if points != [graph.xyz[u] for u in f.ids]:
         raise AssertionError("packed frontier points differ from the graph's points")
 
 

@@ -179,13 +179,21 @@ def test_empty_frontier_returns_none():
     assert nearest_expandable(tree, 1, g) is None
 
 
-@pytest.mark.parametrize("scan_min", [1, planner_module.NUMPY_SCAN_MIN, 10**9])
-def test_nearest_matches_exhaustive_scan(monkeypatch, scan_min):
-    # Grow trees to saturation, with every frontier scan on numpy, the
-    # default split, and every scan in plain Python. The last graph keeps its
-    # edges and weights on rounded coordinates, so many nodes coincide and
-    # exact distance ties exercise the smaller-id rule.
+def test_nearest_matches_exhaustive_scan():
+    assert_nearest_matches_exhaustive_scan()
+
+
+@pytest.mark.parametrize("scan_min", [1, 10**9])
+def test_each_scan_path_matches_exhaustive_scan(monkeypatch, scan_min):
+    # Every frontier scan on numpy, then every scan in plain Python.
     monkeypatch.setattr(planner_module, "NUMPY_SCAN_MIN", scan_min)
+    assert_nearest_matches_exhaustive_scan()
+
+
+def assert_nearest_matches_exhaustive_scan():
+    # Grow trees to saturation. The last graph keeps its edges and weights on
+    # rounded coordinates, so many nodes coincide and exact distance ties
+    # exercise the smaller-id rule.
     graphs = [random_geometric_graph(70, 0.25, seed=s)[0] for s in (9, 23, 41)]
     fine = random_geometric_graph(90, 0.2, seed=5)[0]
     graphs.append(
@@ -219,7 +227,7 @@ def test_scalar_and_array_scans_round_alike(monkeypatch):
         dx, dy, dz = (rng.uniform(-1.0, 1.0) for _ in range(3))
         rows = [(0.0, 0.0, 0.0), (dx, dy, dz), (dx, dz, dy)]
         split += dx * dx + dy * dy + dz * dz != dx * dx + dz * dz + dy * dy
-        graph = SimpleNamespace(node_count=3, xyz_rows=rows)
+        graph = SimpleNamespace(node_count=3, xyz=rows)
         frontier = planner_module.Frontier(graph)
         for v in rng.sample([1, 2], 2):
             frontier.add(v)
