@@ -58,11 +58,6 @@ class _GoalHeuristic(dict):
         return h
 
 
-def _goal_heuristics(graph: RoutingGraph, *goals: int) -> list[_GoalHeuristic]:
-    """One lazily filled heuristic per goal."""
-    return [_GoalHeuristic(graph, goal) for goal in goals]
-
-
 def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
     """Exact shortest path via simultaneous searches from both endpoints.
 
@@ -79,7 +74,7 @@ def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    h_fwd, h_bwd = _goal_heuristics(graph, t, s)
+    h_fwd, h_bwd = _GoalHeuristic(graph, t), _GoalHeuristic(graph, s)
     g = ({s: 0.0}, {t: 0.0})
     parent: tuple[dict[int, int | None], dict[int, int | None]] = ({s: None}, {t: None})
     done: tuple[set[int], set[int]] = (set(), set())
@@ -160,7 +155,7 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    (h,) = _goal_heuristics(graph, t)
+    h = _GoalHeuristic(graph, t)
     g = {s: 0.0}
     parent: dict[int, int | None] = {s: None}
     big_g = INF

@@ -205,8 +205,9 @@ def serialize_edgelist(graph: RoutingGraph, ids: IdMap | None = None) -> str:
 def parse_scenario(data: bytes | str) -> ScenarioSpec:
     """Parse a scenario file.
 
-    Keys, one per line: ``source <id>``, ``target <id>``, ``objectives <id>...``
-    (repeatable), ``pseudo <id> [must_visit]`` (repeatable); ``#`` comments.
+    Keys, one per line: ``source <id>`` and ``target <id>`` (once each),
+    ``objectives <id>...`` (repeatable), ``pseudo <id> [must_visit]``
+    (repeatable); ``#`` comments.
     """
     data = _text(data)
     source: int | None = None
@@ -219,6 +220,8 @@ def parse_scenario(data: bytes | str) -> ScenarioSpec:
             continue
         parts = ln.split()
         key = parts[0]
+        if (key == "source" and source is not None) or (key == "target" and target is not None):
+            raise ParseError(f"line {no}: repeated {key} record {ln!r}")
         try:
             if key == "source" and len(parts) == 2:
                 source = int(parts[1])

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections.abc import Set
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,14 +105,15 @@ def add_pseudo_destinations(
 # Search trees
 # ---------------------------------------------------------------------------
 
-class Frontier(Set):
-    """Growth frontier of one tree, packed for the nearest-node scan, read as a set.
+class Frontier:
+    """Growth frontier of one tree, packed for the nearest-node scan.
 
     ``ids`` lists the frontier's node ids in no particular order, and entry
     ``i`` of the arrays ``x``, ``y`` and ``z`` holds the unit-sphere point of
     ``ids[i]``; ``pos[node]`` is the node's index in ``ids``, or -1 outside the
     frontier. Adding appends; discarding moves the last entry into the freed
-    one, so both cost O(1). Iteration yields node ids in ascending order.
+    one, so both cost O(1). It is not a set: read membership from ``pos`` and
+    the members from ``ids``.
     """
 
     __slots__ = ("ids", "x", "y", "z", "pos", "_rows")
@@ -129,12 +129,6 @@ class Frontier(Set):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __contains__(self, node: int) -> bool:
-        return 0 <= node < len(self.pos) and self.pos[node] >= 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.ids))
 
     def add(self, node: int) -> None:
         if self.pos[node] < 0:
@@ -162,13 +156,13 @@ class SearchTree:
     Per graph node: ``cost`` holds the exact cost-to-come from the root along
     parent links, INF outside the tree; ``parent`` the tree parent (None at the
     root and outside the tree); ``_unvisited`` the number of graph neighbors
-    outside the tree. ``children[u]`` maps each child of tree node ``u`` to the
-    weight of its tree edge. ``expandable`` is the growth frontier: the tree
-    nodes with an unvisited neighbor. ``choose_parent`` attaches nodes and
-    keeps all of these.
+    outside the tree. ``expandable`` is the growth frontier: the tree nodes
+    with an unvisited neighbor. ``choose_parent`` attaches nodes and keeps all
+    of these. Every tree edge is a graph edge, so the children of ``u`` are
+    the graph neighbors ``c`` with ``parent[c] == u``.
     """
 
-    __slots__ = ("root_node", "parent", "cost", "children", "expandable", "_unvisited")
+    __slots__ = ("root_node", "parent", "cost", "expandable", "_unvisited")
 
     def __init__(self, root_node: int, graph: RoutingGraph) -> None:
         n = graph.node_count
@@ -176,7 +170,6 @@ class SearchTree:
         self.parent: list[int | None] = [None] * n
         self.cost: list[float] = [INF] * n
         self.cost[root_node] = 0.0
-        self.children: dict[int, dict[int, float]] = {root_node: {}}
         self.expandable = Frontier(graph)
         ud = len(graph.neighbors(root_node))  # no self-loops: all lie outside
         self._unvisited: list[int] = [0] * n
@@ -246,7 +239,6 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     """
     best_parent = -1
     best_cost = INF
-    best_w = 0.0
     cost = tree.cost
     unvisited = tree._unvisited
     ud = 0
@@ -258,7 +250,6 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
         if c + w < best_cost:
             best_cost = c + w
             best_parent = n
-            best_w = w
         left = unvisited[n] - 1
         unvisited[n] = left
         if left == 0:
@@ -267,8 +258,6 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
         raise RuntimeError(f"planner bug: node {v_new} has no neighbor in the tree")
     tree.parent[v_new] = best_parent
     cost[v_new] = best_cost
-    tree.children[v_new] = {}
-    tree.children[best_parent][v_new] = best_w
     unvisited[v_new] = ud
     if ud:
         tree.expandable.add(v_new)
@@ -301,22 +290,22 @@ def extend(tree: SearchTree, v_anchor: int, v_rand: int, graph: RoutingGraph) ->
 def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list[int]]:
     """Reparent neighbors of ``v_new`` that become cheaper through it.
 
-    Cost decreases propagate through the whole affected subtree so the
-    cost-to-come recurrence stays exact. Returns the number of reparented
-    neighbors and every node whose cost changed.
+    Neighbors are tested in ascending id, and each one's cost decrease
+    propagates through its whole subtree before the next is tested, so the
+    cost-to-come recurrence stays exact. A subtree is walked through the
+    adjacency: the children of ``u`` are its neighbors whose parent is ``u``.
+    Returns the number of reparented neighbors and every node whose cost
+    changed.
     """
     changed: list[int] = []
     count = 0
     cost = tree.cost
     parent = tree.parent
-    children = tree.children
     base = cost[v_new]
     for n, w in graph.neighbors(v_new):
         nc = base + w
         if nc < cost[n] < INF:
-            del children[parent[n]][n]
             parent[n] = v_new
-            children[v_new][n] = w
             cost[n] = nc
             count += 1
             changed.append(n)
@@ -324,10 +313,11 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
             while stack:
                 u = stack.pop()
                 cu = cost[u]
-                for c, wc in children[u].items():
-                    cost[c] = cu + wc
-                    changed.append(c)
-                    stack.append(c)
+                for c, wc in graph.neighbors(u):
+                    if parent[c] == u:
+                        cost[c] = cu + wc
+                        changed.append(c)
+                        stack.append(c)
     return count, changed
 
 

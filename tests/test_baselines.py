@@ -15,7 +15,7 @@ from multiroute.geo import GeoPoint
 from multiroute.graph import RoutingGraph, dijkstra
 from multiroute.planner import node_path_cost
 
-from oracles import full_goal_heuristics
+from oracles import full_goal_heuristic
 
 
 def pts(n):
@@ -208,5 +208,5 @@ def test_lazy_heuristics_give_the_results_of_full_lists(monkeypatch):
         return out
 
     lazy = run()
-    monkeypatch.setattr(baselines, "_goal_heuristics", full_goal_heuristics)
+    monkeypatch.setattr(baselines, "_GoalHeuristic", full_goal_heuristic)
     assert lazy == run()

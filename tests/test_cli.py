@@ -1,7 +1,9 @@
 import json
+import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,15 @@ e 1 2 10.0
 """
 
 SCENARIO = "source 0\ntarget 2\nobjectives 1\n"
+
+# ``python -m multiroute`` children import the package from this checkout's
+# ``src``, whether or not it is installed or on the caller's PYTHONPATH.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 @pytest.fixture
@@ -129,6 +140,7 @@ def test_max_iterations_non_integer_is_a_usage_error(fixtures):
          "--max-iterations", "2.5"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 2
     assert "--max-iterations" in proc.stderr and "Traceback" not in proc.stderr
@@ -294,6 +306,7 @@ def test_unwritable_out_is_file_error(fixtures, tmp_path, command):
         [sys.executable, "-m", "multiroute", command, *args, "--out", str(out)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: cannot write {out}")
@@ -324,6 +337,15 @@ def test_non_utf8_file_is_a_parse_error(fixtures, capsys, kind):
     assert "Traceback" not in err
 
 
+def test_repeated_source_is_a_parse_error(fixtures, capsys):
+    graph, scenario = fixtures
+    scenario.write_text("source 0\nsource 1\ntarget 2\n")
+    rc = main(["run", "--graph", str(graph), "--scenario", str(scenario)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: scenario file {scenario}: line 2: repeated source record 'source 1'\n"
+
+
 def test_osm_node_with_bad_coordinates_is_a_parse_error(fixtures, tmp_path):
     _, scenario = fixtures
     graph = tmp_path / "map.osm"
@@ -335,6 +357,7 @@ def test_osm_node_with_bad_coordinates_is_a_parse_error(fixtures, tmp_path):
         [sys.executable, "-m", "multiroute", "run", "--graph", str(graph), "--scenario", str(scenario)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: graph file {graph}: node 0: latitude")
@@ -466,7 +489,7 @@ def test_gen_degenerate_refused(tmp_path, capsys):
 
 def test_console_entrypoint_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "multiroute", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "multiroute", "--help"], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0
     assert "bench-oracle" in proc.stdout

@@ -275,3 +275,15 @@ def test_scenario_round_trip():
 def test_source_equal_target_rejected():
     with pytest.raises(ParseError):
         parse_scenario("source 100\ntarget 100\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("source 1\nsource 2\ntarget 3\n", "line 2: repeated source record 'source 2'"),
+        ("source 1\ntarget 3\n# note\ntarget 3\n", "line 4: repeated target record 'target 3'"),
+    ],
+)
+def test_repeated_source_or_target_rejected(text, line):
+    with pytest.raises(ParseError, match=f"^{line}$"):
+        parse_scenario(text)

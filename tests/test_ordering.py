@@ -295,7 +295,11 @@ def test_mutate_draws_what_randint_sample_and_shuffle_draw():
 
 
 def assert_ga_and_solve_unchanged_under(monkeypatch, operator, reference):
-    """``genetic_refine`` and ``solve`` give the same bits with ``reference`` as ``ordering.<operator>``."""
+    """``genetic_refine`` and ``solve`` give the same bits with ``reference`` as ``ordering.<operator>``.
+
+    Every offspring the operator returns is recorded, so the two runs must
+    agree child for child, not only in the sequences they end with.
+    """
     cases = []
     for order in range(5, 13):
         for make in (random_complete_destgraph, random_incomplete_destgraph):
@@ -305,14 +309,23 @@ def assert_ga_and_solve_unchanged_under(monkeypatch, operator, reference):
                 reduced = closure_of(dg)
                 cases.append((dg, reduced, cheapest_insertion(reduced), cfg))
 
-    def run():
-        return [(genetic_refine(r, start, cfg), solve(dg, cfg)) for dg, r, start, cfg in cases]
+    def run(op):
+        children = []
 
-    ours = run()
-    monkeypatch.setattr(ordering, operator, reference)
-    for (ga, sol), (ref_ga, ref_sol) in zip(ours, run()):
-        assert (ga.order, ga.total_cost.hex()) == (ref_ga.order, ref_ga.total_cost.hex())
-        assert (sol.order, sol.total_cost.hex()) == (ref_sol.order, ref_sol.total_cost.hex())
+        def recorded(*args):
+            child = op(*args)
+            children.append((child.order, child.total_cost.hex()))
+            return child
+
+        monkeypatch.setattr(ordering, operator, recorded)
+        finals = [(genetic_refine(r, start, cfg), solve(dg, cfg)) for dg, r, start, cfg in cases]
+        return [(s.order, s.total_cost.hex()) for pair in finals for s in pair], children
+
+    ours = run(getattr(ordering, operator))
+    ref = run(reference)
+    assert ours[1], f"ordering.{operator} was never called"
+    assert ours[0] == ref[0]
+    assert ours[1] == ref[1]
 
 
 def test_ga_and_solve_unchanged_under_the_reference_mutate(monkeypatch):

@@ -175,7 +175,7 @@ def test_empty_frontier_returns_none():
     g = RoutingGraph(pts(2), [(0, 1, 1.0)])
     tree = SearchTree(0, g)
     extend(tree, 0, 1, g)
-    assert tree.expandable == set()
+    assert tree.expandable.ids == []
     assert nearest_expandable(tree, 1, g) is None
 
 
@@ -206,7 +206,7 @@ def assert_nearest_matches_exhaustive_scan():
         while tree.expandable:
             v_rand = rng.randrange(g.node_count)
             anchor = nearest_expandable(tree, v_rand, g)
-            assert anchor == nearest_by_haversine(g, tree.expandable, v_rand)
+            assert anchor == nearest_by_haversine(g, tree.expandable.ids, v_rand)
             candidates = [n for n, _ in g.neighbors(anchor) if tree.cost[n] == INF]
             added = extend(tree, anchor, v_rand, g)
             assert added[0] == nearest_by_haversine(g, candidates, v_rand)
@@ -255,7 +255,7 @@ def test_branch_node_stops_compression():
     tree = SearchTree(0, g)
     added = extend(tree, 0, 4, g)
     assert added == [1]
-    assert tree.expandable == {1}
+    assert tree.expandable.ids == [1]
 
 
 def test_path_graph_single_extend_swallows_everything():
@@ -366,6 +366,22 @@ def test_rewire_propagates_to_subtree():
     assert count == 1
     assert set(changed) == {1, 2}
     assert tree.cost[1] == 2.0 and tree.cost[2] == 3.0
+    validate_tree(tree, g)
+
+
+def test_rewire_cascades_each_neighbor_before_testing_the_next():
+    # Neighbors 1 and 2 of node 3 both look cheaper through it at first
+    # (2 < 10 and 6 < 11), but 2 hangs under 1: once 1's cascade lowers 2 to
+    # 3.0, the edge 3-2 no longer improves it.
+    edges = [(0, 1, 10.0), (1, 2, 1.0), (0, 3, 1.0), (3, 1, 1.0), (3, 2, 5.0)]
+    g = RoutingGraph(pts(4), edges)
+    tree = SearchTree(0, g)
+    choose_parent(tree, 1, g)  # cost 10
+    choose_parent(tree, 2, g)  # cost 11 under 1
+    choose_parent(tree, 3, g)  # cost 1
+    count, changed = rewire(tree, 3, g)
+    assert (count, changed) == (1, [1, 2])
+    assert tree.parent[2] == 1 and tree.cost[2] == 3.0
     validate_tree(tree, g)
 
 
@@ -842,7 +858,7 @@ def test_validators_hold_after_every_iteration(case):
                     continue
                 v_rand = sample(cfg, g, dests, rng)
                 anchor = nearest_expandable(tree, v_rand, g)
-                assert anchor == nearest_by_haversine(g, tree.expandable, v_rand)
+                assert anchor == nearest_by_haversine(g, tree.expandable.ids, v_rand)
                 added = extend(tree, anchor, v_rand, g)
                 assert added
                 changed = set(added)
