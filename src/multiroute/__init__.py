@@ -22,6 +22,7 @@ from .ordering import (
     brute_force_oracle,
     oracle_stats,
     solve,
+    solve_exact,
 )
 from .planner import (
     AnytimeSolution,
@@ -60,6 +61,7 @@ __all__ = [
     "brute_force_oracle",
     "oracle_stats",
     "solve",
+    "solve_exact",
     "AnytimeSolution",
     "DestinationSet",
     "PlanResult",

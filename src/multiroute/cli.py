@@ -39,6 +39,7 @@ class RunReport:
     explored_nodes: int = 0
     solver_calls: int = 0
     solver_skips: int = 0
+    stop_reason: str | None = None
 
 
 def _sha256(path: Path) -> str:
@@ -179,6 +180,7 @@ def _run_planner(
     report.explored_nodes = result.explored_nodes
     report.solver_calls = result.solver_calls
     report.solver_skips = result.solver_skips
+    report.stop_reason = result.stop_reason
     if result.final is not None:
         report.final_cost = result.final.total_cost
         report.node_path = list(result.final.node_path)

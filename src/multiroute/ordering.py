@@ -6,13 +6,16 @@ yet). A visit sequence runs from a fixed source to a fixed target and may
 revisit destinations. ``solve`` orders the required destinations over the
 metric closure (all-pairs shortest paths) with cheapest insertion and a
 genetic polish, then expands each closure leg back into the destinations it
-passes, which yields the revisits. Insertion and the genetic operators take
+passes, which yields the revisits. ``solve_exact`` orders up to
+``EXACT_MAX`` required intermediates optimally over the same closure, by
+dynamic programming over subsets. Insertion and the genetic operators take
 complete destination graphs only. An exhaustive oracle over the same closure
 provides exact optima for small instances.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -503,6 +506,73 @@ def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
     reduced = DestGraph(theta, keep.index(dg.source), keep.index(dg.target))
     seq = genetic_refine(reduced, cheapest_insertion(reduced), cfg)
     return make_sequence(dg, _closure_path(nxt, [keep[i] for i in seq.order]))
+
+
+# Most required intermediates ``solve_exact`` orders; its time and memory
+# double with each one more.
+EXACT_MAX = 10
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_steps(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The dynamic programme's states over ``m`` items, one group per subset size 2 to m.
+
+    A group lists every (mask, j) with j in mask as four index arrays: the
+    masks (ascending), the j's (ascending within a mask), the masks with j
+    removed, and the positions 0, 1, ... of the states.
+    """
+    masks = np.arange(1 << m)
+    member = (masks[:, None] >> np.arange(m)) & 1
+    sizes = member.sum(axis=1)
+    steps = []
+    for k in range(2, m + 1):
+        mask, j = np.nonzero(member * (sizes == k)[:, None])
+        steps.append((mask, j, mask ^ (1 << j), np.arange(mask.size)))
+    return tuple(steps)
+
+
+def solve_exact(dg: DestGraph) -> VisitSequence:
+    """Optimal order of the required destinations over the metric closure, then expand.
+
+    Bellman-Held-Karp dynamic programming over the subsets of the m required
+    intermediates: ``cost[mask, j]`` is the cheapest route from the source
+    through exactly the intermediates in ``mask``, ending at ``j``, summed
+    left to right as ``sequence_cost`` sums an order. One array step per
+    subset size gathers ``cost[mask ^ bit_j, i] + D[i, j]`` for every state
+    (mask, j) of that size with j in mask and keeps the argmin over ``i`` for
+    the walk back from the target; at each step of that walk a tie goes to
+    the lowest index. Raises ``ValueError`` when m exceeds ``EXACT_MAX`` and
+    ``NoSequenceError`` as ``required_closure`` does.
+    """
+    m = len(dg.required_intermediates())
+    if m > EXACT_MAX:
+        raise ValueError(f"solve_exact refuses more than {EXACT_MAX} required intermediates, got {m}")
+    theta, nxt, keep = required_closure(dg)
+    s, t = keep.index(dg.source), keep.index(dg.target)
+    mids = [i for i in range(len(keep)) if i != s and i != t]
+    order: list[int] = []
+    if m:
+        step = theta[np.ix_(mids, mids)]  # symmetric, so step[j, i] is the leg from i to j
+        # States (mask, i) with i outside mask stay infinite: no argmin picks them.
+        cost = np.full((1 << m, m), INF)
+        via = np.zeros((1 << m, m), dtype=np.intp)
+        first = np.arange(m)
+        cost[1 << first, first] = theta[s, mids]
+        for mask, j, prev, pos in _subset_steps(m):
+            cand = cost[prev] + step[j]
+            best = cand.argmin(axis=1)
+            via[mask, j] = best
+            cost[mask, j] = cand[pos, best]
+        mask = (1 << m) - 1
+        j = int(np.argmin(cost[mask] + theta[mids, t]))
+        while True:
+            order.append(j)
+            if mask == 1 << j:
+                break
+            mask, j = mask ^ (1 << j), int(via[mask, j])
+        order.reverse()
+    stops = [keep[s], *(keep[mids[j]] for j in order), keep[t]]
+    return make_sequence(dg, _closure_path(nxt, stops))
 
 
 # ---------------------------------------------------------------------------

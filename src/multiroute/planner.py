@@ -6,7 +6,10 @@ trees connect their destinations; the best such meeting points feed a
 destination distance matrix. Whenever the matrix improves, the required
 destinations are mutually reachable and their metric closure (the problem the
 ordering solver orders) changed, the solver is re-run and any strictly better
-overall route is emitted, so solution quality only improves over a run.
+overall route is emitted, so solution quality only improves over a run. Up to
+``ordering.EXACT_MAX`` required intermediates the order is exact
+(``ordering.solve_exact``); above that the genetic solver ``ordering.solve``
+runs.
 Single-threaded and deterministic for a fixed seed.
 """
 
@@ -408,8 +411,9 @@ class PlannerConfig:
     rng_seed: int = 0
     time_budget: float = 10.0
     max_iterations: int | None = None
-    # Ordering-solver strength: a light config for the in-loop re-solves that
-    # follow every matrix improvement, full strength once at the end.
+    # Ordering-solver strength above ``ordering.EXACT_MAX`` required
+    # intermediates: a light config for the in-loop re-solves that follow
+    # every matrix improvement, full strength once at the end.
     solver_ga: GaConfig = field(
         default_factory=lambda: GaConfig(mutation_count=150, crossover_count=150, generations=3)
     )
@@ -446,6 +450,9 @@ class PlanResult:
     explored_nodes: int
     wall_time: float
     distance_matrix: list[list[float]]
+    # Why the loop ended: "fixpoint" (every tree saturated), "time_budget",
+    # "max_iterations" or "first_solution" (``stop_after_first``).
+    stop_reason: str
     # In-loop ordering solves run, and those skipped because the required
     # destinations' metric closure was bit-identical to the last one solved.
     solver_calls: int = 0
@@ -528,13 +535,16 @@ def plan(
     solved_closure: np.ndarray | None = None
     solver_calls = 0
     solver_skips = 0
+    exact = sum(dests.required) - 2 <= ordering.EXACT_MAX
 
     def try_solve(ga_cfg: GaConfig, in_loop: bool) -> None:
         """Solve the current matrix and emit the route if it is strictly cheaper.
 
         An in-loop solve is skipped when the ordering problem, the closure over
         the required destinations, is bit-identical to the last one solved in
-        the loop: it could only re-roll the GA seed.
+        the loop: it would give the same order, or only re-roll the GA seed.
+        Each solve that runs takes the next seed of the solver stream, whichever
+        solver it uses.
         """
         nonlocal best_cost, solved_closure, solver_calls, solver_skips
         dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
@@ -546,7 +556,8 @@ def plan(
                     return
                 solved_closure = closure
                 solver_calls += 1
-            seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
+            seed = solver_seeds.getrandbits(32)
+            seq = ordering.solve_exact(dg) if exact else ordering.solve(dg, replace(ga_cfg, rng_seed=seed))
         except ordering.NoSequenceError:
             return
         path = stitch_node_path(seq, trees, conn, graph)
@@ -565,12 +576,16 @@ def plan(
             if on_solution is not None:
                 on_solution(sol)
 
+    stop_reason = "fixpoint"
     while True:
         if time.monotonic() - start >= cfg.time_budget:
+            stop_reason = "time_budget"
             break
         if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
+            stop_reason = "max_iterations"
             break
         if cfg.stop_after_first and solutions:
+            stop_reason = "first_solution"
             break
         idx = -1
         for off in range(n_trees):
@@ -613,6 +628,7 @@ def plan(
         explored_nodes=explored,
         wall_time=time.monotonic() - start,
         distance_matrix=[row[:] for row in conn.matrix],
+        stop_reason=stop_reason,
         solver_calls=solver_calls,
         solver_skips=solver_skips,
     )

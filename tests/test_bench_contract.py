@@ -40,7 +40,11 @@ def test_traced_pipeline_calls_every_span(tracing):
         dests = graphio.resolve_scenario(spec, ids2)
         result = planner.plan(g2, dests, cfg)
         graph.dijkstra(g2, dests.source_node)
-        ordering.brute_force_oracle(ordering.DestGraph(result.distance_matrix, 0, dests.count - 1))
+        probe = ordering.DestGraph(result.distance_matrix, 0, dests.count - 1)
+        # The planner orders these few destinations exactly; the bench's
+        # solver probe runs the GA solver on the matrix the planner found.
+        ordering.solve(probe, ga)
+        ordering.brute_force_oracle(probe)
     assert result.status == "solved"
     assert all(getattr(m, a) is fn for m, a, fn in originals)
     calls = {name: times["calls"] for name, times in t.layer_times().items()}

@@ -81,6 +81,7 @@ def test_run_emits_trace_and_exits_zero(fixtures, tmp_path):
     assert summary["node_path"] == [0, 1, 0, 2]
     assert len(summary["graph_sha256"]) == 64
     assert summary["solver_calls"] >= 1 and summary["solver_skips"] >= 0
+    assert summary["stop_reason"] == "fixpoint"
     costs = [r["total_cost"] for r in solutions]
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
@@ -131,6 +132,7 @@ def test_max_iterations_runs_replay_exactly(tmp_path):
     summary = records[-1]
     assert rc == 0 and summary["status"] == "solved"
     assert summary["iterations"] == 400 and summary["config"]["max_iterations"] == 400
+    assert summary["stop_reason"] == "max_iterations"
 
 
 def test_max_iterations_non_integer_is_a_usage_error(fixtures):
@@ -185,6 +187,8 @@ def test_biastar_legs_follow_scenario_order(fixtures, tmp_path):
     summary = read_jsonl(out)[-1]
     # Legs 0->1 (2m) and 1->2 (via 0: 5m) sum to 7.
     assert summary["final_cost"] == 7.0
+    # Baselines have no planner loop to stop.
+    assert "stop_reason" in summary and summary["stop_reason"] is None
 
 
 @pytest.mark.parametrize("algo", ["imomd", "biastar", "anastar"])

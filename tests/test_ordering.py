@@ -30,6 +30,7 @@ from multiroute.ordering import (
     selection_weights,
     sequence_cost,
     solve,
+    solve_exact,
     validate_sequence,
 )
 
@@ -649,6 +650,86 @@ def test_oracle_refuses_large_instances():
 def test_hamiltonian_existence_detects_spur():
     assert hamiltonian_path_exists(spur_graph()) is False
     assert hamiltonian_path_exists(random_complete_destgraph(6, seed=1)) is True
+
+
+# ---------------------------------------------------------------------------
+# solve_exact
+# ---------------------------------------------------------------------------
+
+def exact_instances():
+    """Complete, incomplete and tie-heavy integer instances of 3-10 destinations,
+    all required and with some optional; disconnected ones included."""
+    rng = random.Random(97)
+    for n in range(3, 11):
+        for trial in range(6):
+            seed = 1000 * n + trial
+            optional = [True] + [rng.random() < 0.7 for _ in range(n - 2)] + [True]
+            yield random_complete_destgraph(n, seed)
+            yield random_incomplete_destgraph(n, seed)
+            yield dg_from(random_theta(rng, n, 0.6, integer=True))
+            yield dg_from(random_theta(rng, n, 0.9, integer=True), required=optional)
+            yield dg_from(random_incomplete_destgraph(n, seed).theta, required=optional)
+
+
+def test_solve_exact_matches_the_oracle():
+    tied = refused = 0
+    for dg in exact_instances():
+        try:
+            opt, witness = brute_force_oracle(dg)
+        except NoSequenceError:
+            with pytest.raises(NoSequenceError):
+                solve_exact(dg)
+            refused += 1
+            continue
+        seq = solve_exact(dg)
+        validate_sequence(dg, seq)
+        if np.all(np.isin(dg.theta, [0.0, 1.0, 2.0, INF])):
+            # Integer sums are exact: equal costs, even where orders tie.
+            assert seq.total_cost == opt
+            tied += seq.order != witness.order
+        else:
+            assert seq.total_cost == pytest.approx(opt, rel=1e-9)
+    assert tied > 0 and refused > 0
+
+
+def test_solve_exact_orders_a_tie_by_the_lowest_index():
+    # Both orders of 1 and 2 between source 0 and target 3 cost 4. The walk
+    # back from the target takes the lowest index at each tie, so 1 is last.
+    dg = dg_from([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
+    assert solve_exact(dg).order == (0, 2, 1, 3)
+    # Unit weights: every order of 1, 2, 3 ties, at every step of the walk.
+    unit = dg_from(np.ones((5, 5)) - np.eye(5))
+    assert solve_exact(unit).order == (0, 3, 2, 1, 4)
+
+
+def test_solve_exact_handles_zero_and_one_intermediate():
+    pair = dg_from([[0.0, 4.0], [4.0, 0.0]])
+    assert solve_exact(pair) == make_sequence(pair, (0, 1))
+    # Optional destinations only: the closure leg may still pass them.
+    line = dg_from([[0.0, 1.0, INF], [1.0, 0.0, 2.0], [INF, 2.0, 0.0]], required=[True, False, True])
+    assert solve_exact(line).order == (0, 1, 2)
+    detour = triangle_with_detour()
+    seq = solve_exact(detour)
+    assert (seq.order, seq.total_cost) == ((0, 1, 0, 2), 7.0)
+
+
+def test_solve_exact_refuses_more_than_exact_max_intermediates():
+    n = ordering.EXACT_MAX + 3
+    dg = random_complete_destgraph(n, seed=5)
+    with pytest.raises(ValueError, match="refuses") as info:
+        solve_exact(dg)
+    assert not isinstance(info.value, NoSequenceError)
+    # Optional destinations do not count.
+    relaxed = DestGraph(dg.theta, 0, n - 1, [i != 1 for i in range(n)])
+    validate_sequence(relaxed, solve_exact(relaxed))
+
+
+def test_solve_exact_reruns_give_the_same_order():
+    for seed in range(5):
+        raw = random_incomplete_destgraph(10, seed=seed)
+        first = solve_exact(raw)
+        again = solve_exact(DestGraph(raw.theta, raw.source, raw.target, raw.required))
+        assert first == again == solve_exact(raw)
 
 
 # ---------------------------------------------------------------------------

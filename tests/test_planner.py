@@ -631,22 +631,30 @@ def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
     # Source, objective and target on the top row of a 4 x 7 unit grid: the
     # objective lies on every shortest source-target path, so once both of its
     # pairs are exact a better source-target meeting point cannot lower the
-    # closure. Integer weights keep the closure sums exact.
+    # closure. Integer weights keep the closure sums exact. One objective is
+    # within ordering.EXACT_MAX, so every solve is exact; the spy has no
+    # ``solve``, so a GA solve would fail.
     g = unit_grid(4, 7)
     dests = DestinationSet.build(0, 6, objectives=(3,))
-    cfg_loop = GaConfig(mutation_count=60, crossover_count=60, generations=2)
-    events = []
+    events = []  # ("check", theta, closure, dg) or ("solve", theta, in loop)
 
     def checked(dg):
         out = ordering.required_closure(dg)
-        events.append(("check", dg.theta.copy(), out[0].copy()))
+        events.append(("check", dg.theta.copy(), out[0].copy(), dg))
         return out
 
-    def solved(dg, cfg):
-        events.append(("solve", dg.theta.copy(), cfg.mutation_count == cfg_loop.mutation_count))
-        return ordering.solve(dg, cfg)
+    def solved(dg):
+        # An in-loop solve orders the DestGraph its skip test just checked.
+        in_loop = bool(events) and events[-1][0] == "check" and events[-1][3] is dg
+        events.append(("solve", dg.theta.copy(), in_loop))
+        return ordering.solve_exact(dg)
 
-    spy = SimpleNamespace(required_closure=checked, solve=solved, NoSequenceError=ordering.NoSequenceError)
+    spy = SimpleNamespace(
+        required_closure=checked,
+        solve_exact=solved,
+        EXACT_MAX=ordering.EXACT_MAX,
+        NoSequenceError=ordering.NoSequenceError,
+    )
     monkeypatch.setattr(planner_module, "ordering", spy)
     dominated = lowered = 0
     for seed in range(6):
@@ -657,12 +665,12 @@ def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
             costs.append(sol.total_cost)
             validate_node_path(g, dests, sol.node_path)
 
-        result = plan(g, dests, light_cfg(rng_seed=seed, solver_ga=cfg_loop), on_solution=check)
+        result = plan(g, dests, light_cfg(rng_seed=seed), on_solution=check)
         assert result.status == "solved"
         assert all(a > b for a, b in zip(costs, costs[1:]))
         last = None  # (matrix, closure) of the check the last in-loop solve followed
         runs = skips = 0
-        for i, (kind, theta, closure) in enumerate(events):
+        for i, (kind, theta, closure, *_) in enumerate(events):
             if kind != "check":
                 continue
             ran = i + 1 < len(events) and events[i + 1][0] == "solve" and events[i + 1][2]
@@ -682,46 +690,49 @@ def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
             if ran:
                 last = (theta, closure)
         assert (result.solver_calls, result.solver_skips) == (runs, skips)
-        # The full-strength polish always runs, last.
+        # The final solve always runs, last, on a DestGraph of its own.
         assert events[-1][0] == "solve" and not events[-1][2]
     assert dominated > 0 and lowered > 0
 
 
 def test_in_loop_solve_reuses_the_closure_of_its_change_test(monkeypatch):
     # The skip test computes the required closure of the DestGraph it then
-    # hands to solve; solve finds it there. The final polish makes its own.
+    # hands to solve_exact; solve_exact finds it there. The final solve, on a
+    # DestGraph of its own, makes its own.
     g, _ = random_geometric_graph(150, 0.15, seed=31)
     picks = random.Random(31).sample(largest_component(g), 6)
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
     cfg = light_cfg(rng_seed=3)
-    real_closure, real_solve = ordering._metric_closure, ordering.solve
+    real_closure, real_solve = ordering._metric_closure, ordering.solve_exact
     closures = 0
-    solves = []  # (in loop, closures made before the call, closures made by its return)
+    solves = []  # (DestGraph had a closure, closures made before the call, closures made by its return)
 
     def counted_closure(dg):
         nonlocal closures
         closures += 1
         return real_closure(dg)
 
-    def counted_solve(dg, ga_cfg):
+    def counted_solve(dg):
         entry = closures
-        out = real_solve(dg, ga_cfg)
-        solves.append((ga_cfg.mutation_count == cfg.solver_ga.mutation_count, entry, closures))
+        had_closure = dg._required_closure is not None
+        out = real_solve(dg)
+        solves.append((had_closure, entry, closures))
         return out
 
     monkeypatch.setattr(ordering, "_metric_closure", counted_closure)
-    monkeypatch.setattr(ordering, "solve", counted_solve)
+    monkeypatch.setattr(ordering, "solve_exact", counted_solve)
     result = plan(g, dests, cfg)
     assert result.status == "solved"
-    assert sum(s[0] for s in solves) == result.solver_calls >= 2
+    # Every in-loop solve, then the final one.
+    assert len(solves) - 1 == result.solver_calls >= 2
     prev_exit = 0
-    for in_loop, entry, exit_ in solves[:-1]:
-        assert in_loop
+    for had_closure, entry, exit_ in solves[:-1]:
+        assert had_closure
         # Its skip test made one closure since the last solve; it made none.
         assert entry > prev_exit and exit_ == entry
         prev_exit = exit_
-    in_loop, entry, exit_ = solves[-1]
-    assert not in_loop and exit_ == entry + 1
+    had_closure, entry, exit_ = solves[-1]
+    assert not had_closure and exit_ == entry + 1
     # One closure per skip test, skipped or not, and one for the polish.
     assert closures == result.solver_calls + result.solver_skips + 1
 
@@ -762,6 +773,27 @@ def test_budget_exhaustion_reports_no_path_yet():
     assert result.final is None
     assert result.iterations == 2
     assert result.distance_matrix[0][1] == INF
+
+
+def test_stop_reason_names_what_ended_the_loop(monkeypatch):
+    g, _ = random_geometric_graph(120, 0.15, seed=1)
+    comp = largest_component(g)
+    dests = DestinationSet.build(comp[0], comp[-1], objectives=(comp[5],))
+    saturated = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf))
+    assert (saturated.status, saturated.stop_reason) == ("solved", "fixpoint")
+    capped = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf, max_iterations=5))
+    assert (capped.iterations, capped.stop_reason) == (5, "max_iterations")
+    first = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf, stop_after_first=True))
+    assert (len(first.solutions), first.stop_reason) == (1, "first_solution")
+    # A clock that moves a second per reading: the budget ends before the
+    # first iteration.
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(planner_module, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    timed = plan(g, dests, light_cfg(rng_seed=2, time_budget=0.5))
+    assert (timed.status, timed.iterations, timed.stop_reason) == ("no_path_yet", 0, "time_budget")
+    # Saturated trees that never met: a fixpoint too.
+    apart = plan(RoutingGraph(pts(4), [(0, 1, 1.0), (2, 3, 1.0)]), DestinationSet.build(0, 2), light_cfg())
+    assert (apart.status, apart.stop_reason) == ("no_path", "fixpoint")
 
 
 def test_pseudo_on_bridge_speeds_first_solution():
@@ -928,20 +960,67 @@ def trace_digest(result) -> str:
 # Per graph of golden_cases(), per planner seed 1 and 2: the fixpoint run's
 # digest, then the first-route run's. Any change to the planner's choices
 # (sampling, nearest frontier node, extend, parent choice, rewire, matrix
-# witnesses, solve triggers) changes some of them.
+# witnesses, solve triggers, the solvers' orders) changes some of them.
 GOLDEN_TRACES = [
-    "b8f76bfea66aebc4", "960577490d42b18f", "648590239229fb2a", "7fb66f4956608268",
-    "13c9812f227b6140", "09406b24b09419bb", "de661c911369441b", "2d54020055a92202",
-    "169cf12c22c33a6a", "a25197d1a1034317", "afe8c66b39cf4ebe", "5d9acc316ffdb09c",
+    "b8f76bfea66aebc4", "960577490d42b18f", "d65330fc82fba273", "7fb66f4956608268",
+    "af8f3e331fa681d2", "09406b24b09419bb", "6f0060c074a22330", "2d54020055a92202",
+    "169cf12c22c33a6a", "a25197d1a1034317", "e28fe87cc9284b2c", "4bd72533a758fb60",
+]
+# The same runs' (iterations, explored nodes, solver calls, solver skips). Tree
+# growth reads no solver output, so these do not depend on which solver orders
+# the destinations; they are those of the GA-only planner.
+GOLDEN_COUNTS = [
+    (1613, 1800, 76, 18), (75, 81, 1, 0), (1612, 1800, 82, 35), (64, 70, 1, 0),
+    (1792, 2000, 68, 45), (56, 64, 1, 0), (1792, 2000, 89, 33), (68, 76, 1, 0),
+    (1137, 1278, 36, 5), (57, 63, 1, 0), (1135, 1278, 42, 7), (52, 58, 1, 0),
 ]
 
 
-def test_seeded_traces_match_the_golden_digests():
-    digests = []
+def golden_runs():
     for g, dests in golden_cases():
         for seed in (1, 2):
             for first in (False, True):
-                result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, stop_after_first=first))
-                assert result.status == "solved"
-                digests.append(trace_digest(result))
-    assert digests == GOLDEN_TRACES
+                yield g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, stop_after_first=first)
+
+
+def counts(result):
+    return result.iterations, result.explored_nodes, result.solver_calls, result.solver_skips
+
+
+def test_seeded_traces_match_the_golden_digests():
+    results = [plan(g, dests, cfg) for g, dests, cfg in golden_runs()]
+    assert all(r.status == "solved" for r in results)
+    assert [trace_digest(r) for r in results] == GOLDEN_TRACES
+    assert [counts(r) for r in results] == GOLDEN_COUNTS
+
+
+def test_exact_planner_dominates_the_ga_planner(monkeypatch):
+    exact = [plan(g, dests, cfg) for g, dests, cfg in golden_runs()]
+    monkeypatch.setattr(ordering, "EXACT_MAX", -1)
+    ga = [plan(g, dests, cfg) for g, dests, cfg in golden_runs()]
+    ahead = 0  # iterations at which the exact run's best is strictly lower
+    for e, r in zip(exact, ga):
+        assert counts(e) == counts(r)
+        assert e.distance_matrix == r.distance_matrix
+        # At every iteration either run emitted at, the exact run's best cost
+        # so far is no higher than the GA run's.
+        for it in sorted({s.iteration for s in e.solutions + r.solutions}):
+            e_best = min(s.total_cost for s in e.solutions if s.iteration <= it)
+            r_best = min(s.total_cost for s in r.solutions if s.iteration <= it)
+            assert e_best <= r_best * (1 + 1e-9), (it, e_best, r_best)
+            ahead += e_best < r_best * (1 - 1e-9)
+    assert ahead > 0
+
+
+def test_runs_above_exact_max_keep_the_ga_planner_trace():
+    # 11 required intermediates, one more than ordering.EXACT_MAX: the GA
+    # solver orders every solve. The digest is that of the planner before the
+    # exact solver existed.
+    assert ordering.EXACT_MAX == 10
+    g = random_geometric_graph(200, 0.13, seed=11)[0]
+    picks = random.Random(13).sample(largest_component(g), 13)
+    dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
+    result = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
+    assert result.status == "solved"
+    assert counts(result) == (2278, 2600, 208, 100)
+    assert trace_digest(result) == "6210688369d59c36"
