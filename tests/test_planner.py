@@ -733,7 +733,7 @@ def test_in_loop_solve_reuses_the_closure_of_its_change_test(monkeypatch):
         prev_exit = exit_
     had_closure, entry, exit_ = solves[-1]
     assert not had_closure and exit_ == entry + 1
-    # One closure per skip test, skipped or not, and one for the polish.
+    # One closure per skip test, skipped or not, and one for the final solve.
     assert closures == result.solver_calls + result.solver_skips + 1
 
 
