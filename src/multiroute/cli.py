@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Iterator, TextIO
 
 from . import baselines, generate, graphio, ordering, planner
 
@@ -21,6 +23,14 @@ EXIT_NO_PATH_YET = 3
 EXIT_NO_PATH = 4
 
 PLAN_EXIT_CODES = {"solved": EXIT_OK, "no_path_yet": EXIT_NO_PATH_YET, "no_path": EXIT_NO_PATH}
+
+
+class CliError(Exception):
+    """A failure that ``main`` reports as one ``error:`` line and an exit code."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass
@@ -53,10 +63,24 @@ def _load_graph(path: Path) -> tuple[graphio.RoutingGraph, graphio.IdMap]:
     return graphio.parse_edgelist(data)
 
 
-def _open_out(path: str | None) -> TextIO:
-    if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """The ``--out`` stream: the file at ``path``, or stdout for ``-``.
+
+    Any ``OSError`` from opening, writing, flushing or closing it, such as a
+    full disk or a reader that went away, becomes the file error.
+    """
+    try:
+        with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as out:
+            yield out
+            out.flush()
+    except OSError as exc:
+        if path == "-":
+            # What stdout still buffers would fail again, with an "Exception
+            # ignored" report, in the interpreter's exit-time flush.
+            with suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(EXIT_ERROR, f"cannot write {path}: {exc}")
 
 
 class _TraceWriter:
@@ -90,37 +114,29 @@ class _TraceWriter:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if not args.budget > 0.0:
-        print(f"error: --budget must be positive, got {args.budget}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(EXIT_USAGE, f"--budget must be positive, got {args.budget}")
     if not 0.0 <= args.goal_bias <= 1.0:
-        print(f"error: --goal-bias must lie in [0, 1], got {args.goal_bias}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(EXIT_USAGE, f"--goal-bias must lie in [0, 1], got {args.goal_bias}")
     if args.max_iterations is not None:
         if args.algo != "imomd":
-            print(f"error: --max-iterations applies to --algo imomd only, not {args.algo}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, f"--max-iterations applies to --algo imomd only, not {args.algo}")
         if args.max_iterations < 1:
-            print(f"error: --max-iterations must be at least 1, got {args.max_iterations}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, f"--max-iterations must be at least 1, got {args.max_iterations}")
     graph_path = Path(args.graph)
     scenario_path = Path(args.scenario)
     try:
         graph, ids = _load_graph(graph_path)
     except OSError as exc:
-        print(f"error: cannot read graph file {graph_path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise CliError(EXIT_ERROR, f"cannot read graph file {graph_path}: {exc}")
     except graphio.ParseError as exc:
-        print(f"error: graph file {graph_path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise CliError(EXIT_ERROR, f"graph file {graph_path}: {exc}")
     try:
         spec = graphio.parse_scenario(scenario_path.read_bytes())
         dests = graphio.resolve_scenario(spec, ids)
     except OSError as exc:
-        print(f"error: cannot read scenario file {scenario_path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise CliError(EXIT_ERROR, f"cannot read scenario file {scenario_path}: {exc}")
     except graphio.ParseError as exc:
-        print(f"error: scenario file {scenario_path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise CliError(EXIT_ERROR, f"scenario file {scenario_path}: {exc}")
 
     report = RunReport(
         planner=args.algo,
@@ -134,19 +150,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         graph_sha256=_sha256(graph_path),
         scenario_sha256=_sha256(scenario_path),
     )
-    try:
-        out = _open_out(args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    writer = _TraceWriter(out, args.format)
-    try:
+    with _output(args.out) as out:
+        writer = _TraceWriter(out, args.format)
         if args.algo == "imomd":
             return _run_planner(args, graph, dests, report, writer)
         return _run_baseline(args, graph, ids, dests, report, writer)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _run_planner(
@@ -208,11 +216,10 @@ def _run_baseline(
         writer.summary(report)
         return EXIT_NO_PATH_YET
     except baselines.NoPathError as exc:
-        a, b = (ids.to_external[n] for n in exc.endpoints)
-        print(f"error: no path between {a} and {b}", file=sys.stderr)
         report.status = "no_path"
         writer.summary(report)
-        return EXIT_NO_PATH
+        a, b = (ids.to_external[n] for n in exc.endpoints)
+        raise CliError(EXIT_NO_PATH, f"no path between {a} and {b}")
     for wall, cost in res.trace:
         rec = {
             "wall_time": wall,
@@ -251,15 +258,10 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
     try:
         orders = _parse_orders(args.orders)
     except ValueError as exc:
-        print(f"error: bad --orders value: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(EXIT_USAGE, f"bad --orders value: {exc}")
     if max(orders) > ordering.ORACLE_MAX_DESTINATIONS:
-        print(
-            f"error: refusing orders above {ordering.ORACLE_MAX_DESTINATIONS} "
-            "(oracle is factorial)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        limit = ordering.ORACLE_MAX_DESTINATIONS
+        raise CliError(EXIT_USAGE, f"refusing orders above {limit} (oracle is factorial)")
     for flag, value in (
         ("--instances", args.instances),
         ("--mutations", args.mutations),
@@ -267,20 +269,14 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
         ("--generations", args.generations),
     ):
         if value < 1:
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, f"{flag} must be at least 1, got {value}")
     kinds = ["complete", "incomplete"] if args.kind == "both" else [args.kind]
     ga = ordering.GaConfig(
         mutation_count=args.mutations,
         crossover_count=args.crossovers,
         generations=args.generations,
     )
-    try:
-        out = _open_out(args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+    with _output(args.out) as out:
         out.write(
             "record,kind,order,instance,seed,oracle_cost,solver_cost,ratio,"
             "rho_mean,rho_std,rho_optimality,rho_worst,solve_ms\n"
@@ -309,10 +305,6 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
                     f"stats,{kind},{order},,,,,,{stats.rho_mean!r},{stats.rho_std!r},"
                     f"{stats.rho_optimality!r},{stats.rho_worst!r},{statistics.median(solve_ms)!r}\n"
                 )
-        out.flush()
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -324,14 +316,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     prefix = Path(args.out)
     if args.kind == "geometric":
         if args.objectives < 0:
-            print("error: need --objectives >= 0", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, "need --objectives >= 0")
         try:
             graph, ids = generate.random_geometric_graph(args.nodes, args.radius, args.seed)
             scenario = generate.random_scenario(graph, ids, args.objectives, args.seed)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, str(exc))
         files = {
             ".el": graphio.serialize_edgelist(graph, ids),
             ".scenario": graphio.serialize_scenario(scenario),
@@ -341,8 +331,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         try:
             fixture = generate.bug_trap(args.chamber, args.corridor, args.entry, args.water_gap)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, str(exc))
         files = {
             ".el": graphio.serialize_edgelist(fixture.graph, fixture.ids),
             ".scenario": graphio.serialize_scenario(fixture.scenario),
@@ -357,10 +346,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         for suffix, text in files.items():
             Path(f"{prefix}{suffix}").write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {prefix}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    print(f"wrote {prefix}.el ({summary})")
-    print("wrote " + " and ".join(f"{prefix}{suffix}" for suffix in list(files)[1:]))
+        raise CliError(EXIT_ERROR, f"cannot write {prefix}: {exc}")
+    with _output("-") as out:
+        print(f"wrote {prefix}.el ({summary})", file=out)
+        print("wrote " + " and ".join(f"{prefix}{suffix}" for suffix in list(files)[1:]), file=out)
     return EXIT_OK
 
 
@@ -417,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

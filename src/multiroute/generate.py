@@ -34,7 +34,10 @@ def random_geometric_graph(
     """Uniform points in a unit square, edges between pairs within ``radius``.
 
     Coordinates map onto a small geographic patch and edge weights are the
-    haversine lengths, so heuristic searches stay admissible.
+    haversine lengths, so heuristic searches stay admissible. Points are
+    bucketed into square cells a little wider than ``radius`` and only pairs in
+    the same or neighbouring cells are tested, so rounding in the cell index
+    cannot put two points within ``radius`` of each other two cells apart.
     """
     if n < 2 or not 0.0 < radius <= math.sqrt(2.0):
         raise ValueError("need n >= 2 and 0 < radius <= sqrt(2)")
@@ -43,11 +46,17 @@ def random_geometric_graph(
     points = [
         GeoPoint(_BASE_LAT + y * _SPAN_DEG, _BASE_LON + x * _SPAN_DEG) for x, y in unit
     ]
+    side = radius * (1.0 + 1e-9)
+    cell = [(int(x / side), int(y / side)) for x, y in unit]
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(cell):
+        members.setdefault(c, []).append(i)
     r2 = radius * radius
     edges = []
-    for i in range(n):
-        xi, yi = unit[i]
-        for j in range(i + 1, n):
+    for i, (xi, yi) in enumerate(unit):
+        cx, cy = cell[i]
+        near = (members.get((cx + ox, cy + oy), ()) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
+        for j in [j for js in near for j in js if j > i]:
             dx = xi - unit[j][0]
             dy = yi - unit[j][1]
             if dx * dx + dy * dy <= r2:

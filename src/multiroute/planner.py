@@ -412,12 +412,11 @@ class PlannerConfig:
     time_budget: float = 10.0
     max_iterations: int | None = None
     # Ordering-solver strength above ``ordering.EXACT_MAX`` required
-    # intermediates: a light config for the in-loop re-solves that follow
-    # every matrix improvement, full strength once at the end.
+    # intermediates for the in-loop re-solves that follow every matrix
+    # improvement; the one solve at the end runs at full strength, ``GaConfig()``.
     solver_ga: GaConfig = field(
         default_factory=lambda: GaConfig(mutation_count=150, crossover_count=150, generations=3)
     )
-    final_polish_ga: GaConfig = field(default_factory=GaConfig)
     stop_after_first: bool = False
 
     def __post_init__(self) -> None:
@@ -528,8 +527,6 @@ def plan(
     explored = len(trees)
     iterations = 0
     rr_next = 0
-    saturated = False
-    best_cost = INF
     solutions: list[AnytimeSolution] = []
     n_trees = len(trees)
     solved_closure: np.ndarray | None = None
@@ -543,10 +540,9 @@ def plan(
         An in-loop solve is skipped when the ordering problem, the closure over
         the required destinations, is bit-identical to the last one solved in
         the loop: it would give the same order, or only re-roll the GA seed.
-        Each solve that runs takes the next seed of the solver stream, whichever
-        solver it uses.
+        Each GA solve takes the next seed of the solver stream.
         """
-        nonlocal best_cost, solved_closure, solver_calls, solver_skips
+        nonlocal solved_closure, solver_calls, solver_skips
         dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
         try:
             if in_loop:
@@ -556,14 +552,15 @@ def plan(
                     return
                 solved_closure = closure
                 solver_calls += 1
-            seed = solver_seeds.getrandbits(32)
-            seq = ordering.solve_exact(dg) if exact else ordering.solve(dg, replace(ga_cfg, rng_seed=seed))
+            if exact:
+                seq = ordering.solve_exact(dg)
+            else:
+                seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
         except ordering.NoSequenceError:
             return
         path = stitch_node_path(seq, trees, conn, graph)
         cost = node_path_cost(graph, path)
-        if cost < best_cost:
-            best_cost = cost
+        if not solutions or cost < solutions[-1].total_cost:
             sol = AnytimeSolution(
                 node_path=tuple(path),
                 visit_order=seq,
@@ -595,8 +592,7 @@ def plan(
                 break
         rr_next = (idx + 1) % n_trees
         if idx < 0:
-            saturated = True  # every tree saturated its component: a fixpoint
-            break
+            break  # every tree saturated its component: a fixpoint
         iterations += 1
         tree = trees[idx]
         v_rand = sample(cfg, graph, dests, rng)
@@ -613,11 +609,11 @@ def plan(
 
     connected = destinations_connected(conn.matrix, dests.required)
     if connected and not (cfg.stop_after_first and solutions):
-        try_solve(cfg.final_polish_ga, in_loop=False)
+        try_solve(GaConfig(), in_loop=False)
 
     if solutions:
         status = "solved"
-    elif saturated and not connected:
+    elif stop_reason == "fixpoint" and not connected:
         status = "no_path"
     else:
         status = "no_path_yet"

@@ -5,8 +5,9 @@ the heap Dijkstra, BFS over edge pairs instead of the planner's row sweep,
 slot filling by occurrence counts instead of crossover's splice, literal
 sequence rebuilding instead of insertion-delta formulas, a haversine scan
 instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
-instead of the array one, and a per-destination insertion loop instead of
-the batched selection. The planner validators rebuild each tree's frontier,
+instead of the array one, a per-destination insertion loop instead of the
+batched selection, and an all-pairs loop instead of the geometric
+generator's cell buckets. The planner validators rebuild each tree's frontier,
 child links and cost recurrence, and each matrix entry, from scratch.
 """
 
@@ -167,6 +168,22 @@ def reference_crossover(
             need[x] -= 1
             child[next(fill_iter)] = x
     return make_sequence(dg, [pa.order[0], *child, pa.order[-1]])
+
+
+def all_pairs_geometric_edges(n: int, radius: float, seed: int) -> list[tuple[int, int, None]]:
+    """The edges of ``generate.random_geometric_graph``, testing every pair of points."""
+    rng = random.Random(seed)
+    unit = [(rng.random(), rng.random()) for _ in range(n)]
+    r2 = radius * radius
+    edges = []
+    for i in range(n):
+        xi, yi = unit[i]
+        for j in range(i + 1, n):
+            dx = xi - unit[j][0]
+            dy = yi - unit[j][1]
+            if dx * dx + dy * dy <= r2:
+                edges.append((i, j, None))
+    return edges
 
 
 def random_weighted_graph_edges(

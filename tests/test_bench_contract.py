@@ -1,8 +1,13 @@
 """The benchmark's tracer (``perfbench/tracer.py``) wraps package functions by
-module and name and reads their arguments and return values; these tests fail
-when a change to the package breaks what it relies on."""
+module and name and reads their arguments and return values, and its
+workloads (``perfbench/workloads.py``, ``perfbench/run.py``) call package
+functions by module, name and keyword; these tests fail when a change to the
+package breaks what they rely on."""
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
@@ -11,7 +16,8 @@ import pytest
 from multiroute import graph, graphio, ordering, planner
 from multiroute.generate import random_geometric_graph, random_scenario
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +38,7 @@ def test_traced_pipeline_calls_every_span(tracing):
     text = graphio.serialize_edgelist(g, ids)
     spec = random_scenario(g, ids, 4, seed=1)
     ga = ordering.GaConfig(mutation_count=40, crossover_count=40, generations=2)
-    cfg = planner.PlannerConfig(rng_seed=1, time_budget=math.inf, solver_ga=ga, final_polish_ga=ga)
+    cfg = planner.PlannerConfig(rng_seed=1, time_budget=math.inf, solver_ga=ga)
     originals = [(m, a, getattr(m, a)) for m, a, _ in (*tracing.SPANS, *tracing.COUNTERS)]
     t = tracing.Tracer()
     with t.installed():
@@ -52,3 +58,39 @@ def test_traced_pipeline_calls_every_span(tracing):
     assert t.counts["planner.iterations"] == result.iterations
     assert t.counts["planner.extend.added"] == result.explored_nodes - dests.count
     assert t.counts["ordering.mutate.calls"] >= 1
+
+
+def package_uses(path):
+    """``(module, name, keywords, line)`` for every ``<module>.<name>`` read from
+    ``multiroute`` in ``path``; ``keywords`` are those of a call, or None."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"multiroute.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "multiroute"
+        for alias in node.names
+    }
+    calls = {
+        id(node.func): [k.arg for k in node.keywords if k.arg is not None]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    return [
+        (modules[node.value.id], node.attr, calls.get(id(node)), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    ]
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "run.py"])
+def test_bench_calls_match_the_package(script):
+    uses = package_uses(PERFBENCH / script)
+    assert uses
+    for module, name, keywords, line in uses:
+        where = f"perfbench/{script}:{line}: {module.__name__}.{name}"
+        assert hasattr(module, name), f"{where} is gone"
+        if keywords:
+            params = inspect.signature(getattr(module, name)).parameters
+            assert set(keywords) <= set(params), f"{where} takes no {sorted(set(keywords) - set(params))}"
+    # The solver probe runs at the planner's in-loop GA strength.
+    assert isinstance(planner.PlannerConfig().solver_ga, ordering.GaConfig)

@@ -317,6 +317,55 @@ def test_unwritable_out_is_file_error(fixtures, tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def assert_one_write_error(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv", [["run"], ["run", "--format", "csv"], ["bench-oracle"]], ids=["run-jsonl", "run-csv", "bench-oracle"]
+)
+def test_write_failure_after_open_is_file_error(fixtures, argv):
+    # /dev/full opens but fails every flushed write with ENOSPC, as a full disk does.
+    graph, scenario = fixtures
+    if argv[0] == "run":
+        argv = [*argv, "--graph", str(graph), "--scenario", str(scenario)]
+    else:
+        argv = [*argv, "--orders", "5", "--instances", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiroute", *argv, "--out", "/dev/full"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert_one_write_error(proc)
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_closed_stdout_pipe_is_file_error(fixtures, tmp_path, command):
+    # The reader is gone before the child starts, so its first write fails.
+    graph, scenario = fixtures
+    if command == "run":
+        args = ["--graph", str(graph), "--scenario", str(scenario)]
+    else:
+        args = ["--kind", "bugtrap", "--out", str(tmp_path / "trap")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiroute", command, *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=CHILD_ENV,
+        )
+    finally:
+        os.close(write_end)
+    assert_one_write_error(proc)
+
+
 def test_missing_file_is_named(tmp_path, capsys):
     rc = main(
         [

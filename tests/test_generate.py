@@ -12,8 +12,11 @@ from multiroute.generate import (
     random_incomplete_destgraph,
     random_scenario,
 )
+from multiroute.graph import RoutingGraph
 from multiroute.graphio import serialize_edgelist
 from multiroute.planner import destinations_connected
+
+from oracles import all_pairs_geometric_edges
 
 
 def reachable_without(graph, start, banned):
@@ -74,6 +77,18 @@ def test_geometric_graph_reproducible_bytes():
     assert serialize_edgelist(g1, ids1) == serialize_edgelist(g2, ids2)
     g3, _ = random_geometric_graph(100, 0.15, seed=8)
     assert serialize_edgelist(g3, ids1) != serialize_edgelist(g1, ids1)
+
+
+@pytest.mark.parametrize(
+    "n, radius",
+    [(2000, 0.04), (600, 0.075), (150, 0.15), (80, 0.25), (100, 0.15), (60, 1.0), (30, math.sqrt(2.0)), (2, 0.5)],
+)
+def test_geometric_graph_matches_the_all_pairs_loop(n, radius):
+    # Cell bucketing must build exactly the graph of the all-pairs test.
+    for seed in range(12):
+        g, ids = random_geometric_graph(n, radius, seed)
+        reference = RoutingGraph(g.nodes, all_pairs_geometric_edges(n, radius, seed))
+        assert serialize_edgelist(g, ids) == serialize_edgelist(reference, ids), seed
 
 
 def test_geometric_graph_edges_respect_radius():

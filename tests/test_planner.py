@@ -61,9 +61,6 @@ def light_cfg(**kw):
     kw.setdefault(
         "solver_ga", GaConfig(mutation_count=60, crossover_count=60, generations=2)
     )
-    kw.setdefault(
-        "final_polish_ga", GaConfig(mutation_count=200, crossover_count=200, generations=3)
-    )
     return PlannerConfig(**kw)
 
 
