@@ -52,17 +52,6 @@ class RunReport:
     stop_reason: str | None = None
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_graph(path: Path) -> tuple[graphio.RoutingGraph, graphio.IdMap]:
-    data = path.read_bytes()
-    if path.suffix == ".osm":
-        return graphio.parse_osm_xml(data)
-    return graphio.parse_edgelist(data)
-
-
 @contextmanager
 def _output(path: str) -> Iterator[TextIO]:
     """The ``--out`` stream: the file at ``path``, or stdout for ``-``.
@@ -124,14 +113,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise CliError(EXIT_USAGE, f"--max-iterations must be at least 1, got {args.max_iterations}")
     graph_path = Path(args.graph)
     scenario_path = Path(args.scenario)
+    parse_graph = graphio.parse_osm_xml if graph_path.suffix == ".osm" else graphio.parse_edgelist
     try:
-        graph, ids = _load_graph(graph_path)
+        graph_bytes = graph_path.read_bytes()
+        graph, ids = parse_graph(graph_bytes)
     except OSError as exc:
         raise CliError(EXIT_ERROR, f"cannot read graph file {graph_path}: {exc}")
     except graphio.ParseError as exc:
         raise CliError(EXIT_ERROR, f"graph file {graph_path}: {exc}")
     try:
-        spec = graphio.parse_scenario(scenario_path.read_bytes())
+        scenario_bytes = scenario_path.read_bytes()
+        spec = graphio.parse_scenario(scenario_bytes)
         dests = graphio.resolve_scenario(spec, ids)
     except OSError as exc:
         raise CliError(EXIT_ERROR, f"cannot read scenario file {scenario_path}: {exc}")
@@ -147,8 +139,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "algo": args.algo,
             "max_iterations": args.max_iterations,
         },
-        graph_sha256=_sha256(graph_path),
-        scenario_sha256=_sha256(scenario_path),
+        graph_sha256=hashlib.sha256(graph_bytes).hexdigest(),
+        scenario_sha256=hashlib.sha256(scenario_bytes).hexdigest(),
     )
     with _output(args.out) as out:
         writer = _TraceWriter(out, args.format)

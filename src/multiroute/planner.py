@@ -10,11 +10,20 @@ overall route is emitted, so solution quality only improves over a run. Up to
 ``ordering.EXACT_MAX`` required intermediates the order is exact
 (``ordering.solve_exact``); above that the genetic solver ``ordering.solve``
 runs.
+
+A run has two phases. Phase 1 grows the trees by sampling, round-robin, with
+the paper's extend and rewire steps, up to the first emitted route. Phase 2
+then grows them in cost order: each iteration pops the least-cost entry of
+the tree whose least key is smallest and relaxes that node's graph
+neighbours (``relax_least``). It stops once every matrix entry is proved
+exact, ``matrix[i][k] <= r_i + r_k`` for every pair, with ``r_i`` tree i's
+least key; with an exact order that route is optimal.
 Single-threaded and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import time
@@ -163,6 +172,10 @@ class SearchTree:
     with an unvisited neighbor. ``choose_parent`` attaches nodes and keeps all
     of these. Every tree edge is a graph edge, so the children of ``u`` are
     the graph neighbors ``c`` with ``parent[c] == u``.
+
+    Phase 2 (``relax_least``) keeps only ``cost`` and ``parent``, and only as
+    ``cost[v] >= cost[parent[v]] + w``: a node whose cost falls leaves its
+    children's costs above their new path cost until it is popped.
     """
 
     __slots__ = ("root_node", "parent", "cost", "expandable", "_unvisited")
@@ -324,6 +337,39 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
     return count, changed
 
 
+def relax_least(
+    tree: SearchTree, heap: list[tuple[float, int]], graph: RoutingGraph
+) -> tuple[list[int], int, float]:
+    """One phase-2 step: pop the least entry of ``heap`` and relax its node's neighbours.
+
+    ``heap`` holds ``(cost, node)`` entries of ``tree``, and its top must be
+    valid: its key equals the node's cost. A neighbour whose cost falls gets
+    the popped node as its parent and is pushed at its new cost; one outside
+    the tree joins it. Entries left with a key above their node's cost are
+    stale, and are dropped from the top before returning, so the top stays
+    valid. Returns the neighbours whose cost fell, in ascending id, how many
+    of them joined the tree, and the least key left (INF once the heap is
+    empty).
+    """
+    c, u = heapq.heappop(heap)
+    cost = tree.cost
+    parent = tree.parent
+    changed: list[int] = []
+    joined = 0
+    for v, w in graph.neighbors(u):
+        nc = c + w
+        cv = cost[v]
+        if nc < cv:
+            joined += cv == INF
+            cost[v] = nc
+            parent[v] = u
+            heapq.heappush(heap, (nc, v))
+            changed.append(v)
+    while heap and heap[0][0] > cost[heap[0][1]]:
+        heapq.heappop(heap)
+    return changed, joined, heap[0][0] if heap else INF
+
+
 # ---------------------------------------------------------------------------
 # Connections between trees
 # ---------------------------------------------------------------------------
@@ -410,6 +456,7 @@ class PlannerConfig:
     goal_bias: float = 0.2
     rng_seed: int = 0
     time_budget: float = 10.0
+    # An iteration is one sampled growth step in phase 1, one pop in phase 2.
     max_iterations: int | None = None
     # Ordering-solver strength above ``ordering.EXACT_MAX`` required
     # intermediates for the in-loop re-solves that follow every matrix
@@ -449,7 +496,10 @@ class PlanResult:
     explored_nodes: int
     wall_time: float
     distance_matrix: list[list[float]]
-    # Why the loop ended: "fixpoint" (every tree saturated), "time_budget",
+    # Why the loop ended: "optimal" (phase 2 proved every matrix entry exact
+    # and the order is exact, so the last route is optimal), "fixpoint"
+    # (phase 2 proved the matrix exact but the genetic solver orders it, or
+    # phase 1 saturated every tree without a route), "time_budget",
     # "max_iterations" or "first_solution" (``stop_after_first``).
     stop_reason: str
     # In-loop ordering solves run, and those skipped because the required
@@ -573,16 +623,21 @@ def plan(
             if on_solution is not None:
                 on_solution(sol)
 
-    stop_reason = "fixpoint"
-    while True:
+    def budget_spent() -> str | None:
+        """The budget that ends the run before its next iteration, if any."""
         if time.monotonic() - start >= cfg.time_budget:
-            stop_reason = "time_budget"
-            break
+            return "time_budget"
         if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
-            stop_reason = "max_iterations"
-            break
+            return "max_iterations"
         if cfg.stop_after_first and solutions:
-            stop_reason = "first_solution"
+            return "first_solution"
+        return None
+
+    # Phase 1: sampled growth, round-robin over the trees, to the first route.
+    stop_reason: str | None = None
+    while not solutions:
+        stop_reason = budget_spent()
+        if stop_reason:
             break
         idx = -1
         for off in range(n_trees):
@@ -592,7 +647,8 @@ def plan(
                 break
         rr_next = (idx + 1) % n_trees
         if idx < 0:
-            break  # every tree saturated its component: a fixpoint
+            stop_reason = "fixpoint"  # every tree saturated its component
+            break
         iterations += 1
         tree = trees[idx]
         v_rand = sample(cfg, graph, dests, rng)
@@ -606,6 +662,39 @@ def plan(
         improved = update_connections(conn, trees, sorted(changed), idx)
         if improved and destinations_connected(conn.matrix, dests.required):
             try_solve(cfg.solver_ga, in_loop=True)
+
+    # Phase 2: cost-ordered growth until every matrix entry is proved exact.
+    # Every node whose true cost-to-come from root i is below r_i carries that
+    # cost, so matrix[i][k] <= r_i + r_k proves the entry exact. Keys only
+    # rise and entries only fall, so a proved pair stays proved, and a pop
+    # from tree i can prove only pairs of tree i. A tree whose heap is empty
+    # has r = INF, so a pair stays open only while both heaps hold entries.
+    if stop_reason is None:
+        stop_reason = budget_spent()
+    if stop_reason is None:
+        heaps = [[(c, v) for v, c in enumerate(t.cost) if c < INF] for t in trees]
+        for h in heaps:
+            heapq.heapify(h)
+        r = [h[0][0] for h in heaps]
+        matrix = conn.matrix
+        unproved = {
+            (i, k) for i in range(n_trees) for k in range(i + 1, n_trees) if matrix[i][k] > r[i] + r[k]
+        }
+        while unproved and stop_reason is None:
+            idx = min(range(n_trees), key=r.__getitem__)
+            iterations += 1
+            changed, joined, r[idx] = relax_least(trees[idx], heaps[idx], graph)
+            explored += joined
+            improved = update_connections(conn, trees, changed, idx)
+            for k in range(n_trees):
+                pair = (idx, k) if idx < k else (k, idx)
+                if pair in unproved and matrix[idx][k] <= r[idx] + r[k]:
+                    unproved.discard(pair)
+            if improved and destinations_connected(matrix, dests.required):
+                try_solve(cfg.solver_ga, in_loop=True)
+            stop_reason = budget_spent()
+        if not unproved:
+            stop_reason = "optimal" if exact else "fixpoint"
 
     connected = destinations_connected(conn.matrix, dests.required)
     if connected and not (cfg.stop_after_first and solutions):

@@ -8,7 +8,8 @@ instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
 instead of the array one, a per-destination insertion loop instead of the
 batched selection, and an all-pairs loop instead of the geometric
 generator's cell buckets. The planner validators rebuild each tree's frontier,
-child links and cost recurrence, and each matrix entry, from scratch.
+child links and cost recurrence, and each matrix entry, from scratch, and
+check phase-2 trees against Bellman-Ford costs.
 """
 
 from __future__ import annotations
@@ -333,3 +334,39 @@ def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> 
                 node = conn.best.get((i, k))
                 if node not in shared or ti.cost[node] + tk.cost[node] != cached:
                     raise AssertionError(f"witness for pair {(i, k)} does not realize the value")
+
+
+def validate_phase2_tree(tree: SearchTree, graph: RoutingGraph, exact: Sequence[float], below: float) -> None:
+    """Assert what phase 2 keeps of a tree, and that it is exact below ``below``.
+
+    Parent links must be graph edges that reach the root without a cycle,
+    with ``cost[v] >= cost[parent[v]] + w``: a node's cost may still sit
+    above its path's while the node waits in the heap. Every node whose exact
+    cost-to-come ``exact[v]`` (for instance from ``bellman_ford``) lies below
+    ``below`` must carry that cost, to rounding.
+    """
+    members = tree_nodes(tree)
+    if tree.cost[tree.root_node] != 0.0 or tree.parent[tree.root_node] is not None:
+        raise AssertionError("root must have cost zero and no parent")
+    if any(tree.parent[v] is not None for v in set(range(graph.node_count)).difference(members)):
+        raise AssertionError("a node outside the tree has a parent")
+    for node in members:
+        seen = set()
+        cur: int | None = node
+        while cur is not None:
+            if cur in seen:
+                raise AssertionError(f"parent cycle through node {cur}")
+            seen.add(cur)
+            parent = tree.parent[cur]
+            if parent is not None:
+                w = graph.edge_weight(parent, cur)
+                if w is None:
+                    raise AssertionError(f"tree edge ({parent}, {cur}) is not a graph edge")
+                if not tree.cost[cur] >= tree.cost[parent] + w:
+                    raise AssertionError(f"node {cur} costs less than its parent plus the edge")
+            cur = parent
+        if tree.root_node not in seen:
+            raise AssertionError(f"node {node} does not reach the root")
+    for node in range(graph.node_count):
+        if exact[node] < below and not math.isclose(tree.cost[node], exact[node], rel_tol=1e-9, abs_tol=1e-9):
+            raise AssertionError(f"node {node} costs {tree.cost[node]}, exact {exact[node]} below {below}")

@@ -56,8 +56,16 @@ def test_traced_pipeline_calls_every_span(tracing):
     calls = {name: times["calls"] for name, times in t.layer_times().items()}
     assert all(n >= 1 for n in calls.values()), calls
     assert t.counts["planner.iterations"] == result.iterations
-    assert t.counts["planner.extend.added"] == result.explored_nodes - dests.count
+    # Phase 2 adds nodes without extend, so extend accounts for every explored
+    # node only in a run that stops inside phase 1.
+    assert t.counts["planner.extend.added"] <= result.explored_nodes - dests.count
     assert t.counts["ordering.mutate.calls"] >= 1
+    first_cfg = planner.PlannerConfig(rng_seed=1, time_budget=math.inf, solver_ga=ga, stop_after_first=True)
+    t = tracing.Tracer()
+    with t.installed():
+        first = planner.plan(g2, dests, first_cfg)
+    assert first.stop_reason == "first_solution"
+    assert t.counts["planner.extend.added"] == first.explored_nodes - dests.count
 
 
 def package_uses(path):

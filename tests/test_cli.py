@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import statistics
@@ -81,9 +82,29 @@ def test_run_emits_trace_and_exits_zero(fixtures, tmp_path):
     assert summary["node_path"] == [0, 1, 0, 2]
     assert len(summary["graph_sha256"]) == 64
     assert summary["solver_calls"] >= 1 and summary["solver_skips"] >= 0
-    assert summary["stop_reason"] == "fixpoint"
+    assert summary["stop_reason"] == "optimal"
     costs = [r["total_cost"] for r in solutions]
     assert all(a > b for a, b in zip(costs, costs[1:]))
+
+
+def test_run_reads_each_input_once_and_hashes_what_it_parsed(fixtures, tmp_path, monkeypatch):
+    graph, scenario = fixtures
+    reads = []
+    real_read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads.append(path)
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    out = tmp_path / "report.jsonl"
+    rc = main(["run", "--graph", str(graph), "--scenario", str(scenario), "--seed", "1", "--out", str(out)])
+    monkeypatch.undo()
+    assert rc == 0
+    assert sorted(map(str, reads)) == sorted([str(graph), str(scenario)])
+    summary = read_jsonl(out)[-1]
+    assert summary["graph_sha256"] == hashlib.sha256(graph.read_bytes()).hexdigest()
+    assert summary["scenario_sha256"] == hashlib.sha256(scenario.read_bytes()).hexdigest()
 
 
 def test_repeat_runs_identical_minus_wall_time(fixtures, tmp_path):

@@ -1,6 +1,8 @@
 import hashlib
+import heapq
 import math
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -25,6 +27,7 @@ from multiroute.planner import (
     nearest_expandable,
     node_path_cost,
     plan,
+    relax_least,
     rewire,
     sample,
     update_connections,
@@ -35,12 +38,14 @@ from multiroute import planner as planner_module
 from multiroute.ordering import GaConfig
 
 from oracles import (
+    bellman_ford,
     bfs_components,
     bfs_connects,
     nearest_by_haversine,
     random_weighted_graph_edges,
     tree_nodes,
     validate_connections,
+    validate_phase2_tree,
     validate_tree,
 )
 
@@ -608,31 +613,28 @@ def test_plan_reruns_are_trace_identical():
 
     first = run()
     assert first == run()
-    # The run saturates, and some of its matrix improvements leave the
-    # required destinations' closure unchanged.
+    # The run ends proved optimal, and some of its matrix improvements leave
+    # the required destinations' closure unchanged.
     assert first[-2] > 0 and first[-1] > 0
 
 
-def unit_grid(rows, cols):
-    pts = [GeoPoint(45.0 + 1e-4 * r, 7.0 + 1e-4 * c) for r in range(rows) for c in range(cols)]
-    edges = []
-    for v in range(rows * cols):
-        if (v + 1) % cols:
-            edges.append((v, v + 1, 1.0))
-        if v + cols < rows * cols:
-            edges.append((v, v + cols, 1.0))
-    return RoutingGraph(pts, edges)
+def integer_weighted_geometric_graph(n, radius, seed):
+    """A geometric graph with integer edge weights 1-9, so closure sums are exact."""
+    g = random_geometric_graph(n, radius, seed=seed)[0]
+    weights = random.Random(seed)
+    return RoutingGraph(g.nodes, [(u, v, float(weights.randint(1, 9))) for u, v, _ in g.edges()])
 
 
 def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
-    # Source, objective and target on the top row of a 4 x 7 unit grid: the
-    # objective lies on every shortest source-target path, so once both of its
-    # pairs are exact a better source-target meeting point cannot lower the
-    # closure. Integer weights keep the closure sums exact. One objective is
-    # within ordering.EXACT_MAX, so every solve is exact; the spy has no
-    # ``solve``, so a GA solve would fail.
-    g = unit_grid(4, 7)
-    dests = DestinationSet.build(0, 6, objectives=(3,))
+    # Integer weights keep the closure sums exact, so "unchanged" is exact
+    # too. On this 60-node graph every seed reaches both branches of the skip
+    # test: a pair improves but stays above the path through the third
+    # destination, or the closure falls. One objective is within
+    # ordering.EXACT_MAX, so every solve is exact; the spy has no ``solve``,
+    # so a GA solve would fail.
+    g = integer_weighted_geometric_graph(60, 0.22, seed=1)
+    picks = random.Random(1).sample(largest_component(g), 3)
+    dests = DestinationSet.build(picks[0], picks[1], objectives=(picks[2],))
     events = []  # ("check", theta, closure, dg) or ("solve", theta, in loop)
 
     def checked(dg):
@@ -776,8 +778,14 @@ def test_stop_reason_names_what_ended_the_loop(monkeypatch):
     g, _ = random_geometric_graph(120, 0.15, seed=1)
     comp = largest_component(g)
     dests = DestinationSet.build(comp[0], comp[-1], objectives=(comp[5],))
-    saturated = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf))
-    assert (saturated.status, saturated.stop_reason) == ("solved", "fixpoint")
+    proved = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf))
+    assert (proved.status, proved.stop_reason) == ("solved", "optimal")
+    # Above ordering.EXACT_MAX the genetic solver orders the proved matrix.
+    with monkeypatch.context() as m:
+        m.setattr(ordering, "EXACT_MAX", 0)
+        ga = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf))
+    assert (ga.iterations, ga.distance_matrix) == (proved.iterations, proved.distance_matrix)
+    assert ga.stop_reason == "fixpoint"
     capped = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf, max_iterations=5))
     assert (capped.iterations, capped.stop_reason) == (5, "max_iterations")
     first = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf, stop_after_first=True))
@@ -901,6 +909,97 @@ def test_validators_hold_after_every_iteration(case):
         assert tree_nodes(tree) == [v for v in range(g.node_count) if math.isfinite(sp.cost[v])]
 
 
+# ---------------------------------------------------------------------------
+# Phase 2: cost-ordered growth to a proved optimum
+# ---------------------------------------------------------------------------
+
+def phase_one_tree(g, root, rng, iterations):
+    """A tree grown by up to ``iterations`` sampled extend-and-rewire steps."""
+    tree = SearchTree(root, g)
+    for _ in range(iterations):
+        if not tree.expandable:
+            break
+        v_rand = rng.randrange(g.node_count)
+        for v in extend(tree, nearest_expandable(tree, v_rand, g), v_rand, g):
+            rewire(tree, v, g)
+    return tree
+
+
+def test_relax_least_keeps_costs_exact_below_the_least_key():
+    # Drive the pop step on trees that phase 1 grew for 0 to 15 iterations,
+    # until the heap empties, and check every pop against Bellman-Ford.
+    rng = random.Random(17)
+    for grown in (0, 1, 2, 3, 4, 5, 8, 10, 12, 15):
+        n = 50
+        edges = random_weighted_graph_edges(rng, n, extra_edges=60)
+        g = RoutingGraph(pts(n), edges)
+        root = rng.randrange(n)
+        exact = bellman_ford(n, edges, root)
+        tree = phase_one_tree(g, root, rng, grown)
+        heap = [(c, v) for v, c in enumerate(tree.cost) if c < INF]
+        heapq.heapify(heap)
+        key = 0.0
+        pops = 0
+        while heap:
+            before = tree.cost[:]
+            changed, joined, next_key = relax_least(tree, heap, g)
+            pops += 1
+            assert next_key >= key
+            key = next_key
+            assert changed == [v for v in range(n) if tree.cost[v] < before[v]]
+            assert joined == sum(before[v] == INF for v in changed)
+            if heap:
+                assert heap[0] == (key, heap[0][1]) and tree.cost[heap[0][1]] == key
+            validate_phase2_tree(tree, g, exact, key)
+        assert key == INF and tree_nodes(tree) == list(range(n))
+        assert pops >= n
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(small_planner_cases())
+def test_runs_that_end_optimal_hold_the_exact_matrix_and_the_optimum(case):
+    # The fourth destination, when drawn, is an optional pseudo destination,
+    # which may lie in another component.
+    g, picks, seed, _ = case
+    dests = DestinationSet.build(
+        picks[0], picks[1], objectives=tuple(picks[2:3]), pseudos=[(p, False) for p in picks[3:]]
+    )
+    result = plan(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
+    if result.status != "solved":
+        assert (result.status, result.stop_reason) == ("no_path", "fixpoint")
+        return
+    assert result.stop_reason == "optimal"
+    edges = list(g.edges())
+    for i, a in enumerate(dests.node_ids):
+        exact = bellman_ford(g.node_count, edges, a)
+        for k, b in enumerate(dests.node_ids):
+            assert math.isclose(result.distance_matrix[i][k], exact[b], rel_tol=1e-9), (i, k)
+    theta = np.array([[dijkstra(g, a).cost[b] for b in dests.node_ids] for a in dests.node_ids])
+    dg = ordering.DestGraph(np.minimum(theta, theta.T), 0, dests.count - 1, dests.required)
+    opt, _ = ordering.brute_force_oracle(dg)
+    assert math.isclose(result.final.total_cost, opt, rel_tol=1e-9)
+
+
+def test_phase_one_runs_unchanged_to_the_first_route():
+    # A full run emits its first route at the iteration, and with the trace,
+    # of a run stopped there; phase 2 then ends proved optimal, with every
+    # matrix entry at its Dijkstra distance, and reruns identically.
+    for g, dests in golden_cases():
+        exact = [[dijkstra(g, a).cost[b] for b in dests.node_ids] for a in dests.node_ids]
+        for seed in (3, 4):
+            full = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+            first = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, stop_after_first=True))
+            assert first.stop_reason == "first_solution"
+            assert replace(full.solutions[0], wall_time=0.0) == replace(first.solutions[0], wall_time=0.0)
+            assert full.solutions[0].iteration == first.iterations
+            assert full.stop_reason == "optimal" and full.iterations > first.iterations
+            for row, exact_row in zip(full.distance_matrix, exact):
+                assert row == pytest.approx(exact_row, rel=1e-9)
+            rerun = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+            assert trace_digest(rerun) == trace_digest(full)
+            assert rerun.distance_matrix == full.distance_matrix
+
+
 def test_max_iterations_cap_respected():
     g, _ = random_geometric_graph(120, 0.15, seed=1)
     comp = largest_component(g)
@@ -957,19 +1056,21 @@ def trace_digest(result) -> str:
 # Per graph of golden_cases(), per planner seed 1 and 2: the fixpoint run's
 # digest, then the first-route run's. Any change to the planner's choices
 # (sampling, nearest frontier node, extend, parent choice, rewire, matrix
-# witnesses, solve triggers, the solvers' orders) changes some of them.
+# witnesses, solve triggers, the solvers' orders, the phase-2 pop order)
+# changes some of them. The fixpoint runs end proved optimal in phase 2; the
+# first-route runs end inside phase 1.
 GOLDEN_TRACES = [
-    "b8f76bfea66aebc4", "960577490d42b18f", "d65330fc82fba273", "7fb66f4956608268",
-    "af8f3e331fa681d2", "09406b24b09419bb", "6f0060c074a22330", "2d54020055a92202",
-    "169cf12c22c33a6a", "a25197d1a1034317", "e28fe87cc9284b2c", "4bd72533a758fb60",
+    "5ac42d3bbc9fa29a", "960577490d42b18f", "af1fe55bc4869d9f", "7fb66f4956608268",
+    "5379c5f56f3434c0", "09406b24b09419bb", "9b1ddc577dc86c82", "2d54020055a92202",
+    "a4ae3e0a24a8e2da", "a25197d1a1034317", "2e216d98f53d7350", "4bd72533a758fb60",
 ]
 # The same runs' (iterations, explored nodes, solver calls, solver skips). Tree
 # growth reads no solver output, so these do not depend on which solver orders
-# the destinations; they are those of the GA-only planner.
+# the destinations.
 GOLDEN_COUNTS = [
-    (1613, 1800, 76, 18), (75, 81, 1, 0), (1612, 1800, 82, 35), (64, 70, 1, 0),
-    (1792, 2000, 68, 45), (56, 64, 1, 0), (1792, 2000, 89, 33), (68, 76, 1, 0),
-    (1137, 1278, 36, 5), (57, 63, 1, 0), (1135, 1278, 42, 7), (52, 58, 1, 0),
+    (831, 927, 31, 12), (75, 81, 1, 0), (820, 927, 32, 11), (64, 70, 1, 0),
+    (1089, 1284, 39, 21), (56, 64, 1, 0), (1101, 1284, 47, 17), (68, 76, 1, 0),
+    (542, 643, 24, 2), (57, 63, 1, 0), (537, 643, 23, 5), (52, 58, 1, 0),
 ]
 
 
@@ -1011,13 +1112,13 @@ def test_exact_planner_dominates_the_ga_planner(monkeypatch):
 
 def test_runs_above_exact_max_keep_the_ga_planner_trace():
     # 11 required intermediates, one more than ordering.EXACT_MAX: the GA
-    # solver orders every solve. The digest is that of the planner before the
-    # exact solver existed.
+    # solver orders every solve, and the run ends "fixpoint" once phase 2
+    # proves the matrix exact.
     assert ordering.EXACT_MAX == 10
     g = random_geometric_graph(200, 0.13, seed=11)[0]
     picks = random.Random(13).sample(largest_component(g), 13)
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
     result = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
-    assert result.status == "solved"
-    assert counts(result) == (2278, 2600, 208, 100)
-    assert trace_digest(result) == "6210688369d59c36"
+    assert (result.status, result.stop_reason) == ("solved", "fixpoint")
+    assert counts(result) == (1777, 1987, 106, 69)
+    assert trace_digest(result) == "4ddc5ab58e7f01a1"
