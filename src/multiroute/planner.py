@@ -12,7 +12,9 @@ overall route is emitted, so solution quality only improves over a run. Up to
 runs.
 
 A run has two phases. Phase 1 grows the trees by sampling, round-robin, with
-the paper's extend and rewire steps, up to the first emitted route. Phase 2
+the paper's extend and rewire steps, up to the first emitted route. It skips
+the saturated tree of an optional destination; the tree of a required one
+that saturates before any route proves that no route exists. Phase 2
 then grows them in cost order: each iteration pops the least-cost entry of
 the tree whose least key is smallest and relaxes that node's graph
 neighbours (``relax_least``). It stops once every matrix entry is proved
@@ -487,9 +489,10 @@ class AnytimeSolution:
 
 @dataclass
 class PlanResult:
-    # "solved": at least one route; "no_path": every tree saturated its
-    # component and the required destinations are still apart, so none
-    # exists; "no_path_yet": the budget ended first.
+    # "solved": at least one route; "no_path": the tree of a required
+    # destination saturated its component before any route, so some required
+    # destination lies outside it and none exists; "no_path_yet": the budget
+    # ended first.
     status: str
     solutions: list[AnytimeSolution]
     iterations: int
@@ -499,7 +502,7 @@ class PlanResult:
     # Why the loop ended: "optimal" (phase 2 proved every matrix entry exact
     # and the order is exact, so the last route is optimal), "fixpoint"
     # (phase 2 proved the matrix exact but the genetic solver orders it, or
-    # phase 1 saturated every tree without a route), "time_budget",
+    # phase 1 saturated a required tree without a route), "time_budget",
     # "max_iterations" or "first_solution" (``stop_after_first``).
     stop_reason: str
     # In-loop ordering solves run, and those skipped because the required
@@ -576,7 +579,6 @@ def plan(
     start = time.monotonic()
     explored = len(trees)
     iterations = 0
-    rr_next = 0
     solutions: list[AnytimeSolution] = []
     n_trees = len(trees)
     solved_closure: np.ndarray | None = None
@@ -634,23 +636,23 @@ def plan(
         return None
 
     # Phase 1: sampled growth, round-robin over the trees, to the first route.
+    # A saturated tree holds its whole component and is linked to every
+    # destination root there, so once a required one saturates without a
+    # route, some required destination lies outside its component.
     stop_reason: str | None = None
+    idx = n_trees - 1
     while not solutions:
         stop_reason = budget_spent()
         if stop_reason:
             break
-        idx = -1
-        for off in range(n_trees):
-            cand = (rr_next + off) % n_trees
-            if trees[cand].expandable:
-                idx = cand
-                break
-        rr_next = (idx + 1) % n_trees
-        if idx < 0:
-            stop_reason = "fixpoint"  # every tree saturated its component
-            break
-        iterations += 1
+        idx = (idx + 1) % n_trees
         tree = trees[idx]
+        if not tree.expandable:
+            if dests.required[idx]:
+                stop_reason = "fixpoint"
+                break
+            continue
+        iterations += 1
         v_rand = sample(cfg, graph, dests, rng)
         anchor = nearest_expandable(tree, v_rand, graph)
         added = extend(tree, anchor, v_rand, graph)

@@ -212,10 +212,26 @@ def test_biastar_legs_follow_scenario_order(fixtures, tmp_path):
     assert "stop_reason" in summary and summary["stop_reason"] is None
 
 
+def grid_edgelist(side, isolated=0):
+    """Edge list of a side x side grid, ids 0..side*side-1 row by row, plus
+    ``isolated`` nodes without edges after them."""
+    lines = ["graph v1"]
+    for r in range(side):
+        lines += [f"n {r * side + c} {45.0 + 1e-3 * r} {7.0 + 1e-3 * c}" for c in range(side)]
+    lines += [f"n {side * side + i} 44.0 {7.0 + 1e-3 * i}" for i in range(isolated)]
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                lines.append(f"e {r * side + c} {r * side + c + 1}")
+            if r + 1 < side:
+                lines.append(f"e {r * side + c} {(r + 1) * side + c}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("algo", ["imomd", "biastar", "anastar"])
 def test_no_path_exit_code(tmp_path, capsys, algo):
-    # Two components: both trees saturate without meeting, which proves no
-    # path. External ids 100..400 are internal ids 0..3.
+    # Two components: the source's tree saturates its own without meeting the
+    # target, which proves no path. External ids 100..400 are internal ids 0..3.
     (tmp_path / "g.el").write_text(
         "graph v1\nn 100 45.0 7.0\nn 200 45.0001 7.0\nn 300 45.0002 7.0\nn 400 45.0003 7.0\n"
         "e 100 200 1.0\ne 300 400 1.0\n"
@@ -244,16 +260,7 @@ def test_no_path_yet_exit_code(tmp_path, algo):
     # first iterations (expansions, for ANA*), long before trees rooted 22
     # hops apart can meet or a search can cross the grid.
     side = 12
-    lines = ["graph v1"]
-    for r in range(side):
-        lines += [f"n {r * side + c} {45.0 + 1e-3 * r} {7.0 + 1e-3 * c}" for c in range(side)]
-    for r in range(side):
-        for c in range(side):
-            if c + 1 < side:
-                lines.append(f"e {r * side + c} {r * side + c + 1}")
-            if r + 1 < side:
-                lines.append(f"e {r * side + c} {(r + 1) * side + c}")
-    (tmp_path / "g.el").write_text("\n".join(lines) + "\n")
+    (tmp_path / "g.el").write_text(grid_edgelist(side))
     (tmp_path / "s.txt").write_text(f"source 0\ntarget {side * side - 1}\n")
     rc = main(
         [
@@ -269,6 +276,26 @@ def test_no_path_yet_exit_code(tmp_path, algo):
     summary = read_jsonl(tmp_path / "r.jsonl")[-1]
     assert summary["status"] == "no_path_yet"
     assert summary["final_cost"] is None
+
+
+def test_isolated_target_proves_no_path_within_the_iteration_cap(tmp_path):
+    # The isolated target's tree saturates at once, so its first turn proves
+    # no path, long before the source's tree could saturate the grid.
+    side = 12
+    (tmp_path / "g.el").write_text(grid_edgelist(side, isolated=1))
+    (tmp_path / "s.txt").write_text(f"source 0\ntarget {side * side}\n")
+    rc = main(
+        [
+            "run",
+            "--graph", str(tmp_path / "g.el"),
+            "--scenario", str(tmp_path / "s.txt"),
+            "--max-iterations", "10",
+            "--out", str(tmp_path / "r.jsonl"),
+        ]
+    )
+    assert rc == 4
+    summary = read_jsonl(tmp_path / "r.jsonl")[-1]
+    assert (summary["status"], summary["stop_reason"]) == ("no_path", "fixpoint")
 
 
 @pytest.mark.parametrize(

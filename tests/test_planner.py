@@ -752,13 +752,30 @@ def test_final_matrix_dominates_dijkstra_distances():
 
 
 def test_saturated_disconnected_reports_no_path():
-    # Two separate components: both trees saturate without meeting.
+    # Two separate components: the source's tree saturates its own without
+    # meeting the target's, which proves no path.
     g = RoutingGraph(pts(4), [(0, 1, 1.0), (2, 3, 1.0)])
     dests = DestinationSet.build(0, 2)
     result = plan(g, dests, light_cfg(rng_seed=0, time_budget=0.2))
     assert result.status == "no_path"
     assert result.final is None
     assert result.explored_nodes >= 2
+
+
+def test_first_saturated_required_tree_proves_no_path():
+    # A 30 x 30 grid plus one isolated node. The isolated node's tree is
+    # saturated from the start, so its first turn ends the run, long before
+    # the grid node's tree could saturate 900 nodes.
+    side = 30
+    edges = [(r * side + c, r * side + c + 1, 1.0) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c, 1.0) for r in range(side - 1) for c in range(side)]
+    island = side * side
+    g = RoutingGraph(pts(island + 1), edges)
+    cfg = light_cfg(rng_seed=1, max_iterations=10)
+    for dests, iterations in ((DestinationSet.build(0, island), 1), (DestinationSet.build(island, 0), 0)):
+        result = plan(g, dests, cfg)
+        assert (result.status, result.stop_reason, result.iterations) == ("no_path", "fixpoint", iterations)
+        assert result.final is None
 
 
 def test_budget_exhaustion_reports_no_path_yet():
@@ -796,7 +813,7 @@ def test_stop_reason_names_what_ended_the_loop(monkeypatch):
     monkeypatch.setattr(planner_module, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
     timed = plan(g, dests, light_cfg(rng_seed=2, time_budget=0.5))
     assert (timed.status, timed.iterations, timed.stop_reason) == ("no_path_yet", 0, "time_budget")
-    # Saturated trees that never met: a fixpoint too.
+    # A required tree saturated without meeting the other: a fixpoint too.
     apart = plan(RoutingGraph(pts(4), [(0, 1, 1.0), (2, 3, 1.0)]), DestinationSet.build(0, 2), light_cfg())
     assert (apart.status, apart.stop_reason) == ("no_path", "fixpoint")
 
@@ -965,11 +982,20 @@ def test_runs_that_end_optimal_hold_the_exact_matrix_and_the_optimum(case):
         picks[0], picks[1], objectives=tuple(picks[2:3]), pseudos=[(p, False) for p in picks[3:]]
     )
     result = plan(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
+    edges = list(g.edges())
     if result.status != "solved":
         assert (result.status, result.stop_reason) == ("no_path", "fixpoint")
+        # The first required tree to saturate ends the run: each tree's turn
+        # adds a node, so the one in the smallest required component
+        # saturates within c of its turns.
+        c = min(
+            sum(map(math.isfinite, bellman_ford(g.node_count, edges, a)))
+            for a, req in zip(dests.node_ids, dests.required)
+            if req
+        )
+        assert result.iterations <= dests.count * c
         return
     assert result.stop_reason == "optimal"
-    edges = list(g.edges())
     for i, a in enumerate(dests.node_ids):
         exact = bellman_ford(g.node_count, edges, a)
         for k, b in enumerate(dests.node_ids):
