@@ -108,7 +108,9 @@ class DestGraph:
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise ValueError("theta must be square")
-        if not np.array_equal(mat, mat.T):
+        if not np.array_equal(mat, mat.T):  # also false wherever theta holds NaN
+            if np.isnan(mat).any():
+                raise ValueError("theta must not contain NaN")
             raise ValueError("theta must be symmetric")
         if np.any(np.diag(mat) != 0.0):
             raise ValueError("theta diagonal must be zero")

@@ -12,9 +12,10 @@ overall route is emitted, so solution quality only improves over a run. Up to
 runs.
 
 A run has two phases. Phase 1 grows the trees by sampling, round-robin, with
-the paper's extend and rewire steps, up to the first emitted route. It skips
-the saturated tree of an optional destination; the tree of a required one
-that saturates before any route proves that no route exists. Phase 2
+the paper's extend and rewire steps, up to the first emitted route; its rewire
+reparents only the new node's neighbours, and phase 2 corrects their subtrees.
+It skips the saturated tree of an optional destination; the tree of a required
+one that saturates before any route proves that no route exists. Phase 2
 then grows them in cost order: each iteration pops the least-cost entry of
 the tree whose least key is smallest and relaxes that node's graph
 neighbours (``relax_least``). It stops once every matrix entry is proved
@@ -167,17 +168,19 @@ class Frontier:
 class SearchTree:
     """Rooted spanning tree of explored graph nodes for one destination.
 
-    Per graph node: ``cost`` holds the exact cost-to-come from the root along
-    parent links, INF outside the tree; ``parent`` the tree parent (None at the
-    root and outside the tree); ``_unvisited`` the number of graph neighbors
-    outside the tree. ``expandable`` is the growth frontier: the tree nodes
-    with an unvisited neighbor. ``choose_parent`` attaches nodes and keeps all
-    of these. Every tree edge is a graph edge, so the children of ``u`` are
-    the graph neighbors ``c`` with ``parent[c] == u``.
+    Per graph node: ``cost`` holds the cost-to-come, INF outside the tree;
+    ``parent`` the tree parent (None at the root and outside the tree);
+    ``_unvisited`` the number of graph neighbors outside the tree.
+    ``expandable`` is the growth frontier: the tree nodes with an unvisited
+    neighbor. ``choose_parent`` attaches nodes and keeps all of these in
+    phase 1; phase 2 (``relax_least``) keeps only ``cost`` and ``parent``.
 
-    Phase 2 (``relax_least``) keeps only ``cost`` and ``parent``, and only as
-    ``cost[v] >= cost[parent[v]] + w``: a node whose cost falls leaves its
-    children's costs above their new path cost until it is popped.
+    Every tree edge is a graph edge, and in both phases
+    ``cost[v] >= cost[parent[v]] + w``: a node whose cost falls (``rewire``,
+    ``relax_least``) leaves its descendants' costs above their new path cost
+    until phase 2 pops it. Weights are positive, so costs fall strictly along
+    parent links and the links are acyclic; each cost is at least the length
+    of the node's parent chain.
     """
 
     __slots__ = ("root_node", "parent", "cost", "expandable", "_unvisited")
@@ -308,15 +311,12 @@ def extend(tree: SearchTree, v_anchor: int, v_rand: int, graph: RoutingGraph) ->
 def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list[int]]:
     """Reparent neighbors of ``v_new`` that become cheaper through it.
 
-    Neighbors are tested in ascending id, and each one's cost decrease
-    propagates through its whole subtree before the next is tested, so the
-    cost-to-come recurrence stays exact. A subtree is walked through the
-    adjacency: the children of ``u`` are its neighbors whose parent is ``u``.
-    Returns the number of reparented neighbors and every node whose cost
-    changed.
+    Only the neighbors change: their descendants keep costs above their new
+    path cost, which the tree invariant allows, until phase 2 pops them.
+    Returns the number of reparented neighbors and the neighbors themselves,
+    in ascending id.
     """
     changed: list[int] = []
-    count = 0
     cost = tree.cost
     parent = tree.parent
     base = cost[v_new]
@@ -325,18 +325,8 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
         if nc < cost[n] < INF:
             parent[n] = v_new
             cost[n] = nc
-            count += 1
             changed.append(n)
-            stack = [n]
-            while stack:
-                u = stack.pop()
-                cu = cost[u]
-                for c, wc in graph.neighbors(u):
-                    if parent[c] == u:
-                        cost[c] = cu + wc
-                        changed.append(c)
-                        stack.append(c)
-    return count, changed
+    return len(changed), changed
 
 
 def relax_least(
@@ -586,13 +576,14 @@ def plan(
     solver_skips = 0
     exact = sum(dests.required) - 2 <= ordering.EXACT_MAX
 
-    def try_solve(ga_cfg: GaConfig, in_loop: bool) -> None:
+    def try_solve(in_loop: bool) -> None:
         """Solve the current matrix and emit the route if it is strictly cheaper.
 
         An in-loop solve is skipped when the ordering problem, the closure over
         the required destinations, is bit-identical to the last one solved in
         the loop: it would give the same order, or only re-roll the GA seed.
-        Each GA solve takes the next seed of the solver stream.
+        In-loop GA solves run at ``cfg.solver_ga``, the final one at full
+        strength; each takes the next seed of the solver stream.
         """
         nonlocal solved_closure, solver_calls, solver_skips
         dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
@@ -607,6 +598,7 @@ def plan(
             if exact:
                 seq = ordering.solve_exact(dg)
             else:
+                ga_cfg = cfg.solver_ga if in_loop else GaConfig()
                 seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
         except ordering.NoSequenceError:
             return
@@ -663,7 +655,7 @@ def plan(
             changed.update(ch)
         improved = update_connections(conn, trees, sorted(changed), idx)
         if improved and destinations_connected(conn.matrix, dests.required):
-            try_solve(cfg.solver_ga, in_loop=True)
+            try_solve(in_loop=True)
 
     # Phase 2: cost-ordered growth until every matrix entry is proved exact.
     # Every node whose true cost-to-come from root i is below r_i carries that
@@ -693,14 +685,14 @@ def plan(
                 if pair in unproved and matrix[idx][k] <= r[idx] + r[k]:
                     unproved.discard(pair)
             if improved and destinations_connected(matrix, dests.required):
-                try_solve(cfg.solver_ga, in_loop=True)
+                try_solve(in_loop=True)
             stop_reason = budget_spent()
         if not unproved:
             stop_reason = "optimal" if exact else "fixpoint"
 
     connected = destinations_connected(conn.matrix, dests.required)
     if connected and not (cfg.stop_after_first and solutions):
-        try_solve(GaConfig(), in_loop=False)
+        try_solve(in_loop=False)
 
     if solutions:
         status = "solved"

@@ -8,7 +8,7 @@ instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
 instead of the array one, a per-destination insertion loop instead of the
 batched selection, and an all-pairs loop instead of the geometric
 generator's cell buckets. The planner validators rebuild each tree's frontier,
-child links and cost recurrence, and each matrix entry, from scratch, and
+parent links and cost inequality, and each matrix entry, from scratch, and
 check phase-2 trees against Bellman-Ford costs.
 """
 
@@ -260,37 +260,19 @@ def tree_nodes(tree: SearchTree) -> list[int]:
     return [v for v, c in enumerate(tree.cost) if math.isfinite(c)]
 
 
-def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
-    """Assert acyclic parents, exact costs and a correct frontier.
+def validate_parent_links(tree: SearchTree, graph: RoutingGraph) -> list[int]:
+    """Assert the tree invariant both phases keep; returns the tree's nodes.
 
-    Each parent link must be a graph edge, and the child's cost must be its
-    parent's cost plus that edge's weight. The frontier is checked together
-    with every node's count of unvisited neighbors, which ``extend`` reads to
-    follow degree-two corridors, and its packed entries against the graph's
-    points.
+    Parent links must be graph edges that reach the root without a cycle, with
+    ``cost[v] >= cost[parent[v]] + w``: a node's cost may sit above its path's
+    until phase 2 pops an ancestor whose cost fell. Nodes outside the tree
+    have no parent.
     """
-    n = graph.node_count
-    if not len(tree.cost) == len(tree.parent) == len(tree._unvisited) == n:
-        raise AssertionError("per-node lists do not cover the graph")
     members = tree_nodes(tree)
-    inside = set(members)
     if tree.cost[tree.root_node] != 0.0 or tree.parent[tree.root_node] is not None:
         raise AssertionError("root must have cost zero and no parent")
-    for node in range(n):
-        if node not in inside and (tree.parent[node] is not None or tree.cost[node] != math.inf):
-            raise AssertionError(f"node {node} outside the tree has a parent or a cost")
-    for node in members:
-        seen = set()
-        cur: int | None = node
-        while cur is not None:
-            if cur in seen:
-                raise AssertionError(f"parent cycle through node {cur}")
-            if cur not in inside:
-                raise AssertionError(f"parent chain of node {node} leaves the tree at {cur}")
-            seen.add(cur)
-            cur = tree.parent[cur]
-        if tree.root_node not in seen:
-            raise AssertionError(f"node {node} does not reach the root")
+    if any(tree.parent[v] is not None for v in set(range(graph.node_count)).difference(members)):
+        raise AssertionError("a node outside the tree has a parent")
     for node in members:
         parent = tree.parent[node]
         if parent is None:
@@ -298,8 +280,33 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
         w = graph.edge_weight(parent, node)
         if w is None:
             raise AssertionError(f"tree edge ({parent}, {node}) is not a graph edge")
-        if tree.cost[node] != tree.cost[parent] + w:
-            raise AssertionError(f"cost recurrence broken at node {node}")
+        if not tree.cost[node] >= tree.cost[parent] + w:
+            raise AssertionError(f"node {node} costs less than its parent plus the edge")
+    for node in members:
+        seen = set()
+        cur: int | None = node
+        while cur is not None:
+            if cur in seen:
+                raise AssertionError(f"parent cycle through node {cur}")
+            seen.add(cur)
+            cur = tree.parent[cur]
+        if tree.root_node not in seen:
+            raise AssertionError(f"node {node} does not reach the root")
+    return members
+
+
+def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
+    """Assert the tree invariant (``validate_parent_links``) and a correct frontier.
+
+    The frontier is checked together with every node's count of unvisited
+    neighbors, which ``extend`` reads to follow degree-two corridors, and its
+    packed entries against the graph's points.
+    """
+    n = graph.node_count
+    if not len(tree.cost) == len(tree.parent) == len(tree._unvisited) == n:
+        raise AssertionError("per-node lists do not cover the graph")
+    members = validate_parent_links(tree, graph)
+    inside = set(members)
     outside = [sum(v not in inside for v, _ in graph.neighbors(u)) if u in inside else 0 for u in range(n)]
     if tree._unvisited != outside:
         raise AssertionError("unvisited-neighbor counts differ from a fresh count")
@@ -337,36 +344,13 @@ def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> 
 
 
 def validate_phase2_tree(tree: SearchTree, graph: RoutingGraph, exact: Sequence[float], below: float) -> None:
-    """Assert what phase 2 keeps of a tree, and that it is exact below ``below``.
+    """Assert the tree invariant (``validate_parent_links``), and exact costs below ``below``.
 
-    Parent links must be graph edges that reach the root without a cycle,
-    with ``cost[v] >= cost[parent[v]] + w``: a node's cost may still sit
-    above its path's while the node waits in the heap. Every node whose exact
-    cost-to-come ``exact[v]`` (for instance from ``bellman_ford``) lies below
-    ``below`` must carry that cost, to rounding.
+    Phase 2 does not keep the frontier. Every node whose exact cost-to-come
+    ``exact[v]`` (for instance from ``bellman_ford``) lies below ``below``
+    must carry that cost, to rounding.
     """
-    members = tree_nodes(tree)
-    if tree.cost[tree.root_node] != 0.0 or tree.parent[tree.root_node] is not None:
-        raise AssertionError("root must have cost zero and no parent")
-    if any(tree.parent[v] is not None for v in set(range(graph.node_count)).difference(members)):
-        raise AssertionError("a node outside the tree has a parent")
-    for node in members:
-        seen = set()
-        cur: int | None = node
-        while cur is not None:
-            if cur in seen:
-                raise AssertionError(f"parent cycle through node {cur}")
-            seen.add(cur)
-            parent = tree.parent[cur]
-            if parent is not None:
-                w = graph.edge_weight(parent, cur)
-                if w is None:
-                    raise AssertionError(f"tree edge ({parent}, {cur}) is not a graph edge")
-                if not tree.cost[cur] >= tree.cost[parent] + w:
-                    raise AssertionError(f"node {cur} costs less than its parent plus the edge")
-            cur = parent
-        if tree.root_node not in seen:
-            raise AssertionError(f"node {node} does not reach the root")
+    validate_parent_links(tree, graph)
     for node in range(graph.node_count):
         if exact[node] < below and not math.isclose(tree.cost[node], exact[node], rel_tol=1e-9, abs_tol=1e-9):
             raise AssertionError(f"node {node} costs {tree.cost[node]}, exact {exact[node]} below {below}")

@@ -202,6 +202,22 @@ def test_infinite_entry_rejected():
         cheapest_insertion(spur_graph())
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ([[0.0, math.nan], [math.nan, 0.0]], "NaN"),
+        ([[0.0, 1.0], [math.nan, 0.0]], "NaN"),
+        ([[math.nan, 1.0], [1.0, 0.0]], "NaN"),
+        ([[0.0, 1.0], [2.0, 0.0]], "symmetric"),
+    ],
+)
+def test_nan_entry_is_named_in_the_error(theta, message):
+    # NaN compares unequal to itself, so a symmetric matrix holding NaN
+    # fails the symmetry test; the error must name NaN, not asymmetry.
+    with pytest.raises(ValueError, match=message):
+        DestGraph(theta, 0, 1)
+
+
 def test_within_twice_optimal_on_complete_metric_instances():
     for trial in range(60):
         dg = random_complete_destgraph(6, seed=4000 + trial)

@@ -320,14 +320,15 @@ def test_random_trees_costs_match_root_recomputation():
             for v in extend(tree, anchor, v_rand, g):
                 rewire(tree, v, g)
         validate_tree(tree, g)
-        # Recompute costs by walking from the root.
+        # Walk each node's parent chain to the root: a rewired ancestor leaves
+        # the node's cost at or above the chain's length.
         for node in tree_nodes(tree):
             total = 0.0
             cur = node
             while tree.parent[cur] is not None:
                 total += g.edge_weight(tree.parent[cur], cur)
                 cur = tree.parent[cur]
-            assert tree.cost[node] == pytest.approx(total, rel=1e-12)
+            assert total <= tree.cost[node] * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -356,35 +357,49 @@ def test_rewire_triangle_shortcut():
     validate_tree(tree, g)
 
 
-def test_rewire_propagates_to_subtree():
-    # 0-1 long, 1-2 chain hanging under 1; later 0-3-1 shortcut rewires 1 and drags 2.
+def drain(tree, g):
+    """Run ``relax_least`` on a heap seeded with every tree node until it empties."""
+    heap = [(c, v) for v, c in enumerate(tree.cost) if c < INF]
+    heapq.heapify(heap)
+    while heap:
+        relax_least(tree, heap, g)
+
+
+def test_rewire_reparents_only_neighbors_and_phase_two_corrects_their_subtrees():
+    # 0-1 long, 2 hanging under 1; the later 0-3-1 shortcut reparents 1, but
+    # 2 keeps its cost until relax_least pops 1.
     edges = [(0, 1, 10.0), (1, 2, 1.0), (0, 3, 1.0), (3, 1, 1.0)]
     g = RoutingGraph(pts(4), edges)
     tree = SearchTree(0, g)
     choose_parent(tree, 1, g)  # cost 10
     choose_parent(tree, 2, g)  # cost 11
     choose_parent(tree, 3, g)  # cost 1
-    count, changed = rewire(tree, 3, g)
-    assert count == 1
-    assert set(changed) == {1, 2}
-    assert tree.cost[1] == 2.0 and tree.cost[2] == 3.0
+    assert rewire(tree, 3, g) == (1, [1])
+    assert (tree.parent[1], tree.cost[1]) == (3, 2.0)
+    assert (tree.parent[2], tree.cost[2]) == (1, 11.0)
+    assert tree.cost[2] >= tree.cost[1] + g.edge_weight(1, 2)
     validate_tree(tree, g)
+    drain(tree, g)
+    assert tree.cost[2] == 3.0
+    assert tree.cost == dijkstra(g, 0).cost
 
 
-def test_rewire_cascades_each_neighbor_before_testing_the_next():
-    # Neighbors 1 and 2 of node 3 both look cheaper through it at first
-    # (2 < 10 and 6 < 11), but 2 hangs under 1: once 1's cascade lowers 2 to
-    # 3.0, the edge 3-2 no longer improves it.
+def test_rewire_tests_each_neighbor_against_its_current_cost():
+    # Neighbors 1 and 2 of node 3 both get cheaper through it (2 < 10 and
+    # 6 < 11): 2 still costs 11 when it is tested, since 1's decrease does
+    # not reach it. Phase 2 then puts 2 back under 1, at 3.0.
     edges = [(0, 1, 10.0), (1, 2, 1.0), (0, 3, 1.0), (3, 1, 1.0), (3, 2, 5.0)]
     g = RoutingGraph(pts(4), edges)
     tree = SearchTree(0, g)
     choose_parent(tree, 1, g)  # cost 10
     choose_parent(tree, 2, g)  # cost 11 under 1
     choose_parent(tree, 3, g)  # cost 1
-    count, changed = rewire(tree, 3, g)
-    assert (count, changed) == (1, [1, 2])
-    assert tree.parent[2] == 1 and tree.cost[2] == 3.0
+    assert rewire(tree, 3, g) == (2, [1, 2])
+    assert (tree.parent[2], tree.cost[2]) == (3, 6.0)
     validate_tree(tree, g)
+    drain(tree, g)
+    assert (tree.parent[2], tree.cost[2]) == (1, 3.0)
+    assert tree.cost == dijkstra(g, 0).cost
 
 
 def test_saturated_tree_costs_dominated_by_dijkstra():
@@ -402,17 +417,16 @@ def test_saturated_tree_costs_dominated_by_dijkstra():
             rewire(tree, v, g)
     validate_tree(tree, g)
     sp = dijkstra(g, root)
-    equal = 0
     members = tree_nodes(tree)
     assert members == [v for v in comp if math.isfinite(sp.cost[v])]
     for node in members:
-        cost = tree.cost[node]
-        assert cost >= sp.cost[node] - 1e-9
-        if abs(cost - sp.cost[node]) <= 1e-9 * max(1.0, cost):
-            equal += 1
-    rate = equal / len(members)
-    print(f"tree-vs-dijkstra equality rate: {rate:.3f} over {len(members)} nodes")
-    assert rate > 0.5
+        assert tree.cost[node] >= sp.cost[node] - 1e-9
+    # Exactness is phase 2's job: draining every node through relax_least
+    # leaves the Dijkstra costs.
+    drain(tree, g)
+    assert tree_nodes(tree) == members
+    for node in members:
+        assert tree.cost[node] == pytest.approx(sp.cost[node], rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,7 +1102,7 @@ def trace_digest(result) -> str:
 GOLDEN_TRACES = [
     "5ac42d3bbc9fa29a", "960577490d42b18f", "af1fe55bc4869d9f", "7fb66f4956608268",
     "5379c5f56f3434c0", "09406b24b09419bb", "9b1ddc577dc86c82", "2d54020055a92202",
-    "a4ae3e0a24a8e2da", "a25197d1a1034317", "2e216d98f53d7350", "4bd72533a758fb60",
+    "a5e9244704a41db2", "a25197d1a1034317", "2e216d98f53d7350", "4bd72533a758fb60",
 ]
 # The same runs' (iterations, explored nodes, solver calls, solver skips). Tree
 # growth reads no solver output, so these do not depend on which solver orders
@@ -1096,7 +1110,7 @@ GOLDEN_TRACES = [
 GOLDEN_COUNTS = [
     (831, 927, 31, 12), (75, 81, 1, 0), (820, 927, 32, 11), (64, 70, 1, 0),
     (1089, 1284, 39, 21), (56, 64, 1, 0), (1101, 1284, 47, 17), (68, 76, 1, 0),
-    (542, 643, 24, 2), (57, 63, 1, 0), (537, 643, 23, 5), (52, 58, 1, 0),
+    (542, 643, 24, 3), (57, 63, 1, 0), (537, 643, 23, 5), (52, 58, 1, 0),
 ]
 
 
