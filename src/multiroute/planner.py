@@ -17,10 +17,11 @@ reparents only the new node's neighbours, and phase 2 corrects their subtrees.
 It skips the saturated tree of an optional destination; the tree of a required
 one that saturates before any route proves that no route exists. Phase 2
 then grows them in cost order: each iteration pops the least-cost entry of
-the tree whose least key is smallest and relaxes that node's graph
-neighbours (``relax_least``). It stops once every matrix entry is proved
-exact, ``matrix[i][k] <= r_i + r_k`` for every pair, with ``r_i`` tree i's
-least key; with an exact order that route is optimal.
+the tree whose least key is smallest among the trees with an unproved pair,
+and relaxes that node's graph neighbours (``relax_least``). A pair is proved
+exact once ``matrix[i][k] <= r_i + r_k``, with ``r_i`` tree i's least key; a
+tree whose pairs are all proved is not popped again. The run stops once
+every pair is proved; with an exact order that route is optimal.
 Single-threaded and deterministic for a fixed seed.
 """
 
@@ -170,10 +171,12 @@ class SearchTree:
 
     Per graph node: ``cost`` holds the cost-to-come, INF outside the tree;
     ``parent`` the tree parent (None at the root and outside the tree);
-    ``_unvisited`` the number of graph neighbors outside the tree.
+    ``parent_w`` the weight of the edge to the parent (0.0 where ``parent``
+    is None); ``_unvisited`` the number of graph neighbors outside the tree.
     ``expandable`` is the growth frontier: the tree nodes with an unvisited
     neighbor. ``choose_parent`` attaches nodes and keeps all of these in
-    phase 1; phase 2 (``relax_least``) keeps only ``cost`` and ``parent``.
+    phase 1; phase 2 (``relax_least``) keeps only ``cost``, ``parent`` and
+    ``parent_w``.
 
     Every tree edge is a graph edge, and in both phases
     ``cost[v] >= cost[parent[v]] + w``: a node whose cost falls (``rewire``,
@@ -183,12 +186,13 @@ class SearchTree:
     of the node's parent chain.
     """
 
-    __slots__ = ("root_node", "parent", "cost", "expandable", "_unvisited")
+    __slots__ = ("root_node", "parent", "parent_w", "cost", "expandable", "_unvisited")
 
     def __init__(self, root_node: int, graph: RoutingGraph) -> None:
         n = graph.node_count
         self.root_node = root_node
         self.parent: list[int | None] = [None] * n
+        self.parent_w: list[float] = [0.0] * n
         self.cost: list[float] = [INF] * n
         self.cost[root_node] = 0.0
         self.expandable = Frontier(graph)
@@ -259,7 +263,7 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     frontier when some neighbor lies outside the tree.
     """
     best_parent = -1
-    best_cost = INF
+    best_cost = best_w = INF
     cost = tree.cost
     unvisited = tree._unvisited
     ud = 0
@@ -271,6 +275,7 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
         if c + w < best_cost:
             best_cost = c + w
             best_parent = n
+            best_w = w
         left = unvisited[n] - 1
         unvisited[n] = left
         if left == 0:
@@ -278,6 +283,7 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     if best_parent < 0:
         raise RuntimeError(f"planner bug: node {v_new} has no neighbor in the tree")
     tree.parent[v_new] = best_parent
+    tree.parent_w[v_new] = best_w
     cost[v_new] = best_cost
     unvisited[v_new] = ud
     if ud:
@@ -319,11 +325,13 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
     changed: list[int] = []
     cost = tree.cost
     parent = tree.parent
+    parent_w = tree.parent_w
     base = cost[v_new]
     for n, w in graph.neighbors(v_new):
         nc = base + w
         if nc < cost[n] < INF:
             parent[n] = v_new
+            parent_w[n] = w
             cost[n] = nc
             changed.append(n)
     return len(changed), changed
@@ -346,6 +354,7 @@ def relax_least(
     c, u = heapq.heappop(heap)
     cost = tree.cost
     parent = tree.parent
+    parent_w = tree.parent_w
     changed: list[int] = []
     joined = 0
     for v, w in graph.neighbors(u):
@@ -355,6 +364,7 @@ def relax_least(
             joined += cv == INF
             cost[v] = nc
             parent[v] = u
+            parent_w[v] = w
             heapq.heappush(heap, (nc, v))
             changed.append(v)
     while heap and heap[0][0] > cost[heap[0][1]]:
@@ -371,7 +381,10 @@ class ConnectionTable:
 
     ``matrix[i][k]`` is the best known path cost between destinations i and k,
     realized by the connection node ``best[(i, k)]``; entries only ever
-    decrease as trees grow and rewire.
+    decrease as trees grow and rewire. ``open[i]`` lists, in ascending id,
+    the destinations k != i whose entry ``matrix[i][k]`` may still fall: every
+    other destination until phase 2 proves pairs exact and drops them from
+    both lists.
     """
 
     def __init__(self, n_dest: int) -> None:
@@ -379,6 +392,7 @@ class ConnectionTable:
         self.matrix: list[list[float]] = [
             [0.0 if i == k else INF for k in range(n_dest)] for i in range(n_dest)
         ]
+        self.open: list[list[int]] = [[k for k in range(n_dest) if k != i] for i in range(n_dest)]
 
 
 def update_connections(
@@ -389,22 +403,21 @@ def update_connections(
 ) -> list[tuple[int, int]]:
     """Account for the nodes ``changed`` of tree ``owner`` joining or getting cheaper.
 
-    For each other tree, lowers the pair's matrix entry wherever a node of
-    ``changed`` that both trees hold realizes a shorter destination-to-
-    destination path, and makes that node the pair's witness; of equal sums
-    the first in ``changed`` order wins. Pass ``changed`` in ascending order so
-    the witnesses do not depend on set order. Returns one pair per improvement.
+    For each open partner k of ``owner`` (``conn.open[owner]``), lowers the
+    pair's matrix entry wherever a node of ``changed`` that both trees hold
+    realizes a shorter destination-to-destination path, and makes that node
+    the pair's witness; of equal sums the first in ``changed`` order wins.
+    Pass ``changed`` in ascending order so the witnesses do not depend on set
+    order. Returns one pair per improvement.
     """
     improved: list[tuple[int, int]] = []
     own = trees[owner].cost
     matrix = conn.matrix
-    for k, other in enumerate(trees):
-        if k == owner:
-            continue
-        oc = other.cost
+    for k in conn.open[owner]:
+        oc = trees[k].cost
         entry = matrix[owner][k]
         for v in changed:
-            cand = own[v] + oc[v]  # INF when ``other`` lacks v
+            cand = own[v] + oc[v]  # INF when tree k lacks v
             if cand < entry:
                 entry = cand
                 matrix[owner][k] = cand
@@ -513,25 +526,34 @@ def sample(cfg: PlannerConfig, graph: RoutingGraph, dests: DestinationSet, rng: 
 
 
 def stitch_node_path(
-    seq: VisitSequence,
-    trees: Sequence[SearchTree],
-    conn: ConnectionTable,
-    graph: RoutingGraph,
-) -> list[int]:
-    """Expand a destination visit order into a graph node path.
+    seq: VisitSequence, trees: Sequence[SearchTree], conn: ConnectionTable
+) -> tuple[list[int], float]:
+    """Expand a destination visit order into a graph node path and its cost.
 
     Each leg runs from one destination's root to the pair's best connection
     node inside the first tree, then down the second tree to its root;
-    junction nodes shared by consecutive legs appear once.
+    junction nodes shared by consecutive legs appear once. The cost sums the
+    trees' ``parent_w`` of the hops in path order, as ``node_path_cost`` sums
+    the same edge weights, so the two agree bit for bit.
     """
     path = [trees[seq.order[0]].root_node]
+    cost = 0.0
     for a, b in zip(seq.order, seq.order[1:]):
         if a == b:
             continue
         c = conn.best[(a, b) if a < b else (b, a)]
-        path += path_from_root(trees[a].parent, c)[1:]
-        path += path_from_root(trees[b].parent, c)[-2::-1]
-    return path
+        down = path_from_root(trees[a].parent, c)[1:]
+        parent_w = trees[a].parent_w
+        for v in down:
+            cost += parent_w[v]
+        path += down
+        parent, parent_w = trees[b].parent, trees[b].parent_w
+        v = c
+        while (p := parent[v]) is not None:
+            cost += parent_w[v]
+            path.append(p)
+            v = p
+    return path, cost
 
 
 def validate_node_path(
@@ -602,8 +624,7 @@ def plan(
                 seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
         except ordering.NoSequenceError:
             return
-        path = stitch_node_path(seq, trees, conn, graph)
-        cost = node_path_cost(graph, path)
+        path, cost = stitch_node_path(seq, trees, conn)
         if not solutions or cost < solutions[-1].total_cost:
             sol = AnytimeSolution(
                 node_path=tuple(path),
@@ -659,10 +680,15 @@ def plan(
 
     # Phase 2: cost-ordered growth until every matrix entry is proved exact.
     # Every node whose true cost-to-come from root i is below r_i carries that
-    # cost, so matrix[i][k] <= r_i + r_k proves the entry exact. Keys only
-    # rise and entries only fall, so a proved pair stays proved, and a pop
-    # from tree i can prove only pairs of tree i. A tree whose heap is empty
-    # has r = INF, so a pair stays open only while both heaps hold entries.
+    # cost, so matrix[i][k] <= r_i + r_k proves the entry exact, and the pair
+    # leaves conn.open. Keys only rise and entries only fall, so a proved pair
+    # stays proved, and a pop from tree i can prove only pairs of tree i. A
+    # tree whose heap is empty has r = INF, so a pair stays open only while
+    # both heaps hold entries. Only trees with an open pair are popped: a pop
+    # of tree i changes only tree i's state, so each such tree pops the same
+    # sequence as if every tree were popped, and an open pair is still
+    # updated from both sides. Phase 1 emitted a route and entries only fall,
+    # so the required destinations stay connected.
     if stop_reason is None:
         stop_reason = budget_spent()
     if stop_reason is None:
@@ -671,23 +697,25 @@ def plan(
             heapq.heapify(h)
         r = [h[0][0] for h in heaps]
         matrix = conn.matrix
-        unproved = {
-            (i, k) for i in range(n_trees) for k in range(i + 1, n_trees) if matrix[i][k] > r[i] + r[k]
-        }
-        while unproved and stop_reason is None:
-            idx = min(range(n_trees), key=r.__getitem__)
+        open_ = conn.open
+        for i in range(n_trees):
+            open_[i] = [k for k in open_[i] if matrix[i][k] > r[i] + r[k]]
+        live = [i for i in range(n_trees) if open_[i]]
+        while live and stop_reason is None:
+            idx = min(live, key=r.__getitem__)
             iterations += 1
             changed, joined, r[idx] = relax_least(trees[idx], heaps[idx], graph)
             explored += joined
             improved = update_connections(conn, trees, changed, idx)
-            for k in range(n_trees):
-                pair = (idx, k) if idx < k else (k, idx)
-                if pair in unproved and matrix[idx][k] <= r[idx] + r[k]:
-                    unproved.discard(pair)
-            if improved and destinations_connected(matrix, dests.required):
+            row, ri = matrix[idx], r[idx]
+            for k in [k for k in open_[idx] if row[k] <= ri + r[k]]:
+                open_[idx].remove(k)
+                open_[k].remove(idx)
+            live = [i for i in live if open_[i]]
+            if improved:
                 try_solve(in_loop=True)
             stop_reason = budget_spent()
-        if not unproved:
+        if not live:
             stop_reason = "optimal" if exact else "fixpoint"
 
     connected = destinations_connected(conn.matrix, dests.required)

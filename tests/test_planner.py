@@ -986,16 +986,72 @@ def test_relax_least_keeps_costs_exact_below_the_least_key():
         assert pops >= n
 
 
+def run_checking_phase_two_pops(g, dests, cfg):
+    """``plan`` with ``relax_least`` and ``update_connections`` wrapped; returns the result and the pop count.
+
+    Rebuilds every tree's least key ``r`` from the pops (0.0 when phase 2
+    starts, since each root is in its heap; then the key each pop of that
+    tree returns) and reads the matrix from the ``ConnectionTable`` that
+    ``update_connections`` gets. Asserts that each pop of tree i has an open
+    pair, some k with ``matrix[i][k] > r_i + r_k``, and that an entry never
+    changes once its pair is proved. A pair is tested after the pop's
+    ``update_connections``, not between the two: the entry may still fall
+    through the nodes the pop relaxed.
+    """
+    n = dests.count
+    tree_index = {v: i for i, v in enumerate(dests.node_ids)}
+    r = [0.0] * n
+    proved: dict[tuple[int, int], float] = {}
+    table: list[ConnectionTable] = []
+    pops = 0
+    real_relax, real_update = planner_module.relax_least, planner_module.update_connections
+
+    def check_proved():
+        m = table[0].matrix
+        for i in range(n):
+            for k in range(i + 1, n):
+                if (i, k) in proved:
+                    assert m[i][k] == m[k][i] == proved[(i, k)], (i, k)
+                elif m[i][k] <= r[i] + r[k]:
+                    proved[(i, k)] = m[i][k]
+
+    def relax(tree, heap, graph):
+        nonlocal pops
+        i = tree_index[tree.root_node]
+        m = table[0].matrix
+        assert any(m[i][k] > r[i] + r[k] for k in range(n) if k != i), (pops, i)
+        pops += 1
+        out = real_relax(tree, heap, graph)
+        r[i] = out[2]
+        return out
+
+    def update(conn, trees, changed, owner):
+        table[:] = [conn]
+        out = real_update(conn, trees, changed, owner)
+        if pops:
+            check_proved()
+        return out
+
+    with mock.patch.object(planner_module, "relax_least", relax), mock.patch.object(
+        planner_module, "update_connections", update
+    ):
+        result = plan(g, dests, cfg)
+    if result.stop_reason == "optimal":
+        assert len(proved) == n * (n - 1) // 2
+    return result, pops
+
+
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(small_planner_cases())
 def test_runs_that_end_optimal_hold_the_exact_matrix_and_the_optimum(case):
     # The fourth destination, when drawn, is an optional pseudo destination,
-    # which may lie in another component.
+    # which may lie in another component. Every phase-2 pop is of a tree with
+    # an open pair, and proved entries stay put (run_checking_phase_two_pops).
     g, picks, seed, _ = case
     dests = DestinationSet.build(
         picks[0], picks[1], objectives=tuple(picks[2:3]), pseudos=[(p, False) for p in picks[3:]]
     )
-    result = plan(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
+    result, _ = run_checking_phase_two_pops(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
     edges = list(g.edges())
     if result.status != "solved":
         assert (result.status, result.stop_reason) == ("no_path", "fixpoint")
@@ -1018,6 +1074,42 @@ def test_runs_that_end_optimal_hold_the_exact_matrix_and_the_optimum(case):
     dg = ordering.DestGraph(np.minimum(theta, theta.T), 0, dests.count - 1, dests.required)
     opt, _ = ordering.brute_force_oracle(dg)
     assert math.isclose(result.final.total_cost, opt, rel_tol=1e-9)
+
+
+def test_phase_two_pops_only_trees_with_an_open_pair():
+    # The golden cases, then random geometric graphs of 40-120 nodes with 3-6
+    # destinations, every one run to the proved optimum.
+    cases = [(g, dests, seed) for g, dests in golden_cases() for seed in (1, 2)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_geometric_graph(rng.randint(40, 120), 0.2, seed=seed)[0]
+        picks = rng.sample(largest_component(g), rng.randint(3, 6))
+        cases.append((g, DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:])), seed))
+    for g, dests, seed in cases:
+        result, pops = run_checking_phase_two_pops(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+        assert result.stop_reason == "optimal" and pops == result.iterations - result.solutions[0].iteration
+
+
+def test_emitted_costs_are_the_exact_sums_of_their_node_paths():
+    # stitch_node_path sums the trees' parent_w, which choose_parent, rewire
+    # and relax_least write; the sum must equal node_path_cost's, bit for bit.
+    reparented_before_first = []
+    real_rewire = planner_module.rewire
+
+    def counting_rewire(tree, v_new, graph):
+        out = real_rewire(tree, v_new, graph)
+        reparented_before_first[-1] += out[0]
+        return out
+
+    emitted = 0
+    with mock.patch.object(planner_module, "rewire", counting_rewire):
+        for g, dests, cfg in golden_runs():
+            reparented_before_first.append(0)
+            result = plan(g, dests, cfg)
+            for sol in result.solutions:
+                assert sol.total_cost == node_path_cost(g, sol.node_path)
+            emitted += len(result.solutions)
+    assert emitted > 12 and max(reparented_before_first) > 0
 
 
 def test_phase_one_runs_unchanged_to_the_first_route():
@@ -1100,17 +1192,17 @@ def trace_digest(result) -> str:
 # changes some of them. The fixpoint runs end proved optimal in phase 2; the
 # first-route runs end inside phase 1.
 GOLDEN_TRACES = [
-    "5ac42d3bbc9fa29a", "960577490d42b18f", "af1fe55bc4869d9f", "7fb66f4956608268",
-    "5379c5f56f3434c0", "09406b24b09419bb", "9b1ddc577dc86c82", "2d54020055a92202",
-    "a5e9244704a41db2", "a25197d1a1034317", "2e216d98f53d7350", "4bd72533a758fb60",
+    "b19b5474c6f94b02", "960577490d42b18f", "63b65ead71ceab25", "7fb66f4956608268",
+    "2dd2def1a677cbb4", "09406b24b09419bb", "88d2f3cf4f1fbb6f", "2d54020055a92202",
+    "39e291f064c58a55", "a25197d1a1034317", "c9236d958d53ce17", "4bd72533a758fb60",
 ]
 # The same runs' (iterations, explored nodes, solver calls, solver skips). Tree
 # growth reads no solver output, so these do not depend on which solver orders
 # the destinations.
 GOLDEN_COUNTS = [
-    (831, 927, 31, 12), (75, 81, 1, 0), (820, 927, 32, 11), (64, 70, 1, 0),
-    (1089, 1284, 39, 21), (56, 64, 1, 0), (1101, 1284, 47, 17), (68, 76, 1, 0),
-    (542, 643, 24, 3), (57, 63, 1, 0), (537, 643, 23, 5), (52, 58, 1, 0),
+    (739, 829, 28, 11), (75, 81, 1, 0), (728, 829, 29, 10), (64, 70, 1, 0),
+    (761, 949, 36, 19), (56, 64, 1, 0), (773, 950, 44, 15), (68, 76, 1, 0),
+    (413, 479, 21, 3), (57, 63, 1, 0), (408, 479, 20, 5), (52, 58, 1, 0),
 ]
 
 
@@ -1160,5 +1252,5 @@ def test_runs_above_exact_max_keep_the_ga_planner_trace():
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
     result = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
     assert (result.status, result.stop_reason) == ("solved", "fixpoint")
-    assert counts(result) == (1777, 1987, 106, 69)
-    assert trace_digest(result) == "4ddc5ab58e7f01a1"
+    assert counts(result) == (1178, 1457, 93, 63)
+    assert trace_digest(result) == "4e0bb530ac562311"
