@@ -8,7 +8,8 @@ metric closure (all-pairs shortest paths) with cheapest insertion and a
 genetic polish, then expands each closure leg back into the destinations it
 passes, which yields the revisits. ``solve_exact`` orders up to
 ``EXACT_MAX`` required intermediates optimally over the same closure, by
-dynamic programming over subsets. Insertion and the genetic operators take
+dynamic programming over subsets. ``lower_closure`` keeps a closure current
+while single entries of theta fall. Insertion and the genetic operators take
 complete destination graphs only. An exhaustive oracle over the same closure
 provides exact optima for small instances.
 """
@@ -95,7 +96,7 @@ class DestGraph:
     destinations that every valid sequence must contain at least once.
     """
 
-    __slots__ = ("theta", "rows", "source", "target", "required", "n", "_required_closure")
+    __slots__ = ("theta", "rows", "source", "target", "required", "n", "_closure")
 
     def __init__(
         self,
@@ -130,7 +131,7 @@ class DestGraph:
         if not (req[source] and req[target]):
             raise ValueError("source and target are always required")
         self.required = req
-        self._required_closure: tuple[np.ndarray, np.ndarray, list[int]] | None = None
+        self._closure: tuple[np.ndarray, np.ndarray] | None = None
 
     def required_intermediates(self) -> list[int]:
         return [
@@ -140,13 +141,17 @@ class DestGraph:
         ]
 
 
-def sequence_cost(dg: DestGraph, order: Sequence[int]) -> float:
-    """Theta summed over consecutive pairs, left to right."""
-    rows = dg.rows
+def order_cost(rows: Sequence[Sequence[float]], order: Sequence[int]) -> float:
+    """``rows[a][b]`` summed over consecutive pairs (a, b) of ``order``, left to right."""
     cost = 0.0
     for a, b in zip(order, order[1:]):
         cost += rows[a][b]
     return cost
+
+
+def sequence_cost(dg: DestGraph, order: Sequence[int]) -> float:
+    """Theta summed over consecutive pairs, left to right."""
+    return order_cost(dg.rows, order)
 
 
 def validate_sequence(dg: DestGraph, seq: VisitSequence) -> None:
@@ -172,7 +177,7 @@ def validate_sequence(dg: DestGraph, seq: VisitSequence) -> None:
 
 
 def make_sequence(dg: DestGraph, order: Sequence[int]) -> VisitSequence:
-    return VisitSequence(order=tuple(order), total_cost=sequence_cost(dg, order))
+    return VisitSequence(order=tuple(order), total_cost=order_cost(dg.rows, order))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +461,40 @@ def _metric_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray]:
     return dist, nxt
 
 
+def lower_closure(dist: np.ndarray, nxt: np.ndarray, i: int, k: int, w: float) -> np.ndarray:
+    """Lower a metric closure in place after theta[i][k] falls to ``w``.
+
+    ``dist`` must be the exactly symmetric closure of theta before the fall
+    and ``nxt`` its next-hop matrix, as ``metric_closure`` gives them. A
+    shortest path uses the lowered edge at most once, so one array step
+    ``min(dist, (dist[:, i] + dist[k]) + w, (dist[:, k] + dist[i]) + w)``
+    gives the new closure. The two closure terms are summed before ``w``, so
+    entry (b, a) forms the same sums as entry (a, b) and ``dist`` stays exactly
+    symmetric. Where an entry falls its next hop becomes the first hop toward
+    the edge's near end: ``nxt[a][i]``, or ``k`` when ``a == i``, and likewise
+    through ``k``. Returns the mask of the entries that fell. A fall to
+    no less than ``dist[i, k]`` lowers nothing in exact arithmetic, so it
+    returns at once rather than form sums whose rounding could.
+    """
+    if w >= dist[i, k]:
+        return np.zeros(dist.shape, dtype=bool)
+    via = dist[:, i, None] + dist[k]
+    via += w
+    alt = dist[:, k, None] + dist[i]
+    alt += w
+    take_alt = alt < via
+    np.copyto(via, alt, where=take_alt)
+    fell = via < dist
+    if fell.any():
+        hop_i = nxt[:, i].copy()
+        hop_i[i] = k
+        hop_k = nxt[:, k].copy()
+        hop_k[k] = i
+        np.copyto(dist, via, where=fell)
+        np.copyto(nxt, np.where(take_alt, hop_k[:, None], hop_i[:, None]), where=fell)
+    return fell
+
+
 def _closure_path(nxt: np.ndarray, stops: Sequence[int]) -> list[int]:
     """Shortest paths between consecutive ``stops``, joined into one sequence."""
     path = [stops[0]]
@@ -468,28 +507,33 @@ def _closure_path(nxt: np.ndarray, stops: Sequence[int]) -> list[int]:
     return path
 
 
+def metric_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The metric closure of theta, made exactly symmetric, and its next-hop matrix.
+
+    The two directions of a closure distance are summed in different orders
+    and can differ in the last bit; each entry keeps the smaller. Computed on
+    the first call and kept on ``dg``; callers must not modify the arrays.
+    """
+    if dg._closure is None:
+        dist, nxt = _metric_closure(dg)
+        dg._closure = (np.minimum(dist, dist.T), nxt)
+    return dg._closure
+
+
 def required_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The ordering problem ``solve`` works on: the closure over required destinations.
 
-    Returns the symmetric metric-closure submatrix over the required
-    destinations, the next-hop matrix of the full closure and the required
-    destination indices in ascending order (the submatrix's rows). Two
-    ``DestGraph`` inputs with bit-identical submatrices give ``solve`` the
-    same problem. Raises ``NoSequenceError`` when an entry is infinite.
-    Computed on the first call and kept on ``dg``, so the planner's change
-    test and the ``solve`` that follows it share one closure; callers must not
-    modify the arrays.
+    Returns the submatrix of ``metric_closure`` over the required
+    destinations, the next-hop matrix of the full closure (callers must not
+    modify it) and the required destination indices in ascending order (the
+    submatrix's rows). Raises ``NoSequenceError`` when an entry is infinite.
     """
-    if dg._required_closure is None:
-        closure, nxt = _metric_closure(dg)
-        keep = [i for i in range(dg.n) if dg.required[i]]
-        sub = closure[np.ix_(keep, keep)]
-        if not np.all(np.isfinite(sub)):
-            raise NoSequenceError("some required destinations are mutually unreachable")
-        # The two directions of a closure distance are summed in different
-        # orders and can differ in the last bit; DestGraph needs exact symmetry.
-        dg._required_closure = (np.minimum(sub, sub.T), nxt, keep)
-    return dg._required_closure
+    dist, nxt = metric_closure(dg)
+    keep = [i for i in range(dg.n) if dg.required[i]]
+    sub = dist[np.ix_(keep, keep)]
+    if not np.all(np.isfinite(sub)):
+        raise NoSequenceError("some required destinations are mutually unreachable")
+    return sub, nxt, keep
 
 
 def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
@@ -519,9 +563,13 @@ EXACT_MAX = 10
 def _subset_steps(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
     """The dynamic programme's states over ``m`` items, one group per subset size 2 to m.
 
-    A group lists every (mask, j) with j in mask as four index arrays: the
-    masks (ascending), the j's (ascending within a mask), the masks with j
-    removed, and the positions 0, 1, ... of the states.
+    States live in a flat table, state (mask, j) at ``mask * m + j``. A group
+    lists every state (mask, j) of its size with j in mask, masks ascending
+    and j ascending within a mask, as four index arrays: one row per state
+    of the flat indices ``prev * m + (0, 1, ..., m - 1)`` of the states it
+    extends, with ``prev`` the mask with j removed; the j's; the flat
+    indices of the states themselves; and the flat offsets 0, m, 2m, ... of
+    the rows.
     """
     masks = np.arange(1 << m)
     member = (masks[:, None] >> np.arange(m)) & 1
@@ -529,52 +577,68 @@ def _subset_steps(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.
     steps = []
     for k in range(2, m + 1):
         mask, j = np.nonzero(member * (sizes == k)[:, None])
-        steps.append((mask, j, mask ^ (1 << j), np.arange(mask.size)))
+        prev = mask ^ (1 << j)
+        steps.append((prev[:, None] * m + np.arange(m), j, mask * m + j, np.arange(0, mask.size * m, m)))
     return tuple(steps)
 
 
-def solve_exact(dg: DestGraph) -> VisitSequence:
-    """Optimal order of the required destinations over the metric closure, then expand.
+def exact_order(closure: np.ndarray, nxt: np.ndarray, keep: Sequence[int], source: int, target: int) -> list[int]:
+    """The optimal order of the destinations ``keep`` from ``source`` to ``target``, expanded.
 
-    Bellman-Held-Karp dynamic programming over the subsets of the m required
+    ``closure`` is the exactly symmetric metric closure over ``keep``
+    (ascending destination indices, its rows), ``nxt`` the next-hop matrix
+    over every destination, and ``source`` and ``target`` lie in ``keep``;
+    at most ``EXACT_MAX`` intermediates, which the caller checks.
+    Bellman-Held-Karp dynamic programming over the subsets of the m
     intermediates: ``cost[mask, j]`` is the cheapest route from the source
     through exactly the intermediates in ``mask``, ending at ``j``, summed
     left to right as ``sequence_cost`` sums an order. One array step per
     subset size gathers ``cost[mask ^ bit_j, i] + D[i, j]`` for every state
     (mask, j) of that size with j in mask and keeps the argmin over ``i`` for
     the walk back from the target; at each step of that walk a tie goes to
-    the lowest index. Raises ``ValueError`` when m exceeds ``EXACT_MAX`` and
+    the lowest index. Each closure leg of the order is then expanded through
+    the destinations it passes.
+    """
+    s, t = keep.index(source), keep.index(target)
+    mids = [i for i in range(len(keep)) if i != s and i != t]
+    m = len(mids)
+    order: list[int] = []
+    if m:
+        step = closure[np.ix_(mids, mids)]  # symmetric, so step[j, i] is the leg from i to j
+        # States (mask, i) with i outside mask stay infinite: no argmin picks them.
+        cost = np.full((1 << m) * m, INF)
+        via = np.zeros((1 << m) * m, dtype=np.intp)
+        first = np.arange(m)
+        cost[(1 << first) * m + first] = closure[s, mids]
+        for gather, j, state, row in _subset_steps(m):
+            cand = cost.take(gather)
+            cand += step.take(j, axis=0)
+            best = cand.argmin(axis=1)
+            via[state] = best
+            best += row
+            cost[state] = cand.take(best)
+        mask = (1 << m) - 1
+        j = int(np.argmin(cost[mask * m : (mask + 1) * m] + closure[mids, t]))
+        while True:
+            order.append(j)
+            if mask == 1 << j:
+                break
+            mask, j = mask ^ (1 << j), int(via[mask * m + j])
+        order.reverse()
+    return _closure_path(nxt, [keep[s], *(keep[mids[j]] for j in order), keep[t]])
+
+
+def solve_exact(dg: DestGraph) -> VisitSequence:
+    """Optimal order of the required destinations over the metric closure, then expand.
+
+    ``exact_order`` over ``required_closure``. Raises ``ValueError`` when
+    there are more than ``EXACT_MAX`` required intermediates and
     ``NoSequenceError`` as ``required_closure`` does.
     """
     m = len(dg.required_intermediates())
     if m > EXACT_MAX:
         raise ValueError(f"solve_exact refuses more than {EXACT_MAX} required intermediates, got {m}")
-    theta, nxt, keep = required_closure(dg)
-    s, t = keep.index(dg.source), keep.index(dg.target)
-    mids = [i for i in range(len(keep)) if i != s and i != t]
-    order: list[int] = []
-    if m:
-        step = theta[np.ix_(mids, mids)]  # symmetric, so step[j, i] is the leg from i to j
-        # States (mask, i) with i outside mask stay infinite: no argmin picks them.
-        cost = np.full((1 << m, m), INF)
-        via = np.zeros((1 << m, m), dtype=np.intp)
-        first = np.arange(m)
-        cost[1 << first, first] = theta[s, mids]
-        for mask, j, prev, pos in _subset_steps(m):
-            cand = cost[prev] + step[j]
-            best = cand.argmin(axis=1)
-            via[mask, j] = best
-            cost[mask, j] = cand[pos, best]
-        mask = (1 << m) - 1
-        j = int(np.argmin(cost[mask] + theta[mids, t]))
-        while True:
-            order.append(j)
-            if mask == 1 << j:
-                break
-            mask, j = mask ^ (1 << j), int(via[mask, j])
-        order.reverse()
-    stops = [keep[s], *(keep[mids[j]] for j in order), keep[t]]
-    return make_sequence(dg, _closure_path(nxt, stops))
+    return make_sequence(dg, exact_order(*required_closure(dg), dg.source, dg.target))
 
 
 # ---------------------------------------------------------------------------

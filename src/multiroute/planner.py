@@ -5,11 +5,11 @@ waypoint hints, target) over the shared routing graph. Nodes reached by two
 trees connect their destinations; the best such meeting points feed a
 destination distance matrix. Whenever the matrix improves, the required
 destinations are mutually reachable and their metric closure (the problem the
-ordering solver orders) changed, the solver is re-run and any strictly better
+ordering solver orders) fell, the solver is re-run and any strictly better
 overall route is emitted, so solution quality only improves over a run. Up to
 ``ordering.EXACT_MAX`` required intermediates the order is exact
-(``ordering.solve_exact``); above that the genetic solver ``ordering.solve``
-runs.
+(``ordering.solve_exact``, then its core ``ordering.exact_order``); above that
+the genetic solver ``ordering.solve`` runs.
 
 A run has two phases. Phase 1 grows the trees by sampling, round-robin, with
 the paper's extend and rewire steps, up to the first emitted route; its rewire
@@ -20,8 +20,11 @@ then grows them in cost order: each iteration pops the least-cost entry of
 the tree whose least key is smallest among the trees with an unproved pair,
 and relaxes that node's graph neighbours (``relax_least``). A pair is proved
 exact once ``matrix[i][k] <= r_i + r_k``, with ``r_i`` tree i's least key; a
-tree whose pairs are all proved is not popped again. The run stops once
-every pair is proved; with an exact order that route is optimal.
+tree whose pairs are all proved is not popped again. Phase 2 keeps the metric
+closure the first route's solve computed and lowers it per improved pair
+(``ordering.lower_closure``); a solve runs only if some closure entry between
+two required destinations fell since the last one. The run stops once every
+pair is proved; with an exact order that route is optimal.
 Single-threaded and deterministic for a fixed seed.
 """
 
@@ -508,8 +511,8 @@ class PlanResult:
     # phase 1 saturated a required tree without a route), "time_budget",
     # "max_iterations" or "first_solution" (``stop_after_first``).
     stop_reason: str
-    # In-loop ordering solves run, and those skipped because the required
-    # destinations' metric closure was bit-identical to the last one solved.
+    # In-loop ordering solves run, and those skipped because no closure entry
+    # between two required destinations fell since the last solve.
     solver_calls: int = 0
     solver_skips: int = 0
 
@@ -593,37 +596,44 @@ def plan(
     iterations = 0
     solutions: list[AnytimeSolution] = []
     n_trees = len(trees)
-    solved_closure: np.ndarray | None = None
     solver_calls = 0
     solver_skips = 0
     exact = sum(dests.required) - 2 <= ordering.EXACT_MAX
+    keep = [i for i in range(n_trees) if dests.required[i]]
+    required_pairs = np.outer(dests.required, dests.required)
+    # Phase 2's metric closure of conn.matrix and its next hops, taken from the
+    # solve that emits the first route and lowered per improved pair since.
+    closure: np.ndarray | None = None
+    hops: np.ndarray | None = None
 
-    def try_solve(in_loop: bool) -> None:
-        """Solve the current matrix and emit the route if it is strictly cheaper.
+    def try_solve(final: bool = False) -> None:
+        """Order the destinations and emit the route if it is strictly cheaper.
 
-        An in-loop solve is skipped when the ordering problem, the closure over
-        the required destinations, is bit-identical to the last one solved in
-        the loop: it would give the same order, or only re-roll the GA seed.
-        In-loop GA solves run at ``cfg.solver_ga``, the final one at full
-        strength; each takes the next seed of the solver stream.
+        The solve that emits the first route builds a ``DestGraph`` of the
+        matrix and keeps its metric closure for phase 2. Later exact solves
+        order that maintained closure with ``ordering.exact_order`` and sum
+        the order over the matrix rows, as ``ordering.solve_exact`` does. GA
+        solves build a ``DestGraph`` each time; in-loop ones run at
+        ``cfg.solver_ga``, the final one at full strength, and each takes the
+        next seed of the solver stream.
         """
-        nonlocal solved_closure, solver_calls, solver_skips
-        dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
-        try:
-            if in_loop:
-                closure = ordering.required_closure(dg)[0]
-                if solved_closure is not None and np.array_equal(closure, solved_closure):
-                    solver_skips += 1
-                    return
-                solved_closure = closure
-                solver_calls += 1
+        nonlocal closure, hops, solver_calls
+        if exact and closure is not None:
+            order = ordering.exact_order(
+                closure[np.ix_(keep, keep)], hops, keep, dests.source_index, dests.target_index
+            )
+            seq = VisitSequence(tuple(order), ordering.order_cost(conn.matrix, order))
+        else:
+            dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
             if exact:
                 seq = ordering.solve_exact(dg)
             else:
-                ga_cfg = cfg.solver_ga if in_loop else GaConfig()
+                ga_cfg = GaConfig() if final else cfg.solver_ga
                 seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
-        except ordering.NoSequenceError:
-            return
+            if closure is None:
+                closure, hops = (a.copy() for a in ordering.metric_closure(dg))
+        if not final:
+            solver_calls += 1
         path, cost = stitch_node_path(seq, trees, conn)
         if not solutions or cost < solutions[-1].total_cost:
             sol = AnytimeSolution(
@@ -676,7 +686,7 @@ def plan(
             changed.update(ch)
         improved = update_connections(conn, trees, sorted(changed), idx)
         if improved and destinations_connected(conn.matrix, dests.required):
-            try_solve(in_loop=True)
+            try_solve()
 
     # Phase 2: cost-ordered growth until every matrix entry is proved exact.
     # Every node whose true cost-to-come from root i is below r_i carries that
@@ -713,14 +723,25 @@ def plan(
                 open_[k].remove(idx)
             live = [i for i in live if open_[i]]
             if improved:
-                try_solve(in_loop=True)
+                # Every pop with an improvement solves or skips, so the entries
+                # lowered here are all that fell since the last solve.
+                fell = [
+                    ordering.lower_closure(closure, hops, i, k, matrix[i][k])[required_pairs].any()
+                    for i, k in dict.fromkeys(improved)
+                ]
+                if any(fell):
+                    try_solve()
+                else:
+                    solver_skips += 1
             stop_reason = budget_spent()
         if not live:
             stop_reason = "optimal" if exact else "fixpoint"
 
+    # An exact run's last in-loop solve already ordered the final closure; a
+    # GA run re-solves it at full strength.
     connected = destinations_connected(conn.matrix, dests.required)
-    if connected and not (cfg.stop_after_first and solutions):
-        try_solve(in_loop=False)
+    if connected and not exact and not (cfg.stop_after_first and solutions):
+        try_solve(final=True)
 
     if solutions:
         status = "solved"

@@ -30,6 +30,7 @@ from multiroute.planner import (
     relax_least,
     rewire,
     sample,
+    stitch_node_path,
     update_connections,
     validate_node_path,
 )
@@ -639,36 +640,30 @@ def integer_weighted_geometric_graph(n, radius, seed):
     return RoutingGraph(g.nodes, [(u, v, float(weights.randint(1, 9))) for u, v, _ in g.edges()])
 
 
-def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
-    # Integer weights keep the closure sums exact, so "unchanged" is exact
-    # too. On this 60-node graph every seed reaches both branches of the skip
-    # test: a pair improves but stays above the path through the third
-    # destination, or the closure falls. One objective is within
-    # ordering.EXACT_MAX, so every solve is exact; the spy has no ``solve``,
-    # so a GA solve would fail.
+def test_in_loop_solve_runs_only_when_the_required_closure_falls(monkeypatch):
+    # Integer weights keep the closure sums exact, so "falls" is exact too. On
+    # this 60-node graph every seed reaches both branches of the skip rule: a
+    # pair improves but stays above the path through the third destination,
+    # or the closure falls. One objective is within ordering.EXACT_MAX, so
+    # every solve is exact and no final solve follows the loop. Every solve
+    # stitches its order once, so stitch calls mark the solves.
     g = integer_weighted_geometric_graph(60, 0.22, seed=1)
     picks = random.Random(1).sample(largest_component(g), 3)
     dests = DestinationSet.build(picks[0], picks[1], objectives=(picks[2],))
-    events = []  # ("check", theta, closure, dg) or ("solve", theta, in loop)
+    events = []  # ("improved", matrix) or ("solve",)
 
-    def checked(dg):
-        out = ordering.required_closure(dg)
-        events.append(("check", dg.theta.copy(), out[0].copy(), dg))
+    def improving(conn, *args):
+        out = update_connections(conn, *args)
+        if out:
+            events.append(("improved", np.array(conn.matrix)))
         return out
 
-    def solved(dg):
-        # An in-loop solve orders the DestGraph its skip test just checked.
-        in_loop = bool(events) and events[-1][0] == "check" and events[-1][3] is dg
-        events.append(("solve", dg.theta.copy(), in_loop))
-        return ordering.solve_exact(dg)
+    def stitching(*args):
+        events.append(("solve",))
+        return stitch_node_path(*args)
 
-    spy = SimpleNamespace(
-        required_closure=checked,
-        solve_exact=solved,
-        EXACT_MAX=ordering.EXACT_MAX,
-        NoSequenceError=ordering.NoSequenceError,
-    )
-    monkeypatch.setattr(planner_module, "ordering", spy)
+    monkeypatch.setattr(planner_module, "update_connections", improving)
+    monkeypatch.setattr(planner_module, "stitch_node_path", stitching)
     dominated = lowered = 0
     for seed in range(6):
         events.clear()
@@ -679,75 +674,70 @@ def test_in_loop_solve_runs_only_when_the_required_closure_changes(monkeypatch):
             validate_node_path(g, dests, sol.node_path)
 
         result = plan(g, dests, light_cfg(rng_seed=seed), on_solution=check)
-        assert result.status == "solved"
+        assert (result.status, result.stop_reason) == ("solved", "optimal")
         assert all(a > b for a, b in zip(costs, costs[1:]))
-        last = None  # (matrix, closure) of the check the last in-loop solve followed
+        last = None  # (matrix, required closure) at the last solve
         runs = skips = 0
-        for i, (kind, theta, closure, *_) in enumerate(events):
-            if kind != "check":
+        for i, event in enumerate(events):
+            if event[0] != "improved":
                 continue
-            ran = i + 1 < len(events) and events[i + 1][0] == "solve" and events[i + 1][2]
+            matrix = event[1]
+            dg = ordering.DestGraph(matrix, dests.source_index, dests.target_index, dests.required)
+            try:
+                closure = ordering.required_closure(dg)[0]
+            except ordering.NoSequenceError:
+                assert last is None  # phase 1 tries a solve once they connect
+                continue
+            ran = i + 1 < len(events) and events[i + 1][0] == "solve"
             if last is None:
-                assert ran, "the first in-loop solve of a run is never skipped"
+                assert ran, "the first solve of a run is never skipped"
             elif np.array_equal(closure, last[1]):
                 assert not ran
                 # A pair improved, but its entry stays above the path
                 # through a third destination.
-                down = theta < last[0]
-                dominated += bool(np.any(theta[down] > closure[down]))
+                down = matrix < last[0]
+                dominated += bool(np.any(matrix[down] > closure[down]))
             else:
-                assert ran
-                lowered += bool(np.any(closure < last[1]))
+                assert ran and np.all(closure <= last[1])
+                lowered += 1
             runs += ran
             skips += not ran
             if ran:
-                last = (theta, closure)
+                last = (matrix, closure)
         assert (result.solver_calls, result.solver_skips) == (runs, skips)
-        # The final solve always runs, last, on a DestGraph of its own.
-        assert events[-1][0] == "solve" and not events[-1][2]
+        assert sum(e[0] == "solve" for e in events) == runs
     assert dominated > 0 and lowered > 0
 
 
-def test_in_loop_solve_reuses_the_closure_of_its_change_test(monkeypatch):
-    # The skip test computes the required closure of the DestGraph it then
-    # hands to solve_exact; solve_exact finds it there. The final solve, on a
-    # DestGraph of its own, makes its own.
+def test_exact_run_builds_one_destination_graph_and_closure(monkeypatch):
+    # Only the solve that emits the first route builds a DestGraph and runs
+    # Floyd-Warshall; later solves order the closure phase 2 keeps lowering.
     g, _ = random_geometric_graph(150, 0.15, seed=31)
     picks = random.Random(31).sample(largest_component(g), 6)
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
     cfg = light_cfg(rng_seed=3)
-    real_closure, real_solve = ordering._metric_closure, ordering.solve_exact
-    closures = 0
-    solves = []  # (DestGraph had a closure, closures made before the call, closures made by its return)
+    emitted = []
+    built = []  # emissions so far, per DestGraph built
+    closures = []  # emissions so far, per Floyd-Warshall closure
+    real_closure = ordering._metric_closure
+
+    class CountedDestGraph(ordering.DestGraph):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(len(emitted))
+            super().__init__(*args)
 
     def counted_closure(dg):
-        nonlocal closures
-        closures += 1
+        closures.append(len(emitted))
         return real_closure(dg)
 
-    def counted_solve(dg):
-        entry = closures
-        had_closure = dg._required_closure is not None
-        out = real_solve(dg)
-        solves.append((had_closure, entry, closures))
-        return out
-
+    monkeypatch.setattr(planner_module, "DestGraph", CountedDestGraph)
     monkeypatch.setattr(ordering, "_metric_closure", counted_closure)
-    monkeypatch.setattr(ordering, "solve_exact", counted_solve)
-    result = plan(g, dests, cfg)
-    assert result.status == "solved"
-    # Every in-loop solve, then the final one.
-    assert len(solves) - 1 == result.solver_calls >= 2
-    prev_exit = 0
-    for had_closure, entry, exit_ in solves[:-1]:
-        assert had_closure
-        # Its skip test made one closure since the last solve; it made none.
-        assert entry > prev_exit and exit_ == entry
-        prev_exit = exit_
-    had_closure, entry, exit_ = solves[-1]
-    assert not had_closure and exit_ == entry + 1
-    # One closure per skip test, skipped or not, and one for the final solve.
-    assert closures == result.solver_calls + result.solver_skips + 1
+    result = plan(g, dests, cfg, on_solution=emitted.append)
+    assert (result.status, result.stop_reason) == ("solved", "optimal")
+    assert result.solver_calls >= 2 and len(result.solutions) >= 2
+    assert built == closures == [0]
 
 
 def test_final_matrix_dominates_dijkstra_distances():
@@ -1192,8 +1182,8 @@ def trace_digest(result) -> str:
 # changes some of them. The fixpoint runs end proved optimal in phase 2; the
 # first-route runs end inside phase 1.
 GOLDEN_TRACES = [
-    "b19b5474c6f94b02", "960577490d42b18f", "63b65ead71ceab25", "7fb66f4956608268",
-    "2dd2def1a677cbb4", "09406b24b09419bb", "88d2f3cf4f1fbb6f", "2d54020055a92202",
+    "dd4c90ce535664f4", "960577490d42b18f", "65d3f1e64a497189", "7fb66f4956608268",
+    "86200c2f4b90fe55", "09406b24b09419bb", "f0991d5f26e3681b", "2d54020055a92202",
     "39e291f064c58a55", "a25197d1a1034317", "c9236d958d53ce17", "4bd72533a758fb60",
 ]
 # The same runs' (iterations, explored nodes, solver calls, solver skips). Tree
@@ -1201,7 +1191,7 @@ GOLDEN_TRACES = [
 # the destinations.
 GOLDEN_COUNTS = [
     (739, 829, 28, 11), (75, 81, 1, 0), (728, 829, 29, 10), (64, 70, 1, 0),
-    (761, 949, 36, 19), (56, 64, 1, 0), (773, 950, 44, 15), (68, 76, 1, 0),
+    (761, 949, 35, 20), (56, 64, 1, 0), (773, 950, 44, 15), (68, 76, 1, 0),
     (413, 479, 21, 3), (57, 63, 1, 0), (408, 479, 20, 5), (52, 58, 1, 0),
 ]
 
