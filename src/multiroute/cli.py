@@ -50,6 +50,7 @@ class RunReport:
     solver_calls: int = 0
     solver_skips: int = 0
     stop_reason: str | None = None
+    lower_bound: float | None = None
 
 
 @contextmanager
@@ -181,6 +182,7 @@ def _run_planner(
     report.solver_calls = result.solver_calls
     report.solver_skips = result.solver_skips
     report.stop_reason = result.stop_reason
+    report.lower_bound = result.lower_bound
     if result.final is not None:
         report.final_cost = result.final.total_cost
         report.node_path = list(result.final.node_path)

@@ -8,10 +8,11 @@ metric closure (all-pairs shortest paths) with cheapest insertion and a
 genetic polish, then expands each closure leg back into the destinations it
 passes, which yields the revisits. ``solve_exact`` orders up to
 ``EXACT_MAX`` required intermediates optimally over the same closure, by
-dynamic programming over subsets. ``lower_closure`` keeps a closure current
-while single entries of theta fall. Insertion and the genetic operators take
-complete destination graphs only. An exhaustive oracle over the same closure
-provides exact optima for small instances.
+dynamic programming over subsets (``held_karp``, which orders any symmetric
+matrix, such as the planner's lower bounds). ``lower_closure`` keeps a
+closure current while single entries of theta fall. Insertion and the
+genetic operators take complete destination graphs only. An exhaustive
+oracle over the same closure provides exact optima for small instances.
 """
 
 from __future__ import annotations
@@ -582,6 +583,57 @@ def _subset_steps(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return tuple(steps)
 
 
+def held_karp(dist: np.ndarray, source: int, target: int) -> tuple[list[int], float]:
+    """The cheapest order of every row of ``dist`` from ``source`` to ``target``, and its cost.
+
+    ``dist`` is an exactly symmetric matrix with at most ``EXACT_MAX`` + 2
+    rows, which the caller checks; the order lists row indices, ``source``
+    first and ``target`` last, each once. Raises ``NoSequenceError`` when
+    every such order has an infinite entry. Bellman-Held-Karp dynamic
+    programming over the subsets of the m intermediates: ``cost[mask, j]`` is
+    the cheapest route from the source through exactly the intermediates in
+    ``mask``, ending at ``j``, summed left to right as ``sequence_cost`` sums
+    an order, so the returned cost is the order's ``order_cost`` over
+    ``dist``, bit for bit. One array step per subset size gathers
+    ``cost[mask ^ bit_j, i] + dist[i, j]`` for every state (mask, j) of that
+    size with j in mask and keeps the argmin over ``i`` for the walk back
+    from the target; at each step of that walk a tie goes to the lowest index.
+    """
+    mids = [i for i in range(dist.shape[0]) if i != source and i != target]
+    m = len(mids)
+    if not m:
+        if dist[source, target] == INF:
+            raise NoSequenceError("every order has an infinite leg")
+        return [source, target], float(dist[source, target])
+    step = dist[np.ix_(mids, mids)]  # symmetric, so step[j, i] is the leg from i to j
+    # States (mask, i) with i outside mask stay infinite: no argmin picks them.
+    cost = np.full((1 << m) * m, INF)
+    via = np.zeros((1 << m) * m, dtype=np.intp)
+    first = np.arange(m)
+    cost[(1 << first) * m + first] = dist[source, mids]
+    for gather, j, state, row in _subset_steps(m):
+        cand = cost.take(gather)
+        cand += step.take(j, axis=0)
+        best = cand.argmin(axis=1)
+        via[state] = best
+        best += row
+        cost[state] = cand.take(best)
+    mask = (1 << m) - 1
+    last = cost[mask * m : (mask + 1) * m] + dist[mids, target]
+    j = int(np.argmin(last))
+    total = float(last[j])
+    if total == INF:  # the walk back would follow the argmin of infinite rows
+        raise NoSequenceError("every order has an infinite leg")
+    order: list[int] = []
+    while True:
+        order.append(mids[j])
+        if mask == 1 << j:
+            break
+        mask, j = mask ^ (1 << j), int(via[mask * m + j])
+    order.reverse()
+    return [source, *order, target], total
+
+
 def exact_order(closure: np.ndarray, nxt: np.ndarray, keep: Sequence[int], source: int, target: int) -> list[int]:
     """The optimal order of the destinations ``keep`` from ``source`` to ``target``, expanded.
 
@@ -589,43 +641,11 @@ def exact_order(closure: np.ndarray, nxt: np.ndarray, keep: Sequence[int], sourc
     (ascending destination indices, its rows), ``nxt`` the next-hop matrix
     over every destination, and ``source`` and ``target`` lie in ``keep``;
     at most ``EXACT_MAX`` intermediates, which the caller checks.
-    Bellman-Held-Karp dynamic programming over the subsets of the m
-    intermediates: ``cost[mask, j]`` is the cheapest route from the source
-    through exactly the intermediates in ``mask``, ending at ``j``, summed
-    left to right as ``sequence_cost`` sums an order. One array step per
-    subset size gathers ``cost[mask ^ bit_j, i] + D[i, j]`` for every state
-    (mask, j) of that size with j in mask and keeps the argmin over ``i`` for
-    the walk back from the target; at each step of that walk a tie goes to
-    the lowest index. Each closure leg of the order is then expanded through
-    the destinations it passes.
+    ``held_karp`` orders the closure; each closure leg of the order is then
+    expanded through the destinations it passes.
     """
-    s, t = keep.index(source), keep.index(target)
-    mids = [i for i in range(len(keep)) if i != s and i != t]
-    m = len(mids)
-    order: list[int] = []
-    if m:
-        step = closure[np.ix_(mids, mids)]  # symmetric, so step[j, i] is the leg from i to j
-        # States (mask, i) with i outside mask stay infinite: no argmin picks them.
-        cost = np.full((1 << m) * m, INF)
-        via = np.zeros((1 << m) * m, dtype=np.intp)
-        first = np.arange(m)
-        cost[(1 << first) * m + first] = closure[s, mids]
-        for gather, j, state, row in _subset_steps(m):
-            cand = cost.take(gather)
-            cand += step.take(j, axis=0)
-            best = cand.argmin(axis=1)
-            via[state] = best
-            best += row
-            cost[state] = cand.take(best)
-        mask = (1 << m) - 1
-        j = int(np.argmin(cost[mask * m : (mask + 1) * m] + closure[mids, t]))
-        while True:
-            order.append(j)
-            if mask == 1 << j:
-                break
-            mask, j = mask ^ (1 << j), int(via[mask * m + j])
-        order.reverse()
-    return _closure_path(nxt, [keep[s], *(keep[mids[j]] for j in order), keep[t]])
+    order, _ = held_karp(closure, keep.index(source), keep.index(target))
+    return _closure_path(nxt, [keep[i] for i in order])
 
 
 def solve_exact(dg: DestGraph) -> VisitSequence:

@@ -17,14 +17,17 @@ reparents only the new node's neighbours, and phase 2 corrects their subtrees.
 It skips the saturated tree of an optional destination; the tree of a required
 one that saturates before any route proves that no route exists. Phase 2
 then grows them in cost order: each iteration pops the least-cost entry of
-the tree whose least key is smallest among the trees with an unproved pair,
+the tree whose least key is smallest among the trees of the needed pairs,
 and relaxes that node's graph neighbours (``relax_least``). A pair is proved
-exact once ``matrix[i][k] <= r_i + r_k``, with ``r_i`` tree i's least key; a
-tree whose pairs are all proved is not popped again. Phase 2 keeps the metric
-closure the first route's solve computed and lowers it per improved pair
-(``ordering.lower_closure``); a solve runs only if some closure entry between
-two required destinations fell since the last one. The run stops once every
-pair is proved; with an exact order that route is optimal.
+exact once ``matrix[i][k] <= r_i + r_k``, with ``r_i`` tree i's least key.
+With the genetic solver every unproved pair is needed, and the run stops
+once all are proved. With an exact order, only the unproved legs of a
+lower-bound order are (``bound_order``: the cheapest order over the matrix
+with each unproved entry lowered to ``r_i + r_k``); the run stops once that
+order's legs are all proved, which makes the last route optimal. Phase 2
+keeps the metric closure the first route's solve computed and lowers it per
+improved pair (``ordering.lower_closure``); a solve runs only if some closure
+entry between two required destinations fell since the last one.
 Single-threaded and deterministic for a fixed seed.
 """
 
@@ -455,9 +458,42 @@ def destinations_connected(
     return all(seen[i] for i in want)
 
 
+def bound_order(
+    matrix: Sequence[Sequence[float]],
+    r: Sequence[float],
+    keep: Sequence[int],
+    source: int,
+    target: int,
+) -> tuple[list[int], float]:
+    """A lower bound on the optimal route's cost, and the order that attains it.
+
+    Orders the destinations ``keep`` (ascending, ``source`` and ``target``
+    among them) with ``ordering.held_karp`` over ``L[i][k] = min(matrix[i][k],
+    r[i] + r[k])``, with ``r`` the trees' least heap keys. Each entry is at
+    most the true distance: the matrix entry is a realized path's cost, and a
+    pair whose true distance is below r_i + r_k has an exact entry no higher,
+    by phase 2's exactness argument (see ``plan``). True distances are
+    metric, so the cheapest order over L costs at most the optimum. Returns
+    that order, as destination indices, and its cost over L.
+    """
+    sub = np.array(matrix)[np.ix_(keep, keep)]
+    rk = np.array(r)[keep]
+    order, cost = ordering.held_karp(np.minimum(sub, rk[:, None] + rk), keep.index(source), keep.index(target))
+    return [keep[i] for i in order], cost
+
+
 # ---------------------------------------------------------------------------
 # Planner loop
 # ---------------------------------------------------------------------------
+
+# Phase-2 pops an exact run takes before it re-solves its lower-bound order
+# while some leg is still open: keys rise with every pop, so the order can
+# change before its legs are proved. A re-solve is one Held-Karp solve. On the
+# bench's 24 fixpoint scenarios of seeds 1-4, 25 pops cut iterations by 3-9 %
+# but took 22-55 % more CPU time than 100, and 50 took 10-14 % more; 200 took
+# the same time as 100.
+BOUND_POPS = 100
+
 
 @dataclass
 class PlannerConfig:
@@ -505,16 +541,22 @@ class PlanResult:
     explored_nodes: int
     wall_time: float
     distance_matrix: list[list[float]]
-    # Why the loop ended: "optimal" (phase 2 proved every matrix entry exact
-    # and the order is exact, so the last route is optimal), "fixpoint"
-    # (phase 2 proved the matrix exact but the genetic solver orders it, or
-    # phase 1 saturated a required tree without a route), "time_budget",
+    # Why the loop ended: "optimal" (phase 2 proved exact every leg of an
+    # order whose cost bounds the optimum from below, so the last route is
+    # optimal), "fixpoint" (phase 2 proved every matrix entry exact but the
+    # genetic solver orders it, or phase 1 saturated a required tree without
+    # a route), "time_budget",
     # "max_iterations" or "first_solution" (``stop_after_first``).
     stop_reason: str
     # In-loop ordering solves run, and those skipped because no closure entry
     # between two required destinations fell since the last solve.
     solver_calls: int = 0
     solver_skips: int = 0
+    # The highest lower bound on the optimal route's cost that phase 2 of an
+    # exact run found (``bound_order``); it equals the last route's cost, up to
+    # rounding, once the run ends "optimal". None for runs that the genetic
+    # solver orders and for runs that end in phase 1.
+    lower_bound: float | None = None
 
     @property
     def final(self) -> AnytimeSolution | None:
@@ -598,6 +640,7 @@ def plan(
     n_trees = len(trees)
     solver_calls = 0
     solver_skips = 0
+    lower_bound: float | None = None
     exact = sum(dests.required) - 2 <= ordering.EXACT_MAX
     keep = [i for i in range(n_trees) if dests.required[i]]
     required_pairs = np.outer(dests.required, dests.required)
@@ -688,17 +731,24 @@ def plan(
         if improved and destinations_connected(conn.matrix, dests.required):
             try_solve()
 
-    # Phase 2: cost-ordered growth until every matrix entry is proved exact.
-    # Every node whose true cost-to-come from root i is below r_i carries that
-    # cost, so matrix[i][k] <= r_i + r_k proves the entry exact, and the pair
-    # leaves conn.open. Keys only rise and entries only fall, so a proved pair
-    # stays proved, and a pop from tree i can prove only pairs of tree i. A
-    # tree whose heap is empty has r = INF, so a pair stays open only while
-    # both heaps hold entries. Only trees with an open pair are popped: a pop
-    # of tree i changes only tree i's state, so each such tree pops the same
-    # sequence as if every tree were popped, and an open pair is still
-    # updated from both sides. Phase 1 emitted a route and entries only fall,
-    # so the required destinations stay connected.
+    # Phase 2: cost-ordered growth until the pairs the run waits for are
+    # proved exact. Every node whose true cost-to-come from root i is below
+    # r_i carries that cost, so matrix[i][k] <= r_i + r_k proves the entry
+    # exact, and the pair leaves conn.open. Keys only rise and entries only
+    # fall, so a proved pair stays proved, and a pop from tree i can prove
+    # only pairs of tree i. A tree whose heap is empty has r = INF, so a pair
+    # stays open only while both heaps hold entries. Only trees of a needed
+    # pair are popped: a pop of tree i changes only tree i's state, so each
+    # such tree pops the same sequence as if every tree were popped, and an
+    # open pair is still updated from both sides. Phase 1 emitted a route and
+    # entries only fall, so the required destinations stay connected.
+    #
+    # A GA run needs every open pair. An exact run needs only the open legs
+    # of its lower-bound order (``bound_order``), which it re-solves once
+    # they are all proved or after ``BOUND_POPS`` pops. A re-solve that finds
+    # every leg proved ends the run: the order's cost over exact entries is
+    # its bound, so it is optimal, and the last in-loop solve ordered the
+    # required closure of the same matrix, so the last route costs no more.
     if stop_reason is None:
         stop_reason = budget_spent()
     if stop_reason is None:
@@ -710,10 +760,26 @@ def plan(
         open_ = conn.open
         for i in range(n_trees):
             open_[i] = [k for k in open_[i] if matrix[i][k] > r[i] + r[k]]
-        live = [i for i in range(n_trees) if open_[i]]
-        while live and stop_reason is None:
+        needed = set() if exact else {(i, k) for i in range(n_trees) for k in open_[i] if i < k}
+        live: list[int] = []  # the trees of the needed pairs, ascending; empty when stale
+        pops = 0  # since the last lower-bound order
+        while True:
+            if exact and (not needed or pops >= BOUND_POPS):
+                order, bound = bound_order(matrix, r, keep, dests.source_index, dests.target_index)
+                lower_bound = bound if lower_bound is None else max(lower_bound, bound)
+                needed = {(a, b) if a < b else (b, a) for a, b in zip(order, order[1:]) if b in open_[a]}
+                live = []
+                pops = 0
+            if not needed:
+                stop_reason = "optimal" if exact else "fixpoint"
+                break
+            if stop_reason is not None:
+                break
+            if not live:
+                live = sorted({i for pair in needed for i in pair})
             idx = min(live, key=r.__getitem__)
             iterations += 1
+            pops += 1
             changed, joined, r[idx] = relax_least(trees[idx], heaps[idx], graph)
             explored += joined
             improved = update_connections(conn, trees, changed, idx)
@@ -721,7 +787,8 @@ def plan(
             for k in [k for k in open_[idx] if row[k] <= ri + r[k]]:
                 open_[idx].remove(k)
                 open_[k].remove(idx)
-            live = [i for i in live if open_[i]]
+                needed.discard((idx, k) if idx < k else (k, idx))
+                live = []
             if improved:
                 # Every pop with an improvement solves or skips, so the entries
                 # lowered here are all that fell since the last solve.
@@ -734,8 +801,6 @@ def plan(
                 else:
                     solver_skips += 1
             stop_reason = budget_spent()
-        if not live:
-            stop_reason = "optimal" if exact else "fixpoint"
 
     # An exact run's last in-loop solve already ordered the final closure; a
     # GA run re-solves it at full strength.
@@ -759,4 +824,5 @@ def plan(
         stop_reason=stop_reason,
         solver_calls=solver_calls,
         solver_skips=solver_skips,
+        lower_bound=lower_bound,
     )

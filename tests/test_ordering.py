@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -779,6 +780,29 @@ def test_solve_exact_refuses_more_than_exact_max_intermediates():
     # Optional destinations do not count.
     relaxed = DestGraph(dg.theta, 0, n - 1, [i != 1 for i in range(n)])
     validate_sequence(relaxed, solve_exact(relaxed))
+
+
+def test_held_karp_orders_a_non_metric_matrix_like_a_permutation_sweep():
+    # The planner's lower bounds need not obey the triangle inequality, so the
+    # core orders the matrix as given, each row once, with no closure. Its cost
+    # is the order's left-to-right sum, bit for bit.
+    rng = random.Random(23)
+    for n in range(2, 9):
+        for _ in range(8):
+            upper = np.triu(np.array([[rng.uniform(0.1, 10.0) for _ in range(n)] for _ in range(n)]), 1)
+            dist = upper + upper.T
+            s, t = rng.sample(range(n), 2)
+            order, cost = ordering.held_karp(dist, s, t)
+            assert (order[0], order[-1], sorted(order)) == (s, t, list(range(n)))
+            assert cost == ordering.order_cost(dist, order)
+            mids = [i for i in range(n) if i not in (s, t)]
+            best = min(ordering.order_cost(dist, [s, *p, t]) for p in itertools.permutations(mids))
+            assert cost == pytest.approx(best, rel=1e-12)
+    # Row 1 has no finite entry, so every order has an infinite leg.
+    isolated = np.array([[0.0, INF, 1.0], [INF, 0.0, INF], [1.0, INF, 0.0]])
+    for s, t in ((0, 2), (0, 1)):
+        with pytest.raises(NoSequenceError):
+            ordering.held_karp(isolated, s, t)
 
 
 def test_solve_exact_reruns_give_the_same_order():
