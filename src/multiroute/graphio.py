@@ -220,9 +220,9 @@ def parse_scenario(data: bytes | str) -> ScenarioSpec:
             continue
         parts = ln.split()
         key = parts[0]
-        if (key == "source" and source is not None) or (key == "target" and target is not None):
-            raise ParseError(f"line {no}: repeated {key} record {ln!r}")
-        try:
+        try:  # the handler prefixes every message, ParseError's too, with the line
+            if (key == "source" and source is not None) or (key == "target" and target is not None):
+                raise ParseError(f"repeated {key} record {ln!r}")
             if key == "source" and len(parts) == 2:
                 source = int(parts[1])
             elif key == "target" and len(parts) == 2:
@@ -231,10 +231,10 @@ def parse_scenario(data: bytes | str) -> ScenarioSpec:
                 objectives.extend(int(p) for p in parts[1:])
             elif key == "pseudo" and len(parts) in (2, 3):
                 if len(parts) == 3 and parts[2] != "must_visit":
-                    raise ParseError(f"line {no}: expected 'must_visit', got {parts[2]!r}")
+                    raise ParseError(f"expected 'must_visit', got {parts[2]!r}")
                 pseudos.append((int(parts[1]), len(parts) == 3))
             else:
-                raise ParseError(f"line {no}: unknown scenario record {ln!r}")
+                raise ParseError(f"unknown scenario record {ln!r}")
         except ValueError as exc:
             raise ParseError(f"line {no}: {exc}") from None
     if source is None or target is None:

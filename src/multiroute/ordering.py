@@ -3,16 +3,17 @@
 Destinations live in a small weighted graph whose edge weights ``theta`` are
 path distances supplied by the route planner (infinite where no path is known
 yet). A visit sequence runs from a fixed source to a fixed target and may
-revisit destinations. ``solve`` orders the required destinations over the
-metric closure (all-pairs shortest paths) with cheapest insertion and a
-genetic polish, then expands each closure leg back into the destinations it
-passes, which yields the revisits. ``solve_exact`` orders up to
-``EXACT_MAX`` required intermediates optimally over the same closure, by
+revisit destinations. One function, ``order_closure``, orders the required
+destinations over their metric closure (all-pairs shortest paths), then
+expands each closure leg back into the destinations it passes, which yields
+the revisits: ``solve`` orders by cheapest insertion and a genetic polish,
+``solve_exact`` up to ``EXACT_MAX`` required intermediates optimally, by
 dynamic programming over subsets (``held_karp``, which orders any symmetric
-matrix, such as the planner's lower bounds). ``lower_closure`` keeps a
-closure current while single entries of theta fall. Insertion and the
-genetic operators take complete destination graphs only. An exhaustive
-oracle over the same closure provides exact optima for small instances.
+matrix, such as the planner's lower bounds). The planner orders the closure
+it keeps current with ``lower_closure`` as single entries of theta fall.
+Insertion and the genetic operators take complete destination graphs only.
+An exhaustive oracle over the same closure provides exact optima for small
+instances.
 """
 
 from __future__ import annotations
@@ -150,11 +151,6 @@ def order_cost(rows: Sequence[Sequence[float]], order: Sequence[int]) -> float:
     return cost
 
 
-def sequence_cost(dg: DestGraph, order: Sequence[int]) -> float:
-    """Theta summed over consecutive pairs, left to right."""
-    return order_cost(dg.rows, order)
-
-
 def validate_sequence(dg: DestGraph, seq: VisitSequence) -> None:
     """Raise ValueError when ``seq`` violates a visit-sequence invariant."""
     order = seq.order
@@ -172,7 +168,7 @@ def validate_sequence(dg: DestGraph, seq: VisitSequence) -> None:
     for a, b in zip(order, order[1:]):
         if not math.isfinite(rows[a][b]):
             raise ValueError(f"consecutive pair ({a}, {b}) has infinite cost")
-    cost = sequence_cost(dg, order)
+    cost = order_cost(rows, order)
     if not math.isclose(cost, seq.total_cost, rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError(f"stored cost {seq.total_cost} != recomputed {cost}")
 
@@ -357,7 +353,7 @@ def mutate(dg: DestGraph, parent: VisitSequence, rng: random.Random) -> VisitSeq
     for seg in middle:
         child += seg
     child += order[cuts[-1] :]
-    # sequence_cost's loop, inline: calling it takes about 5 % of mutate's time.
+    # order_cost's loop, inline: calling it takes about 5 % of mutate's time.
     rows = dg.rows
     cost = 0.0
     prev = child[0]
@@ -540,19 +536,17 @@ def required_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray, list[int]]:
 def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
     """Order the required destinations over the metric closure, then expand.
 
-    Cheapest insertion and the genetic polish run on the complete, metric
-    graph of closure distances between required destinations, so optional
-    destinations and revisits appear only as stops on the expanded legs. On
-    that graph an insertion that returns to its anchor is never cheaper than
-    one between the anchor and its successor (triangle inequality), so no
-    in-place detour or revisit removal is needed.
+    ``order_closure`` over ``required_closure``, with cheapest insertion and
+    the genetic polish at ``cfg`` (default ``GaConfig()``). They run on the
+    complete, metric graph of closure distances between required destinations,
+    so optional destinations and revisits appear only as stops on the expanded
+    legs. On that graph an insertion that returns to its anchor is never
+    cheaper than one between the anchor and its successor (triangle
+    inequality), so no in-place detour or revisit removal is needed.
     """
     if cfg is None:
         cfg = GaConfig()
-    theta, nxt, keep = required_closure(dg)
-    reduced = DestGraph(theta, keep.index(dg.source), keep.index(dg.target))
-    seq = genetic_refine(reduced, cheapest_insertion(reduced), cfg)
-    return make_sequence(dg, _closure_path(nxt, [keep[i] for i in seq.order]))
+    return make_sequence(dg, order_closure(*required_closure(dg), dg.source, dg.target, cfg))
 
 
 # Most required intermediates ``solve_exact`` orders; its time and memory
@@ -592,7 +586,7 @@ def held_karp(dist: np.ndarray, source: int, target: int) -> tuple[list[int], fl
     every such order has an infinite entry. Bellman-Held-Karp dynamic
     programming over the subsets of the m intermediates: ``cost[mask, j]`` is
     the cheapest route from the source through exactly the intermediates in
-    ``mask``, ending at ``j``, summed left to right as ``sequence_cost`` sums
+    ``mask``, ending at ``j``, summed left to right as ``order_cost`` sums
     an order, so the returned cost is the order's ``order_cost`` over
     ``dist``, bit for bit. One array step per subset size gathers
     ``cost[mask ^ bit_j, i] + dist[i, j]`` for every state (mask, j) of that
@@ -634,31 +628,39 @@ def held_karp(dist: np.ndarray, source: int, target: int) -> tuple[list[int], fl
     return [source, *order, target], total
 
 
-def exact_order(closure: np.ndarray, nxt: np.ndarray, keep: Sequence[int], source: int, target: int) -> list[int]:
-    """The optimal order of the destinations ``keep`` from ``source`` to ``target``, expanded.
+def order_closure(
+    closure: np.ndarray, nxt: np.ndarray, keep: Sequence[int], source: int, target: int, cfg: GaConfig | None = None
+) -> list[int]:
+    """An order of the destinations ``keep`` from ``source`` to ``target``, expanded.
 
     ``closure`` is the exactly symmetric metric closure over ``keep``
     (ascending destination indices, its rows), ``nxt`` the next-hop matrix
-    over every destination, and ``source`` and ``target`` lie in ``keep``;
-    at most ``EXACT_MAX`` intermediates, which the caller checks.
-    ``held_karp`` orders the closure; each closure leg of the order is then
-    expanded through the destinations it passes.
+    over every destination, and ``source`` and ``target`` lie in ``keep``.
+    Without ``cfg``, ``held_karp`` orders the closure optimally, for at most
+    ``EXACT_MAX`` intermediates, which the caller checks; with one, cheapest
+    insertion and ``genetic_refine`` at ``cfg`` order it. Each closure leg of
+    the order is then expanded through the destinations it passes.
     """
-    order, _ = held_karp(closure, keep.index(source), keep.index(target))
+    s, t = keep.index(source), keep.index(target)
+    if cfg is None:
+        order, _ = held_karp(closure, s, t)
+    else:
+        reduced = DestGraph(closure, s, t)
+        order = genetic_refine(reduced, cheapest_insertion(reduced), cfg).order
     return _closure_path(nxt, [keep[i] for i in order])
 
 
 def solve_exact(dg: DestGraph) -> VisitSequence:
     """Optimal order of the required destinations over the metric closure, then expand.
 
-    ``exact_order`` over ``required_closure``. Raises ``ValueError`` when
-    there are more than ``EXACT_MAX`` required intermediates and
-    ``NoSequenceError`` as ``required_closure`` does.
+    ``order_closure`` with ``held_karp`` over ``required_closure``. Raises
+    ``ValueError`` when there are more than ``EXACT_MAX`` required
+    intermediates and ``NoSequenceError`` as ``required_closure`` does.
     """
     m = len(dg.required_intermediates())
     if m > EXACT_MAX:
         raise ValueError(f"solve_exact refuses more than {EXACT_MAX} required intermediates, got {m}")
-    return make_sequence(dg, exact_order(*required_closure(dg), dg.source, dg.target))
+    return make_sequence(dg, order_closure(*required_closure(dg), dg.source, dg.target))
 
 
 # ---------------------------------------------------------------------------

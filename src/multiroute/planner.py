@@ -6,10 +6,10 @@ trees connect their destinations; the best such meeting points feed a
 destination distance matrix. Whenever the matrix improves, the required
 destinations are mutually reachable and their metric closure (the problem the
 ordering solver orders) fell, the solver is re-run and any strictly better
-overall route is emitted, so solution quality only improves over a run. Up to
-``ordering.EXACT_MAX`` required intermediates the order is exact
-(``ordering.solve_exact``, then its core ``ordering.exact_order``); above that
-the genetic solver ``ordering.solve`` runs.
+overall route is emitted, so solution quality only improves over a run. Every
+solve orders the one closure the run keeps with ``ordering.order_closure``: up
+to ``ordering.EXACT_MAX`` required intermediates exactly (Held-Karp), above
+that with the genetic solver.
 
 A run has two phases. Phase 1 grows the trees by sampling, round-robin, with
 the paper's extend and rewire steps, up to the first emitted route; its rewire
@@ -652,29 +652,23 @@ def plan(
     def try_solve(final: bool = False) -> None:
         """Order the destinations and emit the route if it is strictly cheaper.
 
-        The solve that emits the first route builds a ``DestGraph`` of the
-        matrix and keeps its metric closure for phase 2. Later exact solves
-        order that maintained closure with ``ordering.exact_order`` and sum
-        the order over the matrix rows, as ``ordering.solve_exact`` does. GA
-        solves build a ``DestGraph`` each time; in-loop ones run at
-        ``cfg.solver_ga``, the final one at full strength, and each takes the
-        next seed of the solver stream.
+        The first call, which emits the first route, builds the run's one
+        ``DestGraph`` of the matrix and keeps its metric closure, which phase
+        2 lowers per improved pair. Every call orders that closure with
+        ``ordering.order_closure`` and sums the order over the matrix rows, as
+        ``ordering.solve`` and ``ordering.solve_exact`` do. GA calls run at
+        ``cfg.solver_ga`` in the loop and at full strength in the final one,
+        each with the next seed of the solver stream.
         """
         nonlocal closure, hops, solver_calls
-        if exact and closure is not None:
-            order = ordering.exact_order(
-                closure[np.ix_(keep, keep)], hops, keep, dests.source_index, dests.target_index
-            )
-            seq = VisitSequence(tuple(order), ordering.order_cost(conn.matrix, order))
-        else:
+        if closure is None:
             dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
-            if exact:
-                seq = ordering.solve_exact(dg)
-            else:
-                ga_cfg = GaConfig() if final else cfg.solver_ga
-                seq = ordering.solve(dg, replace(ga_cfg, rng_seed=solver_seeds.getrandbits(32)))
-            if closure is None:
-                closure, hops = (a.copy() for a in ordering.metric_closure(dg))
+            closure, hops = (a.copy() for a in ordering.metric_closure(dg))
+        ga = None if exact else replace(GaConfig() if final else cfg.solver_ga, rng_seed=solver_seeds.getrandbits(32))
+        order = ordering.order_closure(
+            closure[np.ix_(keep, keep)], hops, keep, dests.source_index, dests.target_index, ga
+        )
+        seq = VisitSequence(tuple(order), ordering.order_cost(conn.matrix, order))
         if not final:
             solver_calls += 1
         path, cost = stitch_node_path(seq, trees, conn)
@@ -803,14 +797,14 @@ def plan(
             stop_reason = budget_spent()
 
     # An exact run's last in-loop solve already ordered the final closure; a
-    # GA run re-solves it at full strength.
-    connected = destinations_connected(conn.matrix, dests.required)
-    if connected and not exact and not (cfg.stop_after_first and solutions):
+    # GA run re-solves it at full strength. The required destinations connect
+    # only in the phase-1 iteration that emits the first route.
+    if solutions and not exact and not cfg.stop_after_first:
         try_solve(final=True)
 
     if solutions:
         status = "solved"
-    elif stop_reason == "fixpoint" and not connected:
+    elif stop_reason == "fixpoint":
         status = "no_path"
     else:
         status = "no_path_yet"

@@ -287,3 +287,16 @@ def test_source_equal_target_rejected():
 def test_repeated_source_or_target_rejected(text, line):
     with pytest.raises(ParseError, match=f"^{line}$"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("graph v1\nn 0 45.0 7.0\n", "line 1: unknown scenario record 'graph v1'"),
+        ("source 1\ntarget 2\npseudo 3 maybe\n", "line 3: expected 'must_visit', got 'maybe'"),
+    ],
+)
+def test_scenario_errors_name_their_line_once(text, line):
+    # An edge list passed as a scenario, and a bad pseudo flag.
+    with pytest.raises(ParseError, match=f"^{line}$"):
+        parse_scenario(text)

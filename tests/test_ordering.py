@@ -28,8 +28,8 @@ from multiroute.ordering import (
     make_sequence,
     mutate,
     oracle_stats,
+    order_cost,
     selection_weights,
-    sequence_cost,
     solve,
     solve_exact,
     validate_sequence,
@@ -436,10 +436,10 @@ def test_incompatible_parents_rejected():
         crossover(dg, pa, pb, random.Random(0))
 
 
-def test_offspring_costs_equal_sequence_cost_exactly():
+def test_offspring_costs_equal_order_cost_exactly():
     # Seeds and offspring are priced left to right (mutate inlines
-    # sequence_cost's loop), so an offspring's cost has the same bits as
-    # sequence_cost of its order.
+    # order_cost's loop), so an offspring's cost has the same bits as
+    # order_cost of its order.
     rng = random.Random(29)
     for n in (5, 8, 12):
         dg = random_complete_destgraph(n, seed=400 + n)
@@ -450,7 +450,7 @@ def test_offspring_costs_equal_sequence_cost_exactly():
             rng.shuffle(middles)
             pb = make_sequence(dg, [0, *middles, n - 1])
             for child in (mutate(dg, pa, rng), crossover(dg, pa, pb, rng)):
-                assert child.total_cost == sequence_cost(dg, child.order)
+                assert child.total_cost == order_cost(dg.rows, child.order)
 
 
 # ---------------------------------------------------------------------------

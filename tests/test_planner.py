@@ -709,9 +709,12 @@ def test_in_loop_solve_runs_only_when_the_required_closure_falls(monkeypatch):
     assert dominated > 0 and lowered > 0
 
 
-def test_exact_run_builds_one_destination_graph_and_closure(monkeypatch):
+@pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
+def test_each_run_builds_one_destination_graph_and_closure(monkeypatch, exact_max):
     # Only the solve that emits the first route builds a DestGraph and runs
-    # Floyd-Warshall; later solves order the closure phase 2 keeps lowering.
+    # Floyd-Warshall; later solves, the GA run's final one too, order the
+    # closure phase 2 keeps lowering.
+    monkeypatch.setattr(ordering, "EXACT_MAX", exact_max)
     g, _ = random_geometric_graph(150, 0.15, seed=31)
     picks = random.Random(31).sample(largest_component(g), 6)
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
@@ -735,9 +738,41 @@ def test_exact_run_builds_one_destination_graph_and_closure(monkeypatch):
     monkeypatch.setattr(planner_module, "DestGraph", CountedDestGraph)
     monkeypatch.setattr(ordering, "_metric_closure", counted_closure)
     result = plan(g, dests, cfg, on_solution=emitted.append)
-    assert (result.status, result.stop_reason) == ("solved", "optimal")
+    assert (result.status, result.stop_reason) == ("solved", "optimal" if exact_max >= 0 else "fixpoint")
     assert result.solver_calls >= 2 and len(result.solutions) >= 2
     assert built == closures == [0]
+
+
+@pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
+def test_every_solve_orders_the_closure_of_the_current_matrix(monkeypatch, exact_max):
+    # Integer weights keep closure sums exact, so the closure phase 2 lowers
+    # per improved pair must equal, at every solve, a fresh Floyd-Warshall
+    # of the matrix at that moment; in GA runs the final solve orders it too.
+    monkeypatch.setattr(ordering, "EXACT_MAX", exact_max)
+    table = []  # the run's ConnectionTable
+    ordered = []  # one entry per solve
+    real_update, real_order = planner_module.update_connections, ordering.order_closure
+
+    def update(conn, *args):
+        table[:] = [conn]
+        return real_update(conn, *args)
+
+    def order(closure, *args):
+        dg = ordering.DestGraph(table[0].matrix, dests.source_index, dests.target_index, dests.required)
+        assert np.array_equal(closure, ordering.required_closure(dg)[0])
+        ordered.append(closure)
+        return real_order(closure, *args)
+
+    monkeypatch.setattr(planner_module, "update_connections", update)
+    monkeypatch.setattr(ordering, "order_closure", order)
+    for seed in range(4):
+        g = integer_weighted_geometric_graph(80, 0.2, seed=seed)
+        picks = random.Random(seed).sample(largest_component(g), 6)
+        dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
+        ordered.clear()
+        result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+        assert result.status == "solved"
+        assert len(ordered) == result.solver_calls + (exact_max < 0) >= 2
 
 
 def test_final_matrix_dominates_dijkstra_distances():
@@ -1111,9 +1146,10 @@ def connected_cases_with_a_pseudo(draw):
 @given(connected_cases_with_a_pseudo())
 def test_lower_bound_lies_below_the_optimum_and_meets_it_at_optimal(case):
     # The bound never exceeds the optimum, which no emitted route undercuts,
-    # and a run that ends "optimal" closes the gap.
+    # and a run that ends "optimal" closes the gap. Every draw ends there, so
+    # run_checking_phase_two_pops checks each pop and the proved optimum.
     g, dests, seed = case
-    result = plan(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
+    result, _ = run_checking_phase_two_pops(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
     assert (result.status, result.stop_reason) == ("solved", "optimal")
     theta = np.array([[dijkstra(g, a).cost[b] for b in dests.node_ids] for a in dests.node_ids])
     opt, _ = ordering.brute_force_oracle(
