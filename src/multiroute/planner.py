@@ -3,7 +3,7 @@
 One search tree grows from every destination (source, objectives, optional
 waypoint hints, target) over the shared routing graph. Nodes reached by two
 trees connect their destinations; the best such meeting points feed a
-destination distance matrix. Whenever the matrix improves, the required
+destination distance matrix. When the matrix improves, the required
 destinations are mutually reachable and their metric closure (the problem the
 ordering solver orders) fell, the solver is re-run and any strictly better
 overall route is emitted, so solution quality only improves over a run. Every
@@ -27,7 +27,11 @@ with each unproved entry lowered to ``r_i + r_k``); the run stops once that
 order's legs are all proved, which makes the last route optimal. Phase 2
 keeps the metric closure the first route's solve computed and lowers it per
 improved pair (``ordering.lower_closure``); a solve runs only if some closure
-entry between two required destinations fell since the last one.
+entry between two required destinations fell since the last one. Phase 1 and
+genetic-solver runs solve right after such a fall. An exact run's phase 2
+solves at most once per window of ``BOUND_POPS`` pops: right before each
+re-solve of its lower-bound order, and once more when it stops, so a better
+route it finds is emitted at most one window late.
 Single-threaded and deterministic for a fixed seed.
 """
 
@@ -548,8 +552,9 @@ class PlanResult:
     # a route), "time_budget",
     # "max_iterations" or "first_solution" (``stop_after_first``).
     stop_reason: str
-    # In-loop ordering solves run, and those skipped because no closure entry
-    # between two required destinations fell since the last solve.
+    # In-loop ordering solves run, and phase-2 pops whose matrix improvements
+    # lowered no closure entry between two required destinations. An exact
+    # run's pops that did lower one are solved together, once per window.
     solver_calls: int = 0
     solver_skips: int = 0
     # The highest lower bound on the optimal route's cost that phase 2 of an
@@ -658,7 +663,8 @@ def plan(
         ``ordering.order_closure`` and sums the order over the matrix rows, as
         ``ordering.solve`` and ``ordering.solve_exact`` do. GA calls run at
         ``cfg.solver_ga`` in the loop and at full strength in the final one,
-        each with the next seed of the solver stream.
+        each with the next seed of the solver stream. Phase 2 of an exact run
+        calls it only before a lower-bound re-solve and at its stop.
         """
         nonlocal closure, hops, solver_calls
         if closure is None:
@@ -739,10 +745,12 @@ def plan(
     #
     # A GA run needs every open pair. An exact run needs only the open legs
     # of its lower-bound order (``bound_order``), which it re-solves once
-    # they are all proved or after ``BOUND_POPS`` pops. A re-solve that finds
-    # every leg proved ends the run: the order's cost over exact entries is
-    # its bound, so it is optimal, and the last in-loop solve ordered the
-    # required closure of the same matrix, so the last route costs no more.
+    # they are all proved or after ``BOUND_POPS`` pops. It solves only right
+    # before such a re-solve, if the required closure fell since its last
+    # solve, and at the stop. A re-solve that finds every leg proved ends the
+    # run: the order's cost over exact entries is its bound, so it is optimal,
+    # and the solve before it ordered the required closure of the same
+    # matrix, so the last route costs no more.
     if stop_reason is None:
         stop_reason = budget_spent()
     if stop_reason is None:
@@ -757,8 +765,12 @@ def plan(
         needed = set() if exact else {(i, k) for i in range(n_trees) for k in open_[i] if i < k}
         live: list[int] = []  # the trees of the needed pairs, ascending; empty when stale
         pops = 0  # since the last lower-bound order
+        fell = False  # a required closure entry fell since the last solve
         while True:
             if exact and (not needed or pops >= BOUND_POPS):
+                if fell:
+                    try_solve()
+                    fell = False
                 order, bound = bound_order(matrix, r, keep, dests.source_index, dests.target_index)
                 lower_bound = bound if lower_bound is None else max(lower_bound, bound)
                 needed = {(a, b) if a < b else (b, a) for a, b in zip(order, order[1:]) if b in open_[a]}
@@ -784,20 +796,23 @@ def plan(
                 needed.discard((idx, k) if idx < k else (k, idx))
                 live = []
             if improved:
-                # Every pop with an improvement solves or skips, so the entries
-                # lowered here are all that fell since the last solve.
-                fell = [
+                # A list, not a generator: every improved pair must be lowered.
+                lowered = [
                     ordering.lower_closure(closure, hops, i, k, matrix[i][k])[required_pairs].any()
                     for i, k in dict.fromkeys(improved)
                 ]
-                if any(fell):
-                    try_solve()
-                else:
+                if not any(lowered):
                     solver_skips += 1
+                elif exact:
+                    fell = True
+                else:
+                    try_solve()
             stop_reason = budget_spent()
+        if fell:  # the stop orders a fall still pending, whatever its reason
+            try_solve()
 
-    # An exact run's last in-loop solve already ordered the final closure; a
-    # GA run re-solves it at full strength. The required destinations connect
+    # An exact run's last solve already ordered the final closure; a GA run
+    # re-solves it at full strength. The required destinations connect
     # only in the phase-1 iteration that emits the first route.
     if solutions and not exact and not cfg.stop_after_first:
         try_solve(final=True)

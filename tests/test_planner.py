@@ -645,12 +645,16 @@ def test_in_loop_solve_runs_only_when_the_required_closure_falls(monkeypatch):
     # this 60-node graph every seed reaches both branches of the skip rule: a
     # pair improves but stays above the path through the third destination,
     # or the closure falls. One objective is within ordering.EXACT_MAX, so
-    # every solve is exact and no final solve follows the loop. Every solve
-    # stitches its order once, so stitch calls mark the solves.
+    # every solve is exact. After the first route, which phase 1 solves in
+    # the iteration that connects the destinations, a solve runs only right
+    # before a lower-bound order or at the stop, and there exactly when the
+    # closure fell since the last solve. Every solve stitches its order once,
+    # so stitch calls mark the solves. Each seed runs to the optimum and once
+    # capped halfway through phase 2, so that some runs stop inside a window.
     g = integer_weighted_geometric_graph(60, 0.22, seed=1)
     picks = random.Random(1).sample(largest_component(g), 3)
     dests = DestinationSet.build(picks[0], picks[1], objectives=(picks[2],))
-    events = []  # ("improved", matrix) or ("solve",)
+    events = []  # ("improved", matrix), ("bound",) or ("solve",)
 
     def improving(conn, *args):
         out = update_connections(conn, *args)
@@ -662,51 +666,88 @@ def test_in_loop_solve_runs_only_when_the_required_closure_falls(monkeypatch):
         events.append(("solve",))
         return stitch_node_path(*args)
 
+    def bounding(*args):
+        events.append(("bound",))
+        return real_bound(*args)
+
+    real_bound = planner_module.bound_order
     monkeypatch.setattr(planner_module, "update_connections", improving)
     monkeypatch.setattr(planner_module, "stitch_node_path", stitching)
-    dominated = lowered = 0
+    monkeypatch.setattr(planner_module, "bound_order", bounding)
+    dominated = batched = stopped_in_window = 0
     for seed in range(6):
-        events.clear()
-        costs = []
+        full = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+        for cap in (None, (full.solutions[0].iteration + full.iterations) // 2):
+            events.clear()
+            costs = []
 
-        def check(sol: AnytimeSolution) -> None:
-            costs.append(sol.total_cost)
-            validate_node_path(g, dests, sol.node_path)
+            def check(sol: AnytimeSolution) -> None:
+                costs.append(sol.total_cost)
+                validate_node_path(g, dests, sol.node_path)
 
-        result = plan(g, dests, light_cfg(rng_seed=seed), on_solution=check)
-        assert (result.status, result.stop_reason) == ("solved", "optimal")
-        assert all(a > b for a, b in zip(costs, costs[1:]))
-        last = None  # (matrix, required closure) at the last solve
-        runs = skips = 0
-        for i, event in enumerate(events):
-            if event[0] != "improved":
-                continue
-            matrix = event[1]
-            dg = ordering.DestGraph(matrix, dests.source_index, dests.target_index, dests.required)
-            try:
-                closure = ordering.required_closure(dg)[0]
-            except ordering.NoSequenceError:
-                assert last is None  # phase 1 tries a solve once they connect
-                continue
-            ran = i + 1 < len(events) and events[i + 1][0] == "solve"
-            if last is None:
-                assert ran, "the first solve of a run is never skipped"
-            elif np.array_equal(closure, last[1]):
-                assert not ran
-                # A pair improved, but its entry stays above the path
-                # through a third destination.
-                down = matrix < last[0]
-                dominated += bool(np.any(matrix[down] > closure[down]))
+            result = plan(g, dests, light_cfg(rng_seed=seed, max_iterations=cap), on_solution=check)
+            assert (result.status, result.stop_reason) == ("solved", "max_iterations" if cap else "optimal")
+            assert all(a > b for a, b in zip(costs, costs[1:]))
+            last = None  # required closure at the last solve
+            prev = None  # required closure at the last improvement
+            runs = skips = falls = 0
+            for i, event in enumerate(events):
+                if event[0] == "improved":
+                    matrix = event[1]
+                    dg = ordering.DestGraph(matrix, dests.source_index, dests.target_index, dests.required)
+                    try:
+                        closure = ordering.required_closure(dg)[0]
+                    except ordering.NoSequenceError:
+                        assert last is None  # phase 1 solves once they connect
+                        continue
+                    if last is not None:
+                        assert np.all(closure <= prev)
+                        if np.array_equal(closure, prev):
+                            skips += 1
+                            # A pair improved, but its entry stays above the
+                            # path through a third destination.
+                            down = matrix < prev_matrix
+                            dominated += bool(np.any(matrix[down] > closure[down]))
+                        else:
+                            falls += 1
+                    prev, prev_matrix = closure, matrix
+                elif event[0] == "solve":
+                    if last is None:
+                        assert events[i - 1][0] == "improved", "the first route comes from phase 1"
+                    else:
+                        assert i + 1 == len(events) or events[i + 1][0] == "bound"
+                        assert not np.array_equal(prev, last), "a solve follows a fall"
+                    runs += 1
+                    last = prev
+                elif events[i - 1][0] != "solve":
+                    assert np.array_equal(prev, last), "a fall is solved before the next bound"
+            if events[-1][0] == "solve":
+                stopped_in_window += 1
             else:
-                assert ran and np.all(closure <= last[1])
-                lowered += 1
-            runs += ran
-            skips += not ran
-            if ran:
-                last = (matrix, closure)
-        assert (result.solver_calls, result.solver_skips) == (runs, skips)
-        assert sum(e[0] == "solve" for e in events) == runs
-    assert dominated > 0 and lowered > 0
+                assert np.array_equal(prev, last), "a fall is solved at the stop"
+            batched += falls > runs - 1
+            assert (result.solver_calls, result.solver_skips) == (runs, skips)
+    assert dominated > 0 and batched > 0 and stopped_in_window > 0
+
+
+def test_exact_runs_stopped_inside_a_window_order_their_final_closure():
+    # A capped exact run solves once more at its stop when a required closure
+    # entry fell since its last solve, so its last route is the best order of
+    # the final matrix. Caps every 37 iterations after the first route.
+    solved_at_stop = 0
+    for seed in range(4):
+        g = random_geometric_graph(400, 0.1, seed=seed)[0]
+        picks = random.Random(seed).sample(largest_component(g), 6)
+        dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
+        full = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+        assert full.stop_reason == "optimal"
+        for cap in range(full.solutions[0].iteration + 37, full.iterations, 37):
+            result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, max_iterations=cap))
+            assert (result.status, result.stop_reason) == ("solved", "max_iterations")
+            dg = ordering.DestGraph(result.distance_matrix, dests.source_index, dests.target_index, dests.required)
+            assert result.final.total_cost <= ordering.solve_exact(dg).total_cost * (1 + 1e-9), cap
+            solved_at_stop += result.final.iteration == cap
+    assert solved_at_stop > 0
 
 
 @pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
@@ -1300,17 +1341,17 @@ def trace_digest(result) -> str:
 # changes some of them. The fixpoint runs end proved optimal in phase 2; the
 # first-route runs end inside phase 1.
 GOLDEN_TRACES = [
-    "1a9099f872a35c29", "960577490d42b18f", "8363277e03ceffce", "7fb66f4956608268",
-    "64f2cc1e32714ef5", "09406b24b09419bb", "07b5a2f66f4b03e6", "2d54020055a92202",
-    "ec333a0c0a484a34", "a25197d1a1034317", "659c08fc610833a3", "4bd72533a758fb60",
+    "a7c33adf7f66e3ce", "960577490d42b18f", "411a532920b921a3", "7fb66f4956608268",
+    "c5e1ba414c8eeaf9", "09406b24b09419bb", "10b1804dee7451a7", "2d54020055a92202",
+    "13d0e98b86ac5063", "a25197d1a1034317", "4ac9dc0a2386d25b", "4bd72533a758fb60",
 ]
 # The same runs' (iterations, explored nodes, solver calls, solver skips). Tree
-# growth reads no solver output, so these do not depend on which solver orders
-# the destinations.
+# growth reads no solver output, so the first two do not depend on when the
+# solver runs.
 GOLDEN_COUNTS = [
-    (421, 482, 21, 3), (75, 81, 1, 0), (410, 477, 23, 4), (64, 70, 1, 0),
-    (356, 521, 32, 11), (56, 64, 1, 0), (368, 526, 40, 5), (68, 76, 1, 0),
-    (330, 404, 21, 4), (57, 63, 1, 0), (325, 403, 19, 4), (52, 58, 1, 0),
+    (421, 482, 5, 3), (75, 81, 1, 0), (410, 477, 5, 4), (64, 70, 1, 0),
+    (356, 521, 4, 11), (56, 64, 1, 0), (368, 526, 4, 5), (68, 76, 1, 0),
+    (330, 404, 4, 4), (57, 63, 1, 0), (325, 403, 4, 4), (52, 58, 1, 0),
 ]
 
 
