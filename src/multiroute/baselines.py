@@ -111,7 +111,7 @@ def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
                 mu = cand
                 meet = u
         h = h_of[side]
-        for v, w in graph.neighbors(u):
+        for v, w in graph.adj[u]:
             if v in done[side]:
                 continue
             ng = gu + w
@@ -185,7 +185,7 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
             heapq.heapify(heap)
             continue
         expanded.add(u)
-        for v, w in graph.neighbors(u):
+        for v, w in graph.adj[u]:
             ng = gu + w
             if ng < g.get(v, INF) and ng + h[v] < big_g:
                 g[v] = ng

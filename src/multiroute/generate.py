@@ -76,7 +76,7 @@ def largest_component(graph: RoutingGraph) -> list[int]:
         q = deque([start])
         while q:
             u = q.popleft()
-            for v, _ in graph.neighbors(u):
+            for v, _ in graph.adj[u]:
                 if v not in seen:
                     seen.add(v)
                     comp.append(v)

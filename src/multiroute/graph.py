@@ -23,10 +23,11 @@ class RoutingGraph:
     edges collapse to the minimum weight; self-loops are rejected. Instances
     are immutable after construction and safe to share across readers.
     ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``) as a
-    triple of Python floats.
+    triple of Python floats, and ``adj`` each node's neighbors as a tuple of
+    (node, weight) pairs sorted by node id.
     """
 
-    __slots__ = ("nodes", "xyz", "_adj", "edge_count", "_gc_scale")
+    __slots__ = ("nodes", "xyz", "adj", "edge_count", "_gc_scale")
 
     def __init__(
         self,
@@ -55,7 +56,7 @@ class RoutingGraph:
         for (u, v), w in weights.items():
             adj[u].append((v, w))
             adj[v].append((u, w))
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self.adj: tuple[tuple[tuple[int, float], ...], ...] = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self.edge_count = len(weights)
         self._gc_scale: float | None = None
 
@@ -63,21 +64,17 @@ class RoutingGraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def neighbors(self, u: int) -> tuple[tuple[int, float], ...]:
-        """Neighbors of ``u`` as (node, weight) pairs sorted by node id."""
-        return self._adj[u]
-
     def edge_weight(self, u: int, v: int) -> float | None:
         """Weight of edge (u, v), or None when it is not an edge."""
-        if not 0 <= u < len(self._adj):
+        if not 0 <= u < len(self.adj):
             return None
-        nbrs = self._adj[u]
+        nbrs = self.adj[u]
         i = bisect_left(nbrs, (v,))
         return nbrs[i][1] if i < len(nbrs) and nbrs[i][0] == v else None
 
     def edges(self) -> Iterable[tuple[int, int, float]]:
         """All undirected edges as (u, v, w) with u < v, sorted."""
-        return ((u, v, w) for u, nbrs in enumerate(self._adj) for v, w in nbrs if u < v)
+        return ((u, v, w) for u, nbrs in enumerate(self.adj) for v, w in nbrs if u < v)
 
     def great_circle_scale(self) -> float:
         """Largest s <= 1 with every edge weighing at least s times its haversine length.
@@ -149,7 +146,7 @@ def dijkstra(graph: RoutingGraph, src: int) -> ShortestPaths:
         if done[u]:
             continue
         done[u] = True
-        for v, w in graph.neighbors(u):
+        for v, w in graph.adj[u]:
             nc = c + w
             if nc < cost[v]:
                 cost[v] = nc

@@ -87,6 +87,8 @@ def parse_osm_xml(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
             lon = float(node.attrib["lon"])
         except (KeyError, ValueError) as exc:
             raise ParseError(f"node element missing or bad id/lat/lon: {exc}") from None
+        if ext in coords:
+            raise ParseError(f"duplicate node id {ext}")
         try:
             coords[ext] = GeoPoint(lat, lon)
         except ValueError as exc:

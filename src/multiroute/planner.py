@@ -32,16 +32,26 @@ genetic-solver runs solve right after such a fall. An exact run's phase 2
 solves at most once per window of ``BOUND_POPS`` pops: right before each
 re-solve of its lower-bound order, and once more when it stops, so a better
 route it finds is emitted at most one window late.
+
+Both loops are written for their per-step cost. They index
+``RoutingGraph.adj`` directly, and check the budget inline against a deadline
+and an iteration cap computed once per run. Phase 1 checks whether the
+required destinations connect only when some matrix entry first turns
+finite, the only time that can change. ``nearest_expandable``, ``extend``,
+``choose_parent``, ``rewire``, ``update_connections``,
+``destinations_connected`` and ``stitch_node_path`` stay module-level
+functions, called through the module's globals, so that the benchmark's
+tracer can time each of them.
 Single-threaded and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import time
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,7 +216,7 @@ class SearchTree:
         self.cost: list[float] = [INF] * n
         self.cost[root_node] = 0.0
         self.expandable = Frontier(graph)
-        ud = len(graph.neighbors(root_node))  # no self-loops: all lie outside
+        ud = len(graph.adj[root_node])  # no self-loops: all lie outside
         self._unvisited: list[int] = [0] * n
         self._unvisited[root_node] = ud
         if ud:
@@ -232,7 +242,7 @@ def _nearest(nodes: Sequence[int], v_rand: int, rows: Sequence[tuple[float, floa
         a, b, c = rows[n]
         dx, dy, dz = a - x, b - y, c - z
         d2 = dx * dx + dz * dz + dy * dy
-        if d2 < best or (d2 == best and n < best_node):
+        if d2 <= best and (d2 < best or n < best_node):
             best = d2
             best_node = n
     return best_node
@@ -277,7 +287,7 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     cost = tree.cost
     unvisited = tree._unvisited
     ud = 0
-    for n, w in graph.neighbors(v_new):
+    for n, w in graph.adj[v_new]:
         c = cost[n]
         if c == INF:
             ud += 1
@@ -307,18 +317,35 @@ def extend(tree: SearchTree, v_anchor: int, v_rand: int, graph: RoutingGraph) ->
     Adds the unvisited neighbor of the anchor nearest to ``v_rand``, then
     compresses degree-two corridors: while the new node has exactly one
     neighbor outside the tree it keeps absorbing that neighbor, stopping at a
-    branch node, a dead end, or ``v_rand`` itself.
+    branch node, a dead end, or ``v_rand`` itself. One pass over the anchor's
+    neighbors finds the unvisited ones and the nearest of them, by the
+    squared chord lengths of ``_nearest``; the neighbors come in ascending
+    id, so the first of equal lengths is the smaller id.
     """
-    added: list[int] = []
     cost = tree.cost
-    candidates = [n for n, _ in graph.neighbors(v_anchor) if cost[n] == INF]
-    if not candidates:
-        return added
-    v_new = _nearest(candidates, v_rand, graph.xyz)
+    xyz = graph.xyz
+    x, y, z = xyz[v_rand]
+    best = INF
+    v_new = -1
+    for n, _ in graph.adj[v_anchor]:
+        if cost[n] == INF:
+            a, b, c = xyz[n]
+            dx, dy, dz = a - x, b - y, c - z
+            d2 = dx * dx + dz * dz + dy * dy
+            if d2 < best:
+                best = d2
+                v_new = n
+    if v_new < 0:
+        return []
     choose_parent(tree, v_new, graph)
-    added.append(v_new)
-    while v_new != v_rand and tree._unvisited[v_new] == 1:
-        v_new = next(n for n, _ in graph.neighbors(v_new) if cost[n] == INF)
+    added = [v_new]
+    adj = graph.adj
+    unvisited = tree._unvisited
+    while v_new != v_rand and unvisited[v_new] == 1:
+        for n, _ in adj[v_new]:
+            if cost[n] == INF:
+                break
+        v_new = n
         choose_parent(tree, v_new, graph)
         added.append(v_new)
     return added
@@ -337,7 +364,7 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
     parent = tree.parent
     parent_w = tree.parent_w
     base = cost[v_new]
-    for n, w in graph.neighbors(v_new):
+    for n, w in graph.adj[v_new]:
         nc = base + w
         if nc < cost[n] < INF:
             parent[n] = v_new
@@ -361,25 +388,29 @@ def relax_least(
     of them joined the tree, and the least key left (INF once the heap is
     empty).
     """
-    c, u = heapq.heappop(heap)
+    c, u = heappop(heap)
     cost = tree.cost
     parent = tree.parent
     parent_w = tree.parent_w
     changed: list[int] = []
     joined = 0
-    for v, w in graph.neighbors(u):
+    for v, w in graph.adj[u]:
         nc = c + w
         cv = cost[v]
         if nc < cv:
-            joined += cv == INF
+            if cv == INF:
+                joined += 1
             cost[v] = nc
             parent[v] = u
             parent_w[v] = w
-            heapq.heappush(heap, (nc, v))
+            heappush(heap, (nc, v))
             changed.append(v)
-    while heap and heap[0][0] > cost[heap[0][1]]:
-        heapq.heappop(heap)
-    return changed, joined, heap[0][0] if heap else INF
+    while heap:
+        key, v = heap[0]
+        if key <= cost[v]:
+            return changed, joined, key
+        heappop(heap)
+    return changed, joined, INF
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +600,21 @@ class PlanResult:
 
 
 def sample(cfg: PlannerConfig, graph: RoutingGraph, dests: DestinationSet, rng: random.Random) -> int:
-    """Random graph node; with probability ``goal_bias`` a destination node."""
+    """Random graph node; with probability ``goal_bias`` a destination node.
+
+    The draws are those of ``rng.random()`` then ``rng.randrange(n)``, taken
+    straight from ``rng.getrandbits`` with CPython's rule: draws of
+    ``n.bit_length()`` bits until one falls below n.
+    """
     if rng.random() < cfg.goal_bias:
-        return dests.node_ids[rng.randrange(dests.count)]
-    return rng.randrange(graph.node_count)
+        pick, n = dests.node_ids, len(dests.node_ids)
+    else:
+        pick, n = None, len(graph.adj)
+    k = n.bit_length()
+    v = rng.getrandbits(k)
+    while v >= n:
+        v = rng.getrandbits(k)
+    return v if pick is None else pick[v]
 
 
 def stitch_node_path(
@@ -691,30 +733,36 @@ def plan(
             if on_solution is not None:
                 on_solution(sol)
 
-    def budget_spent() -> str | None:
-        """The budget that ends the run before its next iteration, if any."""
-        if time.monotonic() - start >= cfg.time_budget:
-            return "time_budget"
-        if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
-            return "max_iterations"
-        if cfg.stop_after_first and solutions:
-            return "first_solution"
-        return None
+    # The budget, checked inline before each phase-1 iteration and after each
+    # phase-2 pop: the time first, then the iteration cap.
+    monotonic = time.monotonic
+    deadline = start + cfg.time_budget
+    cap = INF if cfg.max_iterations is None else cfg.max_iterations
 
     # Phase 1: sampled growth, round-robin over the trees, to the first route.
     # A saturated tree holds its whole component and is linked to every
     # destination root there, so once a required one saturates without a
-    # route, some required destination lies outside its component.
+    # route, some required destination lies outside its component. The
+    # destinations connect only in an iteration where some matrix entry first
+    # turns finite, which is when its pair first gets a witness in conn.best;
+    # only then is the connectivity checked, and the route it allows emitted.
     stop_reason: str | None = None
+    required = dests.required
     idx = n_trees - 1
+    linked = 0  # len(conn.best) at the last check
     while not solutions:
-        stop_reason = budget_spent()
-        if stop_reason:
+        if monotonic() >= deadline:
+            stop_reason = "time_budget"
             break
-        idx = (idx + 1) % n_trees
+        if iterations >= cap:
+            stop_reason = "max_iterations"
+            break
+        idx += 1
+        if idx == n_trees:
+            idx = 0
         tree = trees[idx]
-        if not tree.expandable:
-            if dests.required[idx]:
+        if not tree.expandable.ids:
+            if required[idx]:
                 stop_reason = "fixpoint"
                 break
             continue
@@ -723,13 +771,14 @@ def plan(
         anchor = nearest_expandable(tree, v_rand, graph)
         added = extend(tree, anchor, v_rand, graph)
         explored += len(added)
-        changed: set[int] = set(added)
+        rewired: list[int] = []
         for v in added:
-            _, ch = rewire(tree, v, graph)
-            changed.update(ch)
-        improved = update_connections(conn, trees, sorted(changed), idx)
-        if improved and destinations_connected(conn.matrix, dests.required):
-            try_solve()
+            rewired += rewire(tree, v, graph)[1]
+        update_connections(conn, trees, sorted({*added, *rewired}) if rewired else sorted(added), idx)
+        if len(conn.best) > linked:
+            linked = len(conn.best)
+            if destinations_connected(conn.matrix, required):
+                try_solve()
 
     # Phase 2: cost-ordered growth until the pairs the run waits for are
     # proved exact. Every node whose true cost-to-come from root i is below
@@ -752,11 +801,16 @@ def plan(
     # and the solve before it ordered the required closure of the same
     # matrix, so the last route costs no more.
     if stop_reason is None:
-        stop_reason = budget_spent()
+        if monotonic() >= deadline:
+            stop_reason = "time_budget"
+        elif iterations >= cap:
+            stop_reason = "max_iterations"
+        elif cfg.stop_after_first:
+            stop_reason = "first_solution"
     if stop_reason is None:
         heaps = [[(c, v) for v, c in enumerate(t.cost) if c < INF] for t in trees]
         for h in heaps:
-            heapq.heapify(h)
+            heapify(h)
         r = [h[0][0] for h in heaps]
         matrix = conn.matrix
         open_ = conn.open
@@ -788,10 +842,15 @@ def plan(
             pops += 1
             changed, joined, r[idx] = relax_least(trees[idx], heaps[idx], graph)
             explored += joined
-            improved = update_connections(conn, trees, changed, idx)
-            row, ri = matrix[idx], r[idx]
-            for k in [k for k in open_[idx] if row[k] <= ri + r[k]]:
-                open_[idx].remove(k)
+            # A pop that lowers no cost can lower no matrix entry.
+            improved = update_connections(conn, trees, changed, idx) if changed else None
+            row, ri, partners = matrix[idx], r[idx], open_[idx]
+            proved = []
+            for k in partners:
+                if row[k] <= ri + r[k]:
+                    proved.append(k)
+            for k in proved:
+                partners.remove(k)
                 open_[k].remove(idx)
                 needed.discard((idx, k) if idx < k else (k, idx))
                 live = []
@@ -807,7 +866,10 @@ def plan(
                     fell = True
                 else:
                     try_solve()
-            stop_reason = budget_spent()
+            if monotonic() >= deadline:
+                stop_reason = "time_budget"
+            elif iterations >= cap:
+                stop_reason = "max_iterations"
         if fell:  # the stop orders a fall still pending, whatever its reason
             try_solve()
 

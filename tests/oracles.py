@@ -309,7 +309,7 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
         raise AssertionError("per-node lists do not cover the graph")
     members = validate_parent_links(tree, graph)
     inside = set(members)
-    outside = [sum(v not in inside for v, _ in graph.neighbors(u)) if u in inside else 0 for u in range(n)]
+    outside = [sum(v not in inside for v, _ in graph.adj[u]) if u in inside else 0 for u in range(n)]
     if tree._unvisited != outside:
         raise AssertionError("unvisited-neighbor counts differ from a fresh count")
     frontier = {u for u in members if outside[u]}

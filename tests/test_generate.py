@@ -24,7 +24,7 @@ def reachable_without(graph, start, banned):
     q = deque([start])
     while q:
         u = q.popleft()
-        for v, _ in graph.neighbors(u):
+        for v, _ in graph.adj[u]:
             if v != banned and v not in seen:
                 seen.add(v)
                 q.append(v)
@@ -41,7 +41,7 @@ def find_bridges(graph):
     for root in range(n):
         if disc[root] != -1:
             continue
-        stack = [(root, -1, iter([v for v, _ in graph.neighbors(root)]))]
+        stack = [(root, -1, iter([v for v, _ in graph.adj[root]]))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -51,7 +51,7 @@ def find_bridges(graph):
                 if disc[v] == -1:
                     disc[v] = low[v] = timer
                     timer += 1
-                    stack.append((v, u, iter([w for w, _ in graph.neighbors(v)])))
+                    stack.append((v, u, iter([w for w, _ in graph.adj[v]])))
                     advanced = True
                     break
                 elif v != parent:

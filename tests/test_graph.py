@@ -24,10 +24,10 @@ def grid_points(n):
 
 def test_adjacency_symmetric_and_sorted():
     g = RoutingGraph(grid_points(4), [(0, 1, 5.0), (2, 1, 3.0), (3, 0, 1.0)])
-    half_edges = [(u, v, w) for u in range(4) for v, w in g.neighbors(u)]
+    half_edges = [(u, v, w) for u in range(4) for v, w in g.adj[u]]
     assert sorted(half_edges) == sorted((v, u, w) for u, v, w in half_edges)
     for u in range(4):
-        ids = [v for v, _ in g.neighbors(u)]
+        ids = [v for v, _ in g.adj[u]]
         assert ids == sorted(ids)
 
 

@@ -67,6 +67,18 @@ def test_missing_nd_ref_names_way():
         parse_osm_xml(xml)
 
 
+def test_repeated_node_id_names_the_id():
+    # Keeping either element would silently move node 10 (or an edge of it).
+    xml = osm(
+        "<node id='10' lat='45.0' lon='7.0'/>"
+        "<node id='11' lat='45.001' lon='7.0'/>"
+        "<node id='10' lat='45.002' lon='7.0'/>"
+        "<way id='1'><nd ref='10'/><nd ref='11'/><tag k='highway' v='residential'/></way>"
+    )
+    with pytest.raises(ParseError, match="^duplicate node id 10$"):
+        parse_osm_xml(xml)
+
+
 @pytest.mark.parametrize(
     "lat, lon, problem",
     [

@@ -164,6 +164,25 @@ def test_fixed_seed_identical_sample_stream():
     assert s1 == s2
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 1024, 1025, 2000])
+@pytest.mark.parametrize("goal_bias", [0.0, 0.3, 1.0])
+def test_sample_draws_the_stream_of_random_random(goal_bias, n):
+    # sample takes its nodes straight from getrandbits; the draws, and the
+    # generator state after them, must be those of random() followed by
+    # randrange() on the count of destinations or graph nodes.
+    g = RoutingGraph(pts(n), [(i, i + 1, 1.0) for i in range(n - 1)])
+    dests = DestinationSet.build(0, n - 1, objectives=tuple(range(1, min(n, 9) - 1)))
+    cfg = PlannerConfig(goal_bias=goal_bias)
+    rng, ref = random.Random(n), random.Random(n)
+    drawn = [sample(cfg, g, dests, rng) for _ in range(10_000)]
+    expected = [
+        dests.node_ids[ref.randrange(dests.count)] if ref.random() < goal_bias else ref.randrange(g.node_count)
+        for _ in range(10_000)
+    ]
+    assert drawn == expected
+    assert rng.getstate() == ref.getstate()
+
+
 # ---------------------------------------------------------------------------
 # nearest_expandable
 # ---------------------------------------------------------------------------
@@ -210,7 +229,7 @@ def assert_nearest_matches_exhaustive_scan():
             v_rand = rng.randrange(g.node_count)
             anchor = nearest_expandable(tree, v_rand, g)
             assert anchor == nearest_by_haversine(g, tree.expandable.ids, v_rand)
-            candidates = [n for n, _ in g.neighbors(anchor) if tree.cost[n] == INF]
+            candidates = [n for n, _ in g.adj[anchor] if tree.cost[n] == INF]
             added = extend(tree, anchor, v_rand, g)
             assert added[0] == nearest_by_haversine(g, candidates, v_rand)
             for v in added:
@@ -926,6 +945,63 @@ def test_unreachable_pseudo_is_ignored():
     assert 3 not in result.final.node_path
 
 
+def connectivity_cases():
+    """Seeded destination sets on a graph whose largest component leaves a
+    17-node island: three plain sets, two with an optional pseudo
+    destination (one inside the component, one on the island), and one with
+    a required objective on the island, which has no route."""
+    g = random_geometric_graph(300, 0.08, seed=1)[0]
+    comp = largest_component(g)
+    inside = set(comp)
+    island = max(
+        ({u for u, c in enumerate(dijkstra(g, v).cost) if c < INF} for v in range(g.node_count) if v not in inside),
+        key=len,
+    )
+    assert len(island) == 17
+    for seed in (1, 2, 3):
+        picks = random.Random(seed).sample(comp, 7)
+        base = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:6]))
+        yield g, base, seed
+        if seed == 1:
+            yield g, add_pseudo_destinations(base, [(picks[6], False)]), seed
+            yield g, add_pseudo_destinations(base, [(min(island), False)]), seed
+            yield g, DestinationSet.build(picks[0], picks[1], objectives=(*picks[2:5], min(island))), seed
+
+
+def test_first_route_comes_in_the_first_connected_iteration(monkeypatch):
+    # Phase 1 checks the connectivity only when some matrix entry first turns
+    # finite, the only time it can change. Each phase-1 iteration calls
+    # update_connections once, so the n-th call is iteration n.
+    real_update = planner_module.update_connections
+    real_connected = planner_module.destinations_connected
+    statuses = []
+    for g, dests, seed in connectivity_cases():
+        connected_after: list[bool] = []  # per update_connections call
+        finite_at: list[int] = []  # finite matrix entries at each connectivity check
+
+        def update(conn, trees, changed, owner):
+            improved = real_update(conn, trees, changed, owner)
+            connected_after.append(real_connected(conn.matrix, dests.required))
+            return improved
+
+        def connected(matrix, required=None):
+            finite_at.append(sum(x < INF for row in matrix for x in row))
+            return real_connected(matrix, required)
+
+        monkeypatch.setattr(planner_module, "update_connections", update)
+        monkeypatch.setattr(planner_module, "destinations_connected", connected)
+        result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+        statuses.append(result.status)
+        if result.status == "no_path":
+            assert result.solutions == []
+            assert not any(connected_after)
+        else:
+            assert result.solutions[0].iteration == connected_after.index(True) + 1
+        assert finite_at and finite_at[0] > dests.count
+        assert all(a < b for a, b in zip(finite_at, finite_at[1:]))
+    assert statuses == ["solved"] * 3 + ["no_path"] + ["solved"] * 2
+
+
 def test_invariants_hold_after_every_operation():
     # Mirror the plan loop by hand and validate trees + connection cache
     # after each extend/rewire/update batch.
@@ -1371,6 +1447,45 @@ def test_seeded_traces_match_the_golden_digests():
     assert all(r.status == "solved" for r in results)
     assert [trace_digest(r) for r in results] == GOLDEN_TRACES
     assert [counts(r) for r in results] == GOLDEN_COUNTS
+
+
+def bench_shaped_runs():
+    """Two graphs of each bench planner workload's shape, each run to its first
+    route and to the fixpoint with the default config."""
+    for n, radius, k in ((600, 0.075, 10), (2000, 0.04, 7)):
+        for seed in (1, 2):
+            g = random_geometric_graph(n, radius, seed=seed)[0]
+            picks = random.Random(seed).sample(largest_component(g), k)
+            dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
+            for first in (True, False):
+                yield g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf, stop_after_first=first)
+
+
+def emission_digest(result) -> str:
+    """First 16 hex digits of a SHA-256 over the iterations, explored nodes and
+    every emission's cost, order and node path."""
+    key = (
+        result.iterations,
+        result.explored_nodes,
+        [(s.total_cost, list(map(int, s.visit_order.order)), list(map(int, s.node_path))) for s in result.solutions],
+    )
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
+# Per run of bench_shaped_runs(): 600 nodes and 10 destinations on graph
+# seeds 1 and 2, then 2 000 nodes and 7 destinations on the same seeds; per
+# graph the first-route run, then the fixpoint run. A change to the hot loop
+# that moves a choice or a float changes one of them.
+BENCH_SHAPED_TRACES = [
+    "323b069835352d97", "bac9fb5f4fbe834e", "4df67f49877cdd60", "bb6b6195b0b2e2fb",
+    "4cada94fb8e781ec", "6c48ddb3577db724", "edc17b679559c0c6", "1a83b66822be9f94",
+]
+
+
+def test_bench_shaped_traces_match_their_digests():
+    results = [plan(g, dests, cfg) for g, dests, cfg in bench_shaped_runs()]
+    assert [r.stop_reason for r in results] == ["first_solution", "optimal"] * 4
+    assert [emission_digest(r) for r in results] == BENCH_SHAPED_TRACES
 
 
 def test_exact_planner_dominates_the_ga_planner(monkeypatch):
