@@ -48,7 +48,6 @@ class RunReport:
     iterations: int = 0
     explored_nodes: int = 0
     solver_calls: int = 0
-    solver_skips: int = 0
     stop_reason: str | None = None
     lower_bound: float | None = None
 
@@ -180,7 +179,6 @@ def _run_planner(
     report.iterations = result.iterations
     report.explored_nodes = result.explored_nodes
     report.solver_calls = result.solver_calls
-    report.solver_skips = result.solver_skips
     report.stop_reason = result.stop_reason
     report.lower_bound = result.lower_bound
     if result.final is not None:

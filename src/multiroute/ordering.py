@@ -9,11 +9,9 @@ expands each closure leg back into the destinations it passes, which yields
 the revisits: ``solve`` orders by cheapest insertion and a genetic polish,
 ``solve_exact`` up to ``EXACT_MAX`` required intermediates optimally, by
 dynamic programming over subsets (``held_karp``, which orders any symmetric
-matrix, such as the planner's lower bounds). The planner orders the closure
-it keeps current with ``lower_closure`` as single entries of theta fall.
-Insertion and the genetic operators take complete destination graphs only.
-An exhaustive oracle over the same closure provides exact optima for small
-instances.
+matrix, such as the planner's lower bounds). Insertion and the genetic
+operators take complete destination graphs only. An exhaustive oracle over
+the same closure provides exact optima for small instances.
 """
 
 from __future__ import annotations
@@ -458,40 +456,6 @@ def _metric_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray]:
     return dist, nxt
 
 
-def lower_closure(dist: np.ndarray, nxt: np.ndarray, i: int, k: int, w: float) -> np.ndarray:
-    """Lower a metric closure in place after theta[i][k] falls to ``w``.
-
-    ``dist`` must be the exactly symmetric closure of theta before the fall
-    and ``nxt`` its next-hop matrix, as ``metric_closure`` gives them. A
-    shortest path uses the lowered edge at most once, so one array step
-    ``min(dist, (dist[:, i] + dist[k]) + w, (dist[:, k] + dist[i]) + w)``
-    gives the new closure. The two closure terms are summed before ``w``, so
-    entry (b, a) forms the same sums as entry (a, b) and ``dist`` stays exactly
-    symmetric. Where an entry falls its next hop becomes the first hop toward
-    the edge's near end: ``nxt[a][i]``, or ``k`` when ``a == i``, and likewise
-    through ``k``. Returns the mask of the entries that fell. A fall to
-    no less than ``dist[i, k]`` lowers nothing in exact arithmetic, so it
-    returns at once rather than form sums whose rounding could.
-    """
-    if w >= dist[i, k]:
-        return np.zeros(dist.shape, dtype=bool)
-    via = dist[:, i, None] + dist[k]
-    via += w
-    alt = dist[:, k, None] + dist[i]
-    alt += w
-    take_alt = alt < via
-    np.copyto(via, alt, where=take_alt)
-    fell = via < dist
-    if fell.any():
-        hop_i = nxt[:, i].copy()
-        hop_i[i] = k
-        hop_k = nxt[:, k].copy()
-        hop_k[k] = i
-        np.copyto(dist, via, where=fell)
-        np.copyto(nxt, np.where(take_alt, hop_k[:, None], hop_i[:, None]), where=fell)
-    return fell
-
-
 def _closure_path(nxt: np.ndarray, stops: Sequence[int]) -> list[int]:
     """Shortest paths between consecutive ``stops``, joined into one sequence."""
     path = [stops[0]]
@@ -504,28 +468,22 @@ def _closure_path(nxt: np.ndarray, stops: Sequence[int]) -> list[int]:
     return path
 
 
-def metric_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The metric closure of theta, made exactly symmetric, and its next-hop matrix.
+def required_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The ordering problem ``solve`` works on: the closure over required destinations.
 
+    Returns the submatrix of the metric closure of theta over the required
+    destinations, the next-hop matrix of the full closure (callers must not
+    modify it) and the required destination indices in ascending order (the
+    submatrix's rows). Raises ``NoSequenceError`` when an entry is infinite.
     The two directions of a closure distance are summed in different orders
-    and can differ in the last bit; each entry keeps the smaller. Computed on
-    the first call and kept on ``dg``; callers must not modify the arrays.
+    and can differ in the last bit; each entry keeps the smaller, so the
+    closure is exactly symmetric. It is computed on the first call and kept
+    on ``dg``.
     """
     if dg._closure is None:
         dist, nxt = _metric_closure(dg)
         dg._closure = (np.minimum(dist, dist.T), nxt)
-    return dg._closure
-
-
-def required_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The ordering problem ``solve`` works on: the closure over required destinations.
-
-    Returns the submatrix of ``metric_closure`` over the required
-    destinations, the next-hop matrix of the full closure (callers must not
-    modify it) and the required destination indices in ascending order (the
-    submatrix's rows). Raises ``NoSequenceError`` when an entry is infinite.
-    """
-    dist, nxt = metric_closure(dg)
+    dist, nxt = dg._closure
     keep = [i for i in range(dg.n) if dg.required[i]]
     sub = dist[np.ix_(keep, keep)]
     if not np.all(np.isfinite(sub)):

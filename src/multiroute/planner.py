@@ -3,13 +3,13 @@
 One search tree grows from every destination (source, objectives, optional
 waypoint hints, target) over the shared routing graph. Nodes reached by two
 trees connect their destinations; the best such meeting points feed a
-destination distance matrix. When the matrix improves, the required
-destinations are mutually reachable and their metric closure (the problem the
-ordering solver orders) fell, the solver is re-run and any strictly better
-overall route is emitted, so solution quality only improves over a run. Every
-solve orders the one closure the run keeps with ``ordering.order_closure``: up
-to ``ordering.EXACT_MAX`` required intermediates exactly (Held-Karp), above
-that with the genetic solver.
+destination distance matrix. Once the required destinations are mutually
+reachable, the ordering solver orders the matrix, and it re-solves as the
+matrix improves; any strictly better overall route is emitted, so solution
+quality only improves over a run. Every solve builds a fresh ``DestGraph`` of
+the matrix and orders it with ``ordering.solve_exact`` (Held-Karp) up to
+``ordering.EXACT_MAX`` required intermediates, above that with
+``ordering.solve`` (the genetic solver).
 
 A run has two phases. Phase 1 grows the trees by sampling, round-robin, with
 the paper's extend and rewire steps, up to the first emitted route; its rewire
@@ -24,14 +24,13 @@ With the genetic solver every unproved pair is needed, and the run stops
 once all are proved. With an exact order, only the unproved legs of a
 lower-bound order are (``bound_order``: the cheapest order over the matrix
 with each unproved entry lowered to ``r_i + r_k``); the run stops once that
-order's legs are all proved, which makes the last route optimal. Phase 2
-keeps the metric closure the first route's solve computed and lowers it per
-improved pair (``ordering.lower_closure``); a solve runs only if some closure
-entry between two required destinations fell since the last one. Phase 1 and
-genetic-solver runs solve right after such a fall. An exact run's phase 2
-solves at most once per window of ``BOUND_POPS`` pops: right before each
-re-solve of its lower-bound order, and once more when it stops, so a better
-route it finds is emitted at most one window late.
+order's legs are all proved, which makes the last route optimal. Phase 1
+solves in the iteration that connects the required destinations. Phase 2
+solves at the end of each window in which it popped, and once more when it
+stops inside a window, so a better route is emitted at most one window
+late. A window ends after ``BOUND_POPS`` pops, or once no needed pair is
+left; there an exact run re-solves its lower-bound order, right after the
+solve.
 
 Both loops are written for their per-step cost. They index
 ``RoutingGraph.adj`` directly, and check the budget inline against a deadline
@@ -521,12 +520,13 @@ def bound_order(
 # Planner loop
 # ---------------------------------------------------------------------------
 
-# Phase-2 pops an exact run takes before it re-solves its lower-bound order
-# while some leg is still open: keys rise with every pop, so the order can
-# change before its legs are proved. A re-solve is one Held-Karp solve. On the
-# bench's 24 fixpoint scenarios of seeds 1-4, 25 pops cut iterations by 3-9 %
-# but took 22-55 % more CPU time than 100, and 50 took 10-14 % more; 200 took
-# the same time as 100.
+# Phase-2 pops in one window. At each window end a run orders the matrix,
+# and an exact run re-solves its lower-bound order while some leg is still
+# open: keys rise with every pop, so the order can change before its legs are
+# proved. A re-solve is one Held-Karp solve. On the bench's 24 fixpoint
+# scenarios of seeds 1-4, 25 pops cut iterations by 3-9 % but took 22-55 %
+# more CPU time than 100, and 50 took 10-14 % more; 200 took the same time as
+# 100.
 BOUND_POPS = 100
 
 
@@ -538,8 +538,8 @@ class PlannerConfig:
     # An iteration is one sampled growth step in phase 1, one pop in phase 2.
     max_iterations: int | None = None
     # Ordering-solver strength above ``ordering.EXACT_MAX`` required
-    # intermediates for the in-loop re-solves that follow every matrix
-    # improvement; the one solve at the end runs at full strength, ``GaConfig()``.
+    # intermediates for the in-loop solves, the first route's and one per
+    # phase-2 window; the one solve at the end runs at full strength, ``GaConfig()``.
     solver_ga: GaConfig = field(
         default_factory=lambda: GaConfig(mutation_count=150, crossover_count=150, generations=3)
     )
@@ -583,11 +583,9 @@ class PlanResult:
     # a route), "time_budget",
     # "max_iterations" or "first_solution" (``stop_after_first``).
     stop_reason: str
-    # In-loop ordering solves run, and phase-2 pops whose matrix improvements
-    # lowered no closure entry between two required destinations. An exact
-    # run's pops that did lower one are solved together, once per window.
+    # In-loop ordering solves run: the first route's, then one per phase-2
+    # window in which the run popped. A GA run's final solve is not counted.
     solver_calls: int = 0
-    solver_skips: int = 0
     # The highest lower bound on the optimal route's cost that phase 2 of an
     # exact run found (``bound_order``); it equals the last route's cost, up to
     # rounding, once the run ends "optimal". None for runs that the genetic
@@ -686,37 +684,27 @@ def plan(
     solutions: list[AnytimeSolution] = []
     n_trees = len(trees)
     solver_calls = 0
-    solver_skips = 0
     lower_bound: float | None = None
     exact = sum(dests.required) - 2 <= ordering.EXACT_MAX
     keep = [i for i in range(n_trees) if dests.required[i]]
-    required_pairs = np.outer(dests.required, dests.required)
-    # Phase 2's metric closure of conn.matrix and its next hops, taken from the
-    # solve that emits the first route and lowered per improved pair since.
-    closure: np.ndarray | None = None
-    hops: np.ndarray | None = None
 
     def try_solve(final: bool = False) -> None:
         """Order the destinations and emit the route if it is strictly cheaper.
 
-        The first call, which emits the first route, builds the run's one
-        ``DestGraph`` of the matrix and keeps its metric closure, which phase
-        2 lowers per improved pair. Every call orders that closure with
-        ``ordering.order_closure`` and sums the order over the matrix rows, as
-        ``ordering.solve`` and ``ordering.solve_exact`` do. GA calls run at
-        ``cfg.solver_ga`` in the loop and at full strength in the final one,
-        each with the next seed of the solver stream. Phase 2 of an exact run
-        calls it only before a lower-bound re-solve and at its stop.
+        Every call builds a ``DestGraph`` of the current matrix and orders it
+        with ``ordering.solve_exact`` in an exact run, otherwise with
+        ``ordering.solve`` at ``cfg.solver_ga`` in the loop and at full
+        strength in the final call, each with the next seed of the solver
+        stream. Phase 2 calls it at the end of each window in which it popped
+        and at a stop inside one.
         """
-        nonlocal closure, hops, solver_calls
-        if closure is None:
-            dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
-            closure, hops = (a.copy() for a in ordering.metric_closure(dg))
-        ga = None if exact else replace(GaConfig() if final else cfg.solver_ga, rng_seed=solver_seeds.getrandbits(32))
-        order = ordering.order_closure(
-            closure[np.ix_(keep, keep)], hops, keep, dests.source_index, dests.target_index, ga
-        )
-        seq = VisitSequence(tuple(order), ordering.order_cost(conn.matrix, order))
+        nonlocal solver_calls
+        dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
+        if exact:
+            seq = ordering.solve_exact(dg)
+        else:
+            ga = GaConfig() if final else cfg.solver_ga
+            seq = ordering.solve(dg, replace(ga, rng_seed=solver_seeds.getrandbits(32)))
         if not final:
             solver_calls += 1
         path, cost = stitch_node_path(seq, trees, conn)
@@ -793,13 +781,13 @@ def plan(
     # entries only fall, so the required destinations stay connected.
     #
     # A GA run needs every open pair. An exact run needs only the open legs
-    # of its lower-bound order (``bound_order``), which it re-solves once
-    # they are all proved or after ``BOUND_POPS`` pops. It solves only right
-    # before such a re-solve, if the required closure fell since its last
-    # solve, and at the stop. A re-solve that finds every leg proved ends the
-    # run: the order's cost over exact entries is its bound, so it is optimal,
-    # and the solve before it ordered the required closure of the same
-    # matrix, so the last route costs no more.
+    # of its lower-bound order (``bound_order``). A window ends once no
+    # needed pair is left or after ``BOUND_POPS`` pops; every run solves there
+    # if it popped in the window, and at a stop inside a window. An exact run
+    # then re-solves its lower-bound order. A re-solve that finds every leg
+    # proved ends the run: the order's cost over exact entries is its bound,
+    # so it is optimal, and the last solve ordered the same matrix, so the
+    # last route costs no more.
     if stop_reason is None:
         if monotonic() >= deadline:
             stop_reason = "time_budget"
@@ -818,18 +806,17 @@ def plan(
             open_[i] = [k for k in open_[i] if matrix[i][k] > r[i] + r[k]]
         needed = set() if exact else {(i, k) for i in range(n_trees) for k in open_[i] if i < k}
         live: list[int] = []  # the trees of the needed pairs, ascending; empty when stale
-        pops = 0  # since the last lower-bound order
-        fell = False  # a required closure entry fell since the last solve
+        pops = 0  # in the current window
         while True:
-            if exact and (not needed or pops >= BOUND_POPS):
-                if fell:
+            if not needed or pops >= BOUND_POPS:  # the window ends
+                if pops:
                     try_solve()
-                    fell = False
-                order, bound = bound_order(matrix, r, keep, dests.source_index, dests.target_index)
-                lower_bound = bound if lower_bound is None else max(lower_bound, bound)
-                needed = {(a, b) if a < b else (b, a) for a, b in zip(order, order[1:]) if b in open_[a]}
-                live = []
-                pops = 0
+                    pops = 0
+                if exact:
+                    order, bound = bound_order(matrix, r, keep, dests.source_index, dests.target_index)
+                    lower_bound = bound if lower_bound is None else max(lower_bound, bound)
+                    needed = {(a, b) if a < b else (b, a) for a, b in zip(order, order[1:]) if b in open_[a]}
+                    live = []
             if not needed:
                 stop_reason = "optimal" if exact else "fixpoint"
                 break
@@ -842,8 +829,8 @@ def plan(
             pops += 1
             changed, joined, r[idx] = relax_least(trees[idx], heaps[idx], graph)
             explored += joined
-            # A pop that lowers no cost can lower no matrix entry.
-            improved = update_connections(conn, trees, changed, idx) if changed else None
+            if changed:  # a pop that lowers no cost can lower no matrix entry
+                update_connections(conn, trees, changed, idx)
             row, ri, partners = matrix[idx], r[idx], open_[idx]
             proved = []
             for k in partners:
@@ -854,26 +841,14 @@ def plan(
                 open_[k].remove(idx)
                 needed.discard((idx, k) if idx < k else (k, idx))
                 live = []
-            if improved:
-                # A list, not a generator: every improved pair must be lowered.
-                lowered = [
-                    ordering.lower_closure(closure, hops, i, k, matrix[i][k])[required_pairs].any()
-                    for i, k in dict.fromkeys(improved)
-                ]
-                if not any(lowered):
-                    solver_skips += 1
-                elif exact:
-                    fell = True
-                else:
-                    try_solve()
             if monotonic() >= deadline:
                 stop_reason = "time_budget"
             elif iterations >= cap:
                 stop_reason = "max_iterations"
-        if fell:  # the stop orders a fall still pending, whatever its reason
+        if pops:  # the run stopped inside a window
             try_solve()
 
-    # An exact run's last solve already ordered the final closure; a GA run
+    # An exact run's last solve already ordered the final matrix; a GA run
     # re-solves it at full strength. The required destinations connect
     # only in the phase-1 iteration that emits the first route.
     if solutions and not exact and not cfg.stop_after_first:
@@ -894,6 +869,5 @@ def plan(
         distance_matrix=[row[:] for row in conn.matrix],
         stop_reason=stop_reason,
         solver_calls=solver_calls,
-        solver_skips=solver_skips,
         lower_bound=lower_bound,
     )

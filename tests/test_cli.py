@@ -81,7 +81,7 @@ def test_run_emits_trace_and_exits_zero(fixtures, tmp_path):
     assert summary["final_cost"] == 7.0
     assert summary["node_path"] == [0, 1, 0, 2]
     assert len(summary["graph_sha256"]) == 64
-    assert summary["solver_calls"] >= 1 and summary["solver_skips"] >= 0
+    assert summary["solver_calls"] >= 1
     assert summary["stop_reason"] == "optimal"
     costs = [r["total_cost"] for r in solutions]
     assert all(a > b for a, b in zip(costs, costs[1:]))

@@ -631,47 +631,6 @@ def test_metric_closure_matches_scalar_reference():
         assert np.array_equal(nxt, np.array(ref_nxt))
 
 
-def test_lower_closure_tracks_the_closure_of_the_lowered_matrix():
-    rng = random.Random(61)
-    fell_steps = quiet_steps = 0
-    for trial in range(60):
-        n = 2 + trial % 9
-        integer = trial % 4 == 3  # ties between equal-cost paths
-        theta = random_theta(rng, n, (0.3, 0.6, 1.0)[trial % 3], integer=integer)
-        dist, nxt = (a.copy() for a in ordering.metric_closure(dg_from(theta)))
-        for _ in range(10):
-            i, k = rng.sample(range(n), 2)
-            old = theta[i, k]
-            if integer:
-                w = float(rng.randint(1, 3 if old == INF else max(1, int(old) - 1)))
-            else:
-                w = rng.uniform(0.1, 10.0) if old == INF else old * rng.uniform(0.2, 1.0)
-            theta[i, k] = theta[k, i] = w
-            before = dist.copy()
-            fell = ordering.lower_closure(dist, nxt, i, k, w)
-            ref, _ = scalar_metric_closure(theta)
-            assert np.array_equal(fell, dist < before)
-            assert np.array_equal(dist, dist.T)
-            assert np.array_equal(np.isinf(dist), np.isinf(ref))
-            finite = np.isfinite(ref)
-            assert np.allclose(dist[finite], ref[finite], rtol=1e-12, atol=0.0)
-            for a in range(n):
-                for b in range(n):
-                    if not finite[a, b]:
-                        continue
-                    walk, hops = [a], 0
-                    while walk[-1] != b:
-                        walk.append(int(nxt[walk[-1], b]))
-                        hops += 1
-                        assert hops <= n
-                    assert sum(theta[x, y] for x, y in zip(walk, walk[1:])) == pytest.approx(
-                        dist[a, b], rel=1e-9, abs=1e-12
-                    )
-            fell_steps += bool(fell.any())
-            quiet_steps += not fell.any()
-    assert fell_steps > 0 and quiet_steps > 0
-
-
 # ---------------------------------------------------------------------------
 # brute_force_oracle
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import math
 import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -642,14 +643,11 @@ def test_plan_reruns_are_trace_identical():
             res.explored_nodes,
             res.distance_matrix,
             res.solver_calls,
-            res.solver_skips,
         )
 
     first = run()
     assert first == run()
-    # The run ends proved optimal, and some of its matrix improvements leave
-    # the required destinations' closure unchanged.
-    assert first[-2] > 0 and first[-1] > 0
+    assert first[-1] > 0
 
 
 def integer_weighted_geometric_graph(n, radius, seed):
@@ -659,94 +657,65 @@ def integer_weighted_geometric_graph(n, radius, seed):
     return RoutingGraph(g.nodes, [(u, v, float(weights.randint(1, 9))) for u, v, _ in g.edges()])
 
 
-def test_in_loop_solve_runs_only_when_the_required_closure_falls(monkeypatch):
-    # Integer weights keep the closure sums exact, so "falls" is exact too. On
-    # this 60-node graph every seed reaches both branches of the skip rule: a
-    # pair improves but stays above the path through the third destination,
-    # or the closure falls. One objective is within ordering.EXACT_MAX, so
-    # every solve is exact. After the first route, which phase 1 solves in
-    # the iteration that connects the destinations, a solve runs only right
-    # before a lower-bound order or at the stop, and there exactly when the
-    # closure fell since the last solve. Every solve stitches its order once,
-    # so stitch calls mark the solves. Each seed runs to the optimum and once
-    # capped halfway through phase 2, so that some runs stop inside a window.
-    g = integer_weighted_geometric_graph(60, 0.22, seed=1)
-    picks = random.Random(1).sample(largest_component(g), 3)
-    dests = DestinationSet.build(picks[0], picks[1], objectives=(picks[2],))
-    events = []  # ("improved", matrix), ("bound",) or ("solve",)
+@pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
+def test_phase_two_solves_once_per_window_that_popped(monkeypatch, exact_max):
+    # After the first route, which phase 1 solves in the iteration that
+    # connects the destinations, phase 2 solves exactly once at the end of
+    # each window in which it popped, whether or not the required closure fell
+    # there, and once more at a stop inside a window. A window ends after
+    # BOUND_POPS pops or once no needed pair is left; an exact run re-solves
+    # its lower-bound order there, right after the solve. Every solve stitches
+    # its order once, so stitch calls mark the solves; a GA run's final solve
+    # stitches once more. Each seed runs to its stop and once capped halfway
+    # through phase 2, so that some runs stop inside a window. Integer weights
+    # keep the closure sums exact, so "the closure did not fall" is exact too.
+    monkeypatch.setattr(ordering, "EXACT_MAX", exact_max)
+    exact = exact_max >= 0
+    events = []  # "P" per pop, "B" per lower-bound order, "S" per solve
+    solved = []  # the required closure at each solve
 
-    def improving(conn, *args):
-        out = update_connections(conn, *args)
-        if out:
-            events.append(("improved", np.array(conn.matrix)))
-        return out
-
-    def stitching(*args):
-        events.append(("solve",))
-        return stitch_node_path(*args)
+    def popping(*args):
+        events.append("P")
+        return real_relax(*args)
 
     def bounding(*args):
-        events.append(("bound",))
+        events.append("B")
         return real_bound(*args)
 
-    real_bound = planner_module.bound_order
-    monkeypatch.setattr(planner_module, "update_connections", improving)
-    monkeypatch.setattr(planner_module, "stitch_node_path", stitching)
+    def stitching(seq, trees, conn):
+        events.append("S")
+        dg = ordering.DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
+        solved.append(ordering.required_closure(dg)[0])
+        return real_stitch(seq, trees, conn)
+
+    real_relax, real_bound, real_stitch = relax_least, planner_module.bound_order, stitch_node_path
+    monkeypatch.setattr(planner_module, "relax_least", popping)
     monkeypatch.setattr(planner_module, "bound_order", bounding)
-    dominated = batched = stopped_in_window = 0
-    for seed in range(6):
+    monkeypatch.setattr(planner_module, "stitch_node_path", stitching)
+    # A window of an exact run ends at a lower-bound order, a GA run's after
+    # BOUND_POPS pops; a GA run's last window may be shorter, and its final
+    # solve follows.
+    n = planner_module.BOUND_POPS
+    window = re.compile(f"SB(P{{1,{n}}}SB)*(P{{1,{n}}}S)?" if exact else f"S(P{{{n}}}S)*(P{{1,{n}}}S)?S")
+    quiet = stopped_in_window = 0
+    for seed in range(4):
+        g = integer_weighted_geometric_graph(200, 0.13, seed=seed)
+        picks = random.Random(seed).sample(largest_component(g), 6)
+        dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
         full = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
         for cap in (None, (full.solutions[0].iteration + full.iterations) // 2):
             events.clear()
-            costs = []
-
-            def check(sol: AnytimeSolution) -> None:
-                costs.append(sol.total_cost)
-                validate_node_path(g, dests, sol.node_path)
-
-            result = plan(g, dests, light_cfg(rng_seed=seed, max_iterations=cap), on_solution=check)
-            assert (result.status, result.stop_reason) == ("solved", "max_iterations" if cap else "optimal")
-            assert all(a > b for a, b in zip(costs, costs[1:]))
-            last = None  # required closure at the last solve
-            prev = None  # required closure at the last improvement
-            runs = skips = falls = 0
-            for i, event in enumerate(events):
-                if event[0] == "improved":
-                    matrix = event[1]
-                    dg = ordering.DestGraph(matrix, dests.source_index, dests.target_index, dests.required)
-                    try:
-                        closure = ordering.required_closure(dg)[0]
-                    except ordering.NoSequenceError:
-                        assert last is None  # phase 1 solves once they connect
-                        continue
-                    if last is not None:
-                        assert np.all(closure <= prev)
-                        if np.array_equal(closure, prev):
-                            skips += 1
-                            # A pair improved, but its entry stays above the
-                            # path through a third destination.
-                            down = matrix < prev_matrix
-                            dominated += bool(np.any(matrix[down] > closure[down]))
-                        else:
-                            falls += 1
-                    prev, prev_matrix = closure, matrix
-                elif event[0] == "solve":
-                    if last is None:
-                        assert events[i - 1][0] == "improved", "the first route comes from phase 1"
-                    else:
-                        assert i + 1 == len(events) or events[i + 1][0] == "bound"
-                        assert not np.array_equal(prev, last), "a solve follows a fall"
-                    runs += 1
-                    last = prev
-                elif events[i - 1][0] != "solve":
-                    assert np.array_equal(prev, last), "a fall is solved before the next bound"
-            if events[-1][0] == "solve":
-                stopped_in_window += 1
-            else:
-                assert np.array_equal(prev, last), "a fall is solved at the stop"
-            batched += falls > runs - 1
-            assert (result.solver_calls, result.solver_skips) == (runs, skips)
-    assert dominated > 0 and batched > 0 and stopped_in_window > 0
+            solved.clear()
+            result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, max_iterations=cap))
+            stop = "max_iterations" if cap else "optimal" if exact else "fixpoint"
+            assert (result.status, result.stop_reason) == ("solved", stop)
+            trace = "".join(events)
+            assert window.fullmatch(trace), trace
+            assert result.solver_calls == trace.count("S") - (not exact)
+            in_loop = solved if exact else solved[:-1]
+            quiet += sum(np.array_equal(a, b) for a, b in zip(in_loop, in_loop[1:]))
+            stopped_in_window += trace.endswith("PS" if exact else "PSS") and cap is not None
+    assert quiet > 0 and stopped_in_window > 0
 
 
 def test_exact_runs_stopped_inside_a_window_order_their_final_closure():
@@ -770,37 +739,39 @@ def test_exact_runs_stopped_inside_a_window_order_their_final_closure():
 
 
 @pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
-def test_each_run_builds_one_destination_graph_and_closure(monkeypatch, exact_max):
-    # Only the solve that emits the first route builds a DestGraph and runs
-    # Floyd-Warshall; later solves, the GA run's final one too, order the
-    # closure phase 2 keeps lowering.
+def test_each_solve_builds_one_destination_graph_and_closure(monkeypatch, exact_max):
+    # Every solve, the GA run's final one too, builds one DestGraph of the
+    # matrix and runs one Floyd-Warshall on it; nothing else builds either.
     monkeypatch.setattr(ordering, "EXACT_MAX", exact_max)
     g, _ = random_geometric_graph(150, 0.15, seed=31)
     picks = random.Random(31).sample(largest_component(g), 6)
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
-    cfg = light_cfg(rng_seed=3)
-    emitted = []
-    built = []  # emissions so far, per DestGraph built
-    closures = []  # emissions so far, per Floyd-Warshall closure
-    real_closure = ordering._metric_closure
+    events = []  # "graph" per DestGraph built, "closure" per Floyd-Warshall, "solve" per stitch
+    real_closure, real_stitch = ordering._metric_closure, stitch_node_path
 
     class CountedDestGraph(ordering.DestGraph):
         __slots__ = ()
 
         def __init__(self, *args):
-            built.append(len(emitted))
+            events.append("graph")
             super().__init__(*args)
 
     def counted_closure(dg):
-        closures.append(len(emitted))
+        events.append("closure")
         return real_closure(dg)
+
+    def stitching(*args):
+        events.append("solve")
+        return real_stitch(*args)
 
     monkeypatch.setattr(planner_module, "DestGraph", CountedDestGraph)
     monkeypatch.setattr(ordering, "_metric_closure", counted_closure)
-    result = plan(g, dests, cfg, on_solution=emitted.append)
+    monkeypatch.setattr(planner_module, "stitch_node_path", stitching)
+    result = plan(g, dests, light_cfg(rng_seed=3))
     assert (result.status, result.stop_reason) == ("solved", "optimal" if exact_max >= 0 else "fixpoint")
+    solves = result.solver_calls + (exact_max < 0)
     assert result.solver_calls >= 2 and len(result.solutions) >= 2
-    assert built == closures == [0]
+    assert events == ["graph", "closure", "solve"] * solves
 
 
 @pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
@@ -1399,12 +1370,17 @@ def golden_cases():
 
 
 def trace_digest(result) -> str:
-    """First 16 hex digits of a SHA-256 over the run's integer trace."""
+    """First 16 hex digits of a SHA-256 over the run's integer trace.
+
+    The 0 holds the place of a count of skipped solves that the planner no
+    longer keeps, so the digests of runs that never skipped one, every
+    first-route run, carry over.
+    """
     key = (
         result.iterations,
         result.explored_nodes,
         result.solver_calls,
-        result.solver_skips,
+        0,
         [(s.iteration, list(map(int, s.visit_order.order)), list(map(int, s.node_path))) for s in result.solutions],
     )
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
@@ -1417,17 +1393,16 @@ def trace_digest(result) -> str:
 # changes some of them. The fixpoint runs end proved optimal in phase 2; the
 # first-route runs end inside phase 1.
 GOLDEN_TRACES = [
-    "a7c33adf7f66e3ce", "960577490d42b18f", "411a532920b921a3", "7fb66f4956608268",
-    "c5e1ba414c8eeaf9", "09406b24b09419bb", "10b1804dee7451a7", "2d54020055a92202",
-    "13d0e98b86ac5063", "a25197d1a1034317", "4ac9dc0a2386d25b", "4bd72533a758fb60",
+    "e5abb7ad07b79a99", "960577490d42b18f", "1d513610cf02317e", "7fb66f4956608268",
+    "4e43ca25130e6879", "09406b24b09419bb", "c0cee73fa2ff0d1f", "2d54020055a92202",
+    "2a8e477efaf9bfa8", "a25197d1a1034317", "2a1a99dee386e16a", "4bd72533a758fb60",
 ]
-# The same runs' (iterations, explored nodes, solver calls, solver skips). Tree
-# growth reads no solver output, so the first two do not depend on when the
-# solver runs.
+# The same runs' (iterations, explored nodes, solver calls). Tree growth reads
+# no solver output, so the first two do not depend on when the solver runs.
 GOLDEN_COUNTS = [
-    (421, 482, 5, 3), (75, 81, 1, 0), (410, 477, 5, 4), (64, 70, 1, 0),
-    (356, 521, 4, 11), (56, 64, 1, 0), (368, 526, 4, 5), (68, 76, 1, 0),
-    (330, 404, 4, 4), (57, 63, 1, 0), (325, 403, 4, 4), (52, 58, 1, 0),
+    (421, 482, 6), (75, 81, 1), (410, 477, 6), (64, 70, 1),
+    (356, 521, 4), (56, 64, 1), (368, 526, 4), (68, 76, 1),
+    (330, 404, 5), (57, 63, 1), (325, 403, 5), (52, 58, 1),
 ]
 
 
@@ -1439,7 +1414,7 @@ def golden_runs():
 
 
 def counts(result):
-    return result.iterations, result.explored_nodes, result.solver_calls, result.solver_skips
+    return result.iterations, result.explored_nodes, result.solver_calls
 
 
 def test_seeded_traces_match_the_golden_digests():
@@ -1478,7 +1453,7 @@ def emission_digest(result) -> str:
 # that moves a choice or a float changes one of them.
 BENCH_SHAPED_TRACES = [
     "323b069835352d97", "bac9fb5f4fbe834e", "4df67f49877cdd60", "bb6b6195b0b2e2fb",
-    "4cada94fb8e781ec", "6c48ddb3577db724", "edc17b679559c0c6", "1a83b66822be9f94",
+    "4cada94fb8e781ec", "24e702fd6939c6bc", "edc17b679559c0c6", "1a83b66822be9f94",
 ]
 
 
@@ -1516,5 +1491,5 @@ def test_runs_above_exact_max_keep_the_ga_planner_trace():
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
     result = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
     assert (result.status, result.stop_reason) == ("solved", "fixpoint")
-    assert counts(result) == (1178, 1457, 93, 63)
-    assert trace_digest(result) == "4e0bb530ac562311"
+    assert counts(result) == (1178, 1457, 12)
+    assert trace_digest(result) == "7e23275a4f96738f"
