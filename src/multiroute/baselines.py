@@ -58,13 +58,24 @@ class _GoalHeuristic(dict):
         return h
 
 
-def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
-    """Exact shortest path via simultaneous searches from both endpoints.
+def bidirectional_astar(
+    graph: RoutingGraph, s: int, t: int, deadline: float = INF, max_pops: float = INF
+) -> BaselineResult:
+    """Exact shortest path via simultaneous A* searches from both endpoints.
 
     Uses the great-circle distance to the opposite endpoint as the heuristic,
     scaled down when explicit edge weights are shorter than the great-circle
-    length so that it stays consistent. Stops once either frontier's best
-    f-value reaches the best meeting cost seen, which proves that cost optimal.
+    length so that it stays consistent. Each pop settles one node of one side,
+    the side whose least f-value is smaller (the forward side on a tie), and
+    ``explored_nodes`` counts the pops. Stops once either frontier's best
+    f-value reaches the best meeting cost seen, which proves that cost
+    optimal. The returned cost sums the path's edge weights in path order, as
+    ``node_path_cost`` does. Before each pop the search checks the clock
+    against ``deadline`` (a ``time.monotonic`` reading), then its pop count
+    against ``max_pops``, and raises ``NoPathYet`` with the pops made once
+    either is reached. The planner's phase 2 searches its legs with this
+    function, passing the run's deadline and what is left of its iteration
+    cap, so that one planner iteration is one pop.
     """
     n = graph.node_count
     if not (0 <= s < n and 0 <= t < n):
@@ -74,56 +85,50 @@ def bidirectional_astar(graph: RoutingGraph, s: int, t: int) -> BaselineResult:
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    h_fwd, h_bwd = _GoalHeuristic(graph, t), _GoalHeuristic(graph, s)
+    h = (_GoalHeuristic(graph, t), _GoalHeuristic(graph, s))
     g = ({s: 0.0}, {t: 0.0})
     parent: tuple[dict[int, int | None], dict[int, int | None]] = ({s: None}, {t: None})
     done: tuple[set[int], set[int]] = (set(), set())
-    heaps: list[list[tuple[float, int, float]]] = [[(h_fwd[s], s, 0.0)], [(h_bwd[t], t, 0.0)]]
-    h_of = (h_fwd, h_bwd)
+    heaps: tuple[list[tuple[float, int, float]], ...] = ([(h[0][s], s, 0.0)], [(h[1][t], t, 0.0)])
+    top = [h[0][s], h[1][t]]  # each side's least valid f-value, INF once its heap empties
+    adj = graph.adj
+    monotonic = time.monotonic
+    heappop, heappush = heapq.heappop, heapq.heappush
     mu = INF
     meet = -1
     explored = 0
-
-    def top_f(side: int) -> float:
-        heap = heaps[side]
-        while heap:
-            f, node, gv = heap[0]
-            if node in done[side] or g[side].get(node) != gv:
-                heapq.heappop(heap)
-                continue
-            return f
-        return INF
-
     while True:
-        f0, f1 = top_f(0), top_f(1)
-        if min(f0, f1) >= mu:
+        side = 0 if top[0] <= top[1] else 1
+        if top[side] >= mu:
             break
-        if f0 == INF and f1 == INF:
-            break
-        side = 0 if f0 <= f1 else 1
-        _, u, gu = heapq.heappop(heaps[side])
-        done[side].add(u)
+        if monotonic() >= deadline or explored >= max_pops:
+            raise NoPathYet(explored)
+        heap, gs, ds, hs, ps, go = heaps[side], g[side], done[side], h[side], parent[side], g[1 - side]
+        _, u, gu = heappop(heap)
+        ds.add(u)
         explored += 1
-        other = 1 - side
-        if u in g[other]:
-            cand = gu + g[other][u]
+        if u in go:
+            cand = gu + go[u]
             if cand < mu:
                 mu = cand
                 meet = u
-        h = h_of[side]
-        for v, w in graph.adj[u]:
-            if v in done[side]:
+        for v, w in adj[u]:
+            if v in ds:
                 continue
             ng = gu + w
-            if ng < g[side].get(v, INF):
-                g[side][v] = ng
-                parent[side][v] = u
-                heapq.heappush(heaps[side], (ng + h[v], v, ng))
-                if v in g[other]:
-                    cand = ng + g[other][v]
+            if ng < gs.get(v, INF):
+                gs[v] = ng
+                ps[v] = u
+                heappush(heap, (ng + hs[v], v, ng))
+                if v in go:
+                    cand = ng + go[v]
                     if cand < mu:
                         mu = cand
                         meet = v
+        # Only this side's heap and labels changed, so only its top can have.
+        while heap and (heap[0][1] in ds or gs[heap[0][1]] != heap[0][2]):
+            heappop(heap)
+        top[side] = heap[0][0] if heap else INF
     if meet < 0:
         raise NoPathError(s, t)
     path = path_from_root(parent[0], meet) + path_from_root(parent[1], meet)[-2::-1]

@@ -11,30 +11,30 @@ the matrix and orders it with ``ordering.solve_exact`` (Held-Karp) up to
 ``ordering.EXACT_MAX`` required intermediates, above that with
 ``ordering.solve`` (the genetic solver).
 
-A run has two phases. Phase 1 grows the trees by sampling, round-robin, with
-the paper's extend and rewire steps, up to the first emitted route; its rewire
-reparents only the new node's neighbours, and phase 2 corrects their subtrees.
-It skips the saturated tree of an optional destination; the tree of a required
-one that saturates before any route proves that no route exists. Phase 2
-then grows them in cost order: each iteration pops the least-cost entry of
-the tree whose least key is smallest among the trees of the needed pairs,
-and relaxes that node's graph neighbours (``relax_least``). A pair is proved
-exact once ``matrix[i][k] <= r_i + r_k``, with ``r_i`` tree i's least key.
-With the genetic solver every unproved pair is needed, and the run stops
-once all are proved. With an exact order, only the unproved legs of a
-lower-bound order are (``bound_order``: the cheapest order over the matrix
-with each unproved entry lowered to ``r_i + r_k``); the run stops once that
-order's legs are all proved, which makes the last route optimal. Phase 1
-solves in the iteration that connects the required destinations. Phase 2
-solves at the end of each window in which it popped, and once more when it
-stops inside a window, so a better route is emitted at most one window
-late. A window ends after ``BOUND_POPS`` pops, or once no needed pair is
-left; there an exact run re-solves its lower-bound order, right after the
-solve.
+A run has two phases. Phase 1 is the paper's method: it grows the trees by
+sampling, round-robin, with the paper's extend and rewire steps, up to the
+first emitted route; its rewire reparents only the new node's neighbours. It
+skips the saturated tree of an optional destination; the tree of a required
+one that saturates before any route proves that no route exists. Phase 2 is
+this project's extension: it proves matrix entries exact with one exact
+bidirectional A* search per leg (``baselines.bidirectional_astar``) and
+leaves the trees as they are, so they serve only the first route and the
+witnesses of unsearched pairs. A searched leg's cost becomes its matrix
+entry, and its node path is stitched wherever the route takes that leg. An
+exact run searches only the unsearched legs of a lower-bound order
+(``bound_order``: Held-Karp over the matrix entries of searched pairs and
+the scaled great-circle distances of the others), re-solving that order
+after each round, and stops once the order has no unsearched leg, which
+makes the last route optimal. A run ordered by the genetic solver searches
+every required pair, one source row at a time. Phase 1 solves in the
+iteration that connects the required destinations; phase 2 solves after
+each round or row of searches that lowered an entry, and once more when the
+budget stops it inside such a round or row.
 
-Both loops are written for their per-step cost. They index
-``RoutingGraph.adj`` directly, and check the budget inline against a deadline
-and an iteration cap computed once per run. Phase 1 checks whether the
+Phase 1's loop is written for its per-step cost. It indexes
+``RoutingGraph.adj`` directly, and checks the budget inline against a
+deadline and an iteration cap computed once per run; each leg search checks
+the same deadline and what is left of the cap. Phase 1 checks whether the
 required destinations connect only when some matrix entry first turns
 finite, the only time that can change. ``nearest_expandable``, ``extend``,
 ``choose_parent``, ``rewire``, ``update_connections``,
@@ -50,11 +50,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .baselines import NoPathYet, bidirectional_astar
+from .geo import haversine
 from .graph import RoutingGraph, node_path_cost, path_from_root
 from . import ordering
 from .ordering import DestGraph, GaConfig, VisitSequence
@@ -193,16 +194,17 @@ class SearchTree:
     ``parent_w`` the weight of the edge to the parent (0.0 where ``parent``
     is None); ``_unvisited`` the number of graph neighbors outside the tree.
     ``expandable`` is the growth frontier: the tree nodes with an unvisited
-    neighbor. ``choose_parent`` attaches nodes and keeps all of these in
-    phase 1; phase 2 (``relax_least``) keeps only ``cost``, ``parent`` and
-    ``parent_w``.
+    neighbor. ``choose_parent`` attaches nodes and keeps all of these;
+    only phase 1 grows a tree, and phase 2 leaves it as it is.
 
-    Every tree edge is a graph edge, and in both phases
-    ``cost[v] >= cost[parent[v]] + w``: a node whose cost falls (``rewire``,
-    ``relax_least``) leaves its descendants' costs above their new path cost
-    until phase 2 pops it. Weights are positive, so costs fall strictly along
+    Every tree edge is a graph edge, and ``cost[v] >= cost[parent[v]] + w``:
+    a node whose cost falls (``rewire``) leaves its descendants' costs above
+    their new path cost. Weights are positive, so costs fall strictly along
     parent links and the links are acyclic; each cost is at least the length
-    of the node's parent chain.
+    of the node's parent chain. A tree serves the first route and the
+    witnesses of pairs phase 2 did not search, whose matrix entries are
+    realized path costs either way; phase 2's leg searches make exact the
+    entries a proof needs, so no stale cost has to be corrected.
     """
 
     __slots__ = ("root_node", "parent", "parent_w", "cost", "expandable", "_unvisited")
@@ -354,9 +356,8 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
     """Reparent neighbors of ``v_new`` that become cheaper through it.
 
     Only the neighbors change: their descendants keep costs above their new
-    path cost, which the tree invariant allows, until phase 2 pops them.
-    Returns the number of reparented neighbors and the neighbors themselves,
-    in ascending id.
+    path cost, which the tree invariant allows. Returns the number of
+    reparented neighbors and the neighbors themselves, in ascending id.
     """
     changed: list[int] = []
     cost = tree.cost
@@ -373,66 +374,27 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
     return len(changed), changed
 
 
-def relax_least(
-    tree: SearchTree, heap: list[tuple[float, int]], graph: RoutingGraph
-) -> tuple[list[int], int, float]:
-    """One phase-2 step: pop the least entry of ``heap`` and relax its node's neighbours.
-
-    ``heap`` holds ``(cost, node)`` entries of ``tree``, and its top must be
-    valid: its key equals the node's cost. A neighbour whose cost falls gets
-    the popped node as its parent and is pushed at its new cost; one outside
-    the tree joins it. Entries left with a key above their node's cost are
-    stale, and are dropped from the top before returning, so the top stays
-    valid. Returns the neighbours whose cost fell, in ascending id, how many
-    of them joined the tree, and the least key left (INF once the heap is
-    empty).
-    """
-    c, u = heappop(heap)
-    cost = tree.cost
-    parent = tree.parent
-    parent_w = tree.parent_w
-    changed: list[int] = []
-    joined = 0
-    for v, w in graph.adj[u]:
-        nc = c + w
-        cv = cost[v]
-        if nc < cv:
-            if cv == INF:
-                joined += 1
-            cost[v] = nc
-            parent[v] = u
-            parent_w[v] = w
-            heappush(heap, (nc, v))
-            changed.append(v)
-    while heap:
-        key, v = heap[0]
-        if key <= cost[v]:
-            return changed, joined, key
-        heappop(heap)
-    return changed, joined, INF
-
-
 # ---------------------------------------------------------------------------
 # Connections between trees
 # ---------------------------------------------------------------------------
 
 class ConnectionTable:
-    """Destination distance matrix plus one witness connection node per pair.
+    """Destination distance matrix plus the path that realizes each entry.
 
-    ``matrix[i][k]`` is the best known path cost between destinations i and k,
-    realized by the connection node ``best[(i, k)]``; entries only ever
-    decrease as trees grow and rewire. ``open[i]`` lists, in ascending id,
-    the destinations k != i whose entry ``matrix[i][k]`` may still fall: every
-    other destination until phase 2 proves pairs exact and drops them from
-    both lists.
+    ``matrix[i][k]`` is the best known path cost between destinations i and
+    k; entries only ever decrease. For a pair (i, k), i < k, ``legs[(i, k)]``
+    holds the node path from destination i's node to destination k's that
+    phase 2's leg search found, and the weights of its hops, when that
+    search set the entry; otherwise the entry is realized through the
+    connection node ``best[(i, k)]`` of trees i and k, which phase 1 keeps.
     """
 
     def __init__(self, n_dest: int) -> None:
         self.best: dict[tuple[int, int], int] = {}
+        self.legs: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
         self.matrix: list[list[float]] = [
             [0.0 if i == k else INF for k in range(n_dest)] for i in range(n_dest)
         ]
-        self.open: list[list[int]] = [[k for k in range(n_dest) if k != i] for i in range(n_dest)]
 
 
 def update_connections(
@@ -443,8 +405,7 @@ def update_connections(
 ) -> list[tuple[int, int]]:
     """Account for the nodes ``changed`` of tree ``owner`` joining or getting cheaper.
 
-    For each open partner k of ``owner`` (``conn.open[owner]``), lowers the
-    pair's matrix entry wherever a node of ``changed`` that both trees hold
+    For each other tree k, lowers the pair's matrix entry wherever a node of ``changed`` that both trees hold
     realizes a shorter destination-to-destination path, and makes that node
     the pair's witness; of equal sums the first in ``changed`` order wins.
     Pass ``changed`` in ascending order so the witnesses do not depend on set
@@ -453,8 +414,10 @@ def update_connections(
     improved: list[tuple[int, int]] = []
     own = trees[owner].cost
     matrix = conn.matrix
-    for k in conn.open[owner]:
-        oc = trees[k].cost
+    for k, tree in enumerate(trees):
+        if k == owner:
+            continue
+        oc = tree.cost
         entry = matrix[owner][k]
         for v in changed:
             cand = own[v] + oc[v]  # INF when tree k lacks v
@@ -493,26 +456,20 @@ def destinations_connected(
 
 
 def bound_order(
-    matrix: Sequence[Sequence[float]],
-    r: Sequence[float],
-    keep: Sequence[int],
-    source: int,
-    target: int,
+    bound: np.ndarray, keep: Sequence[int], source: int, target: int
 ) -> tuple[list[int], float]:
     """A lower bound on the optimal route's cost, and the order that attains it.
 
-    Orders the destinations ``keep`` (ascending, ``source`` and ``target``
-    among them) with ``ordering.held_karp`` over ``L[i][k] = min(matrix[i][k],
-    r[i] + r[k])``, with ``r`` the trees' least heap keys. Each entry is at
-    most the true distance: the matrix entry is a realized path's cost, and a
-    pair whose true distance is below r_i + r_k has an exact entry no higher,
-    by phase 2's exactness argument (see ``plan``). True distances are
-    metric, so the cheapest order over L costs at most the optimum. Returns
-    that order, as destination indices, and its cost over L.
+    ``bound[p, q]`` is at most the true distance between destinations
+    ``keep[p]`` and ``keep[q]`` (``keep`` ascending, ``source`` and
+    ``target`` among them): the exact matrix entry of a pair phase 2
+    searched, else the great-circle distance between the two nodes times
+    ``RoutingGraph.great_circle_scale``, which no path undercuts. True
+    distances are metric, so the cheapest order over ``bound``
+    (``ordering.held_karp``) costs at most the optimum. Returns that order,
+    as destination indices, and its cost over ``bound``.
     """
-    sub = np.array(matrix)[np.ix_(keep, keep)]
-    rk = np.array(r)[keep]
-    order, cost = ordering.held_karp(np.minimum(sub, rk[:, None] + rk), keep.index(source), keep.index(target))
+    order, cost = ordering.held_karp(bound, keep.index(source), keep.index(target))
     return [keep[i] for i in order], cost
 
 
@@ -520,26 +477,18 @@ def bound_order(
 # Planner loop
 # ---------------------------------------------------------------------------
 
-# Phase-2 pops in one window. At each window end a run orders the matrix,
-# and an exact run re-solves its lower-bound order while some leg is still
-# open: keys rise with every pop, so the order can change before its legs are
-# proved. A re-solve is one Held-Karp solve. On the bench's 24 fixpoint
-# scenarios of seeds 1-4, 25 pops cut iterations by 3-9 % but took 22-55 %
-# more CPU time than 100, and 50 took 10-14 % more; 200 took the same time as
-# 100.
-BOUND_POPS = 100
-
-
 @dataclass
 class PlannerConfig:
     goal_bias: float = 0.2
     rng_seed: int = 0
     time_budget: float = 10.0
-    # An iteration is one sampled growth step in phase 1, one pop in phase 2.
+    # An iteration is one sampled growth step in phase 1, one pop of a leg
+    # search in phase 2.
     max_iterations: int | None = None
     # Ordering-solver strength above ``ordering.EXACT_MAX`` required
     # intermediates for the in-loop solves, the first route's and one per
-    # phase-2 window; the one solve at the end runs at full strength, ``GaConfig()``.
+    # phase-2 row of searches that lowered an entry; the one solve at the end
+    # runs at full strength, ``GaConfig()``.
     solver_ga: GaConfig = field(
         default_factory=lambda: GaConfig(mutation_count=150, crossover_count=150, generations=3)
     )
@@ -576,20 +525,21 @@ class PlanResult:
     explored_nodes: int
     wall_time: float
     distance_matrix: list[list[float]]
-    # Why the loop ended: "optimal" (phase 2 proved exact every leg of an
-    # order whose cost bounds the optimum from below, so the last route is
-    # optimal), "fixpoint" (phase 2 proved every matrix entry exact but the
-    # genetic solver orders it, or phase 1 saturated a required tree without
-    # a route), "time_budget",
-    # "max_iterations" or "first_solution" (``stop_after_first``).
+    # Why the loop ended: "optimal" (phase 2 of an exact run searched every
+    # leg of a lower-bound order, so the last route is optimal), "fixpoint"
+    # (phase 2 of a run that the genetic solver orders searched every
+    # required pair, or phase 1 saturated a required tree without a route),
+    # "time_budget", "max_iterations" or "first_solution" (``stop_after_first``).
     stop_reason: str
     # In-loop ordering solves run: the first route's, then one per phase-2
-    # window in which the run popped. A GA run's final solve is not counted.
+    # round (exact) or row (GA) of leg searches that lowered a matrix entry,
+    # and one when the budget stops a run inside such a round or row. A GA
+    # run's final solve is not counted.
     solver_calls: int = 0
-    # The highest lower bound on the optimal route's cost that phase 2 of an
-    # exact run found (``bound_order``); it equals the last route's cost, up to
-    # rounding, once the run ends "optimal". None for runs that the genetic
-    # solver orders and for runs that end in phase 1.
+    # The highest Held-Karp cost of the lower-bound orders that phase 2 of an
+    # exact run solved (``bound_order``); it equals the last route's cost, up
+    # to rounding, once the run ends "optimal". None for runs that the
+    # genetic solver orders and for runs that end in phase 1.
     lower_bound: float | None = None
 
     @property
@@ -620,18 +570,31 @@ def stitch_node_path(
 ) -> tuple[list[int], float]:
     """Expand a destination visit order into a graph node path and its cost.
 
-    Each leg runs from one destination's root to the pair's best connection
-    node inside the first tree, then down the second tree to its root;
-    junction nodes shared by consecutive legs appear once. The cost sums the
-    trees' ``parent_w`` of the hops in path order, as ``node_path_cost`` sums
-    the same edge weights, so the two agree bit for bit.
+    A leg whose pair has a searched path (``conn.legs``) follows it, read
+    backwards when the order runs from the higher destination index to the
+    lower. Any other leg runs from one destination's root to the pair's
+    witness connection node inside the first tree, then down the second tree
+    to its root. Junction nodes shared by consecutive legs appear once. The
+    cost sums the weights of the hops in path order, the searched legs' own
+    and the trees' ``parent_w``, as ``node_path_cost`` sums the same edge
+    weights, so the two agree bit for bit.
     """
     path = [trees[seq.order[0]].root_node]
     cost = 0.0
     for a, b in zip(seq.order, seq.order[1:]):
         if a == b:
             continue
-        c = conn.best[(a, b) if a < b else (b, a)]
+        pair = (a, b) if a < b else (b, a)
+        leg = conn.legs.get(pair)
+        if leg is not None:
+            nodes, weights = leg
+            if a > b:
+                nodes, weights = nodes[::-1], weights[::-1]
+            for w in weights:
+                cost += w
+            path += nodes[1:]
+            continue
+        c = conn.best[pair]
         down = path_from_root(trees[a].parent, c)[1:]
         parent_w = trees[a].parent_w
         for v in down:
@@ -695,8 +658,7 @@ def plan(
         with ``ordering.solve_exact`` in an exact run, otherwise with
         ``ordering.solve`` at ``cfg.solver_ga`` in the loop and at full
         strength in the final call, each with the next seed of the solver
-        stream. Phase 2 calls it at the end of each window in which it popped
-        and at a stop inside one.
+        stream.
         """
         nonlocal solver_calls
         dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
@@ -721,8 +683,8 @@ def plan(
             if on_solution is not None:
                 on_solution(sol)
 
-    # The budget, checked inline before each phase-1 iteration and after each
-    # phase-2 pop: the time first, then the iteration cap.
+    # The budget, checked inline before each phase-1 iteration and by each
+    # leg search before each pop: the time first, then the iteration cap.
     monotonic = time.monotonic
     deadline = start + cfg.time_budget
     cap = INF if cfg.max_iterations is None else cfg.max_iterations
@@ -768,26 +730,17 @@ def plan(
             if destinations_connected(conn.matrix, required):
                 try_solve()
 
-    # Phase 2: cost-ordered growth until the pairs the run waits for are
-    # proved exact. Every node whose true cost-to-come from root i is below
-    # r_i carries that cost, so matrix[i][k] <= r_i + r_k proves the entry
-    # exact, and the pair leaves conn.open. Keys only rise and entries only
-    # fall, so a proved pair stays proved, and a pop from tree i can prove
-    # only pairs of tree i. A tree whose heap is empty has r = INF, so a pair
-    # stays open only while both heaps hold entries. Only trees of a needed
-    # pair are popped: a pop of tree i changes only tree i's state, so each
-    # such tree pops the same sequence as if every tree were popped, and an
-    # open pair is still updated from both sides. Phase 1 emitted a route and
-    # entries only fall, so the required destinations stay connected.
-    #
-    # A GA run needs every open pair. An exact run needs only the open legs
-    # of its lower-bound order (``bound_order``). A window ends once no
-    # needed pair is left or after ``BOUND_POPS`` pops; every run solves there
-    # if it popped in the window, and at a stop inside a window. An exact run
-    # then re-solves its lower-bound order. A re-solve that finds every leg
-    # proved ends the run: the order's cost over exact entries is its bound,
-    # so it is optimal, and the last solve ordered the same matrix, so the
-    # last route costs no more.
+    # Phase 2: exact leg searches, each with what is left of the budget.
+    # Phase 1 emitted a route and entries only fall, so the required
+    # destinations stay connected and every required pair has a path. A
+    # search that ends lowers the pair's entry to its cost, unless rounding
+    # left the witness below it; either way the entry is at most the pair's
+    # true distance plus rounding, so the bound order stays a lower bound. An
+    # exact run stops once its bound order has no unsearched leg: that order
+    # then costs its bound over exact entries, so it is an optimal route, and
+    # the last solve ordered the same matrix, so the last route costs no more.
+    # A run solves after each round or row that lowered an entry, and at a
+    # stop inside one, so it ends with its final matrix ordered.
     if stop_reason is None:
         if monotonic() >= deadline:
             stop_reason = "time_budget"
@@ -796,57 +749,60 @@ def plan(
         elif cfg.stop_after_first:
             stop_reason = "first_solution"
     if stop_reason is None:
-        heaps = [[(c, v) for v, c in enumerate(t.cost) if c < INF] for t in trees]
-        for h in heaps:
-            heapify(h)
-        r = [h[0][0] for h in heaps]
         matrix = conn.matrix
-        open_ = conn.open
-        for i in range(n_trees):
-            open_[i] = [k for k in open_[i] if matrix[i][k] > r[i] + r[k]]
-        needed = set() if exact else {(i, k) for i in range(n_trees) for k in open_[i] if i < k}
-        live: list[int] = []  # the trees of the needed pairs, ascending; empty when stale
-        pops = 0  # in the current window
-        while True:
-            if not needed or pops >= BOUND_POPS:  # the window ends
-                if pops:
-                    try_solve()
-                    pops = 0
-                if exact:
-                    order, bound = bound_order(matrix, r, keep, dests.source_index, dests.target_index)
-                    lower_bound = bound if lower_bound is None else max(lower_bound, bound)
-                    needed = {(a, b) if a < b else (b, a) for a, b in zip(order, order[1:]) if b in open_[a]}
-                    live = []
-            if not needed:
-                stop_reason = "optimal" if exact else "fixpoint"
-                break
-            if stop_reason is not None:
-                break
-            if not live:
-                live = sorted({i for pair in needed for i in pair})
-            idx = min(live, key=r.__getitem__)
-            iterations += 1
-            pops += 1
-            changed, joined, r[idx] = relax_least(trees[idx], heaps[idx], graph)
-            explored += joined
-            if changed:  # a pop that lowers no cost can lower no matrix entry
-                update_connections(conn, trees, changed, idx)
-            row, ri, partners = matrix[idx], r[idx], open_[idx]
-            proved = []
-            for k in partners:
-                if row[k] <= ri + r[k]:
-                    proved.append(k)
-            for k in proved:
-                partners.remove(k)
-                open_[k].remove(idx)
-                needed.discard((idx, k) if idx < k else (k, idx))
-                live = []
-            if monotonic() >= deadline:
-                stop_reason = "time_budget"
-            elif iterations >= cap:
-                stop_reason = "max_iterations"
-        if pops:  # the run stopped inside a window
-            try_solve()
+        nodes = dests.node_ids
+        searched: set[tuple[int, int]] = set()
+
+        def search(a: int, b: int) -> bool:
+            """Search the leg between destinations a < b; True if its entry fell."""
+            nonlocal iterations, explored
+            res = bidirectional_astar(graph, nodes[a], nodes[b], deadline, cap - iterations)
+            iterations += res.explored_nodes
+            explored += res.explored_nodes
+            searched.add((a, b))
+            if res.cost > matrix[a][b]:
+                return False
+            fell = res.cost < matrix[a][b]
+            matrix[a][b] = matrix[b][a] = res.cost
+            path = list(res.node_path)
+            conn.legs[(a, b)] = (path, [graph.edge_weight(u, v) for u, v in zip(path, path[1:])])
+            return fell
+
+        fell = False  # in the current round or row
+        try:
+            if exact:
+                scale = graph.great_circle_scale()
+                points = [graph.nodes[nodes[i]] for i in keep]
+                bound = np.array([[scale * haversine(p, q) for q in points] for p in points])
+                while True:
+                    order, cost = bound_order(bound, keep, dests.source_index, dests.target_index)
+                    lower_bound = cost if lower_bound is None else max(lower_bound, cost)
+                    legs = [(min(a, b), max(a, b)) for a, b in zip(order, order[1:])]
+                    legs = [leg for leg in legs if leg not in searched]
+                    if not legs:
+                        stop_reason = "optimal"
+                        break
+                    for a, b in legs:
+                        fell |= search(a, b)
+                        p, q = keep.index(a), keep.index(b)
+                        bound[p, q] = bound[q, p] = matrix[a][b]
+                    if fell:
+                        try_solve()
+                        fell = False
+            else:
+                for p, a in enumerate(keep):
+                    for b in keep[p + 1 :]:
+                        fell |= search(a, b)
+                    if fell:
+                        try_solve()
+                        fell = False
+                stop_reason = "fixpoint"
+        except NoPathYet as stopped:
+            iterations += stopped.explored_nodes
+            explored += stopped.explored_nodes
+            stop_reason = "time_budget" if monotonic() >= deadline else "max_iterations"
+            if fell:
+                try_solve()
 
     # An exact run's last solve already ordered the final matrix; a GA run
     # re-solves it at full strength. The required destinations connect

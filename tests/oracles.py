@@ -8,8 +8,7 @@ instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
 instead of the array one, a per-destination insertion loop instead of the
 batched selection, and an all-pairs loop instead of the geometric
 generator's cell buckets. The planner validators rebuild each tree's frontier,
-parent links and cost inequality, and each matrix entry, from scratch, and
-check phase-2 trees against Bellman-Ford costs.
+parent links and cost inequality, and each matrix entry, from scratch.
 """
 
 from __future__ import annotations
@@ -261,11 +260,11 @@ def tree_nodes(tree: SearchTree) -> list[int]:
 
 
 def validate_parent_links(tree: SearchTree, graph: RoutingGraph) -> list[int]:
-    """Assert the tree invariant both phases keep; returns the tree's nodes.
+    """Assert the tree invariant; returns the tree's nodes.
 
     Parent links must be graph edges that reach the root without a cycle, with
     ``cost[v] >= cost[parent[v]] + w`` and ``parent_w[v] == w``: a node's cost
-    may sit above its path's until phase 2 pops an ancestor whose cost fell.
+    may sit above its path's once ``rewire`` lowered an ancestor's cost.
     Nodes outside the tree have no parent.
     """
     members = tree_nodes(tree)
@@ -344,15 +343,3 @@ def validate_connections(conn: ConnectionTable, trees: Sequence[SearchTree]) -> 
                 if node not in shared or ti.cost[node] + tk.cost[node] != cached:
                     raise AssertionError(f"witness for pair {(i, k)} does not realize the value")
 
-
-def validate_phase2_tree(tree: SearchTree, graph: RoutingGraph, exact: Sequence[float], below: float) -> None:
-    """Assert the tree invariant (``validate_parent_links``), and exact costs below ``below``.
-
-    Phase 2 does not keep the frontier. Every node whose exact cost-to-come
-    ``exact[v]`` (for instance from ``bellman_ford``) lies below ``below``
-    must carry that cost, to rounding.
-    """
-    validate_parent_links(tree, graph)
-    for node in range(graph.node_count):
-        if exact[node] < below and not math.isclose(tree.cost[node], exact[node], rel_tol=1e-9, abs_tol=1e-9):
-            raise AssertionError(f"node {node} costs {tree.cost[node]}, exact {exact[node]} below {below}")

@@ -143,8 +143,8 @@ def test_repeat_runs_identical_minus_wall_time(fixtures, tmp_path):
 
 def test_max_iterations_runs_replay_exactly(tmp_path):
     # Five destinations on a 400-node graph: the first route comes at
-    # iteration 60, the proved optimum only at 504 uncapped, so the cap, not
-    # the host's speed, ends the run.
+    # iteration 60, the proved optimum only at 156 uncapped, so the cap, not
+    # the host's speed, ends the run, inside phase 2's leg searches.
     assert main(["gen", "--kind", "geometric", "--nodes", "400", "--radius", "0.1",
                  "--objectives", "3", "--seed", "4", "--out", str(tmp_path / "g")]) == 0
     reports = []
@@ -157,7 +157,7 @@ def test_max_iterations_runs_replay_exactly(tmp_path):
                 "--scenario", str(tmp_path / "g.scenario"),
                 "--budget", "600",
                 "--seed", "5",
-                "--max-iterations", "400",
+                "--max-iterations", "100",
                 "--out", str(out),
             ]
         )
@@ -166,7 +166,7 @@ def test_max_iterations_runs_replay_exactly(tmp_path):
     rc, records = reports[0]
     summary = records[-1]
     assert rc == 0 and summary["status"] == "solved"
-    assert summary["iterations"] == 400 and summary["config"]["max_iterations"] == 400
+    assert summary["iterations"] == 100 and summary["config"]["max_iterations"] == 100
     assert summary["stop_reason"] == "max_iterations"
 
 

@@ -1,8 +1,6 @@
 import hashlib
-import heapq
 import math
 import random
-import re
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -12,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiroute.baselines import NoPathYet
 from multiroute.geo import GeoPoint
-from multiroute.graph import RoutingGraph, dijkstra
+from multiroute.graph import RoutingGraph, dijkstra, path_from_root
 from multiroute.generate import bug_trap, largest_component, random_geometric_graph
 from multiroute.planner import (
     AnytimeSolution,
@@ -28,7 +27,6 @@ from multiroute.planner import (
     nearest_expandable,
     node_path_cost,
     plan,
-    relax_least,
     rewire,
     sample,
     stitch_node_path,
@@ -47,7 +45,6 @@ from oracles import (
     random_weighted_graph_edges,
     tree_nodes,
     validate_connections,
-    validate_phase2_tree,
     validate_tree,
 )
 
@@ -378,17 +375,10 @@ def test_rewire_triangle_shortcut():
     validate_tree(tree, g)
 
 
-def drain(tree, g):
-    """Run ``relax_least`` on a heap seeded with every tree node until it empties."""
-    heap = [(c, v) for v, c in enumerate(tree.cost) if c < INF]
-    heapq.heapify(heap)
-    while heap:
-        relax_least(tree, heap, g)
-
-
 def test_rewire_reparents_only_neighbors_and_phase_two_corrects_their_subtrees():
     # 0-1 long, 2 hanging under 1; the later 0-3-1 shortcut reparents 1, but
-    # 2 keeps its cost until relax_least pops 1.
+    # 2 keeps its cost. Phase 2 leaves the tree stale: its leg search finds
+    # the exact route from 0 to 2.
     edges = [(0, 1, 10.0), (1, 2, 1.0), (0, 3, 1.0), (3, 1, 1.0)]
     g = RoutingGraph(pts(4), edges)
     tree = SearchTree(0, g)
@@ -400,15 +390,15 @@ def test_rewire_reparents_only_neighbors_and_phase_two_corrects_their_subtrees()
     assert (tree.parent[2], tree.cost[2]) == (1, 11.0)
     assert tree.cost[2] >= tree.cost[1] + g.edge_weight(1, 2)
     validate_tree(tree, g)
-    drain(tree, g)
-    assert tree.cost[2] == 3.0
-    assert tree.cost == dijkstra(g, 0).cost
+    result = plan(g, DestinationSet.build(0, 2), light_cfg(rng_seed=1, time_budget=math.inf))
+    assert result.stop_reason == "optimal"
+    assert (result.final.node_path, result.final.total_cost) == ((0, 3, 1, 2), 3.0)
 
 
 def test_rewire_tests_each_neighbor_against_its_current_cost():
     # Neighbors 1 and 2 of node 3 both get cheaper through it (2 < 10 and
     # 6 < 11): 2 still costs 11 when it is tested, since 1's decrease does
-    # not reach it. Phase 2 then puts 2 back under 1, at 3.0.
+    # not reach it. Phase 2's leg search then routes 0 to 2 through 1, at 3.0.
     edges = [(0, 1, 10.0), (1, 2, 1.0), (0, 3, 1.0), (3, 1, 1.0), (3, 2, 5.0)]
     g = RoutingGraph(pts(4), edges)
     tree = SearchTree(0, g)
@@ -418,9 +408,9 @@ def test_rewire_tests_each_neighbor_against_its_current_cost():
     assert rewire(tree, 3, g) == (2, [1, 2])
     assert (tree.parent[2], tree.cost[2]) == (3, 6.0)
     validate_tree(tree, g)
-    drain(tree, g)
-    assert (tree.parent[2], tree.cost[2]) == (1, 3.0)
-    assert tree.cost == dijkstra(g, 0).cost
+    result = plan(g, DestinationSet.build(0, 2), light_cfg(rng_seed=1, time_budget=math.inf))
+    assert result.stop_reason == "optimal"
+    assert (result.final.node_path, result.final.total_cost) == ((0, 3, 1, 2), 3.0)
 
 
 def test_saturated_tree_costs_dominated_by_dijkstra():
@@ -442,12 +432,6 @@ def test_saturated_tree_costs_dominated_by_dijkstra():
     assert members == [v for v in comp if math.isfinite(sp.cost[v])]
     for node in members:
         assert tree.cost[node] >= sp.cost[node] - 1e-9
-    # Exactness is phase 2's job: draining every node through relax_least
-    # leaves the Dijkstra costs.
-    drain(tree, g)
-    assert tree_nodes(tree) == members
-    for node in members:
-        assert tree.cost[node] == pytest.approx(sp.cost[node], rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -657,71 +641,11 @@ def integer_weighted_geometric_graph(n, radius, seed):
     return RoutingGraph(g.nodes, [(u, v, float(weights.randint(1, 9))) for u, v, _ in g.edges()])
 
 
-@pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
-def test_phase_two_solves_once_per_window_that_popped(monkeypatch, exact_max):
-    # After the first route, which phase 1 solves in the iteration that
-    # connects the destinations, phase 2 solves exactly once at the end of
-    # each window in which it popped, whether or not the required closure fell
-    # there, and once more at a stop inside a window. A window ends after
-    # BOUND_POPS pops or once no needed pair is left; an exact run re-solves
-    # its lower-bound order there, right after the solve. Every solve stitches
-    # its order once, so stitch calls mark the solves; a GA run's final solve
-    # stitches once more. Each seed runs to its stop and once capped halfway
-    # through phase 2, so that some runs stop inside a window. Integer weights
-    # keep the closure sums exact, so "the closure did not fall" is exact too.
-    monkeypatch.setattr(ordering, "EXACT_MAX", exact_max)
-    exact = exact_max >= 0
-    events = []  # "P" per pop, "B" per lower-bound order, "S" per solve
-    solved = []  # the required closure at each solve
-
-    def popping(*args):
-        events.append("P")
-        return real_relax(*args)
-
-    def bounding(*args):
-        events.append("B")
-        return real_bound(*args)
-
-    def stitching(seq, trees, conn):
-        events.append("S")
-        dg = ordering.DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
-        solved.append(ordering.required_closure(dg)[0])
-        return real_stitch(seq, trees, conn)
-
-    real_relax, real_bound, real_stitch = relax_least, planner_module.bound_order, stitch_node_path
-    monkeypatch.setattr(planner_module, "relax_least", popping)
-    monkeypatch.setattr(planner_module, "bound_order", bounding)
-    monkeypatch.setattr(planner_module, "stitch_node_path", stitching)
-    # A window of an exact run ends at a lower-bound order, a GA run's after
-    # BOUND_POPS pops; a GA run's last window may be shorter, and its final
-    # solve follows.
-    n = planner_module.BOUND_POPS
-    window = re.compile(f"SB(P{{1,{n}}}SB)*(P{{1,{n}}}S)?" if exact else f"S(P{{{n}}}S)*(P{{1,{n}}}S)?S")
-    quiet = stopped_in_window = 0
-    for seed in range(4):
-        g = integer_weighted_geometric_graph(200, 0.13, seed=seed)
-        picks = random.Random(seed).sample(largest_component(g), 6)
-        dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
-        full = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
-        for cap in (None, (full.solutions[0].iteration + full.iterations) // 2):
-            events.clear()
-            solved.clear()
-            result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, max_iterations=cap))
-            stop = "max_iterations" if cap else "optimal" if exact else "fixpoint"
-            assert (result.status, result.stop_reason) == ("solved", stop)
-            trace = "".join(events)
-            assert window.fullmatch(trace), trace
-            assert result.solver_calls == trace.count("S") - (not exact)
-            in_loop = solved if exact else solved[:-1]
-            quiet += sum(np.array_equal(a, b) for a, b in zip(in_loop, in_loop[1:]))
-            stopped_in_window += trace.endswith("PS" if exact else "PSS") and cap is not None
-    assert quiet > 0 and stopped_in_window > 0
-
-
 def test_exact_runs_stopped_inside_a_window_order_their_final_closure():
-    # A capped exact run solves once more at its stop when a required closure
-    # entry fell since its last solve, so its last route is the best order of
-    # the final matrix. Caps every 37 iterations after the first route.
+    # A capped exact run solves once more at its stop when a leg search of
+    # the round it stopped in lowered an entry, so its last route is the best
+    # order of the final matrix. Caps every 37 iterations after the first
+    # route.
     solved_at_stop = 0
     for seed in range(4):
         g = random_geometric_graph(400, 0.1, seed=seed)[0]
@@ -867,11 +791,14 @@ def test_stop_reason_names_what_ended_the_loop(monkeypatch):
     dests = DestinationSet.build(comp[0], comp[-1], objectives=(comp[5],))
     proved = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf))
     assert (proved.status, proved.stop_reason) == ("solved", "optimal")
-    # Above ordering.EXACT_MAX the genetic solver orders the proved matrix.
+    # Above ordering.EXACT_MAX the genetic solver orders the matrix, after
+    # phase 1 has emitted the same first route and phase 2 has searched every
+    # required pair, the exact run's legs among them.
     with monkeypatch.context() as m:
         m.setattr(ordering, "EXACT_MAX", 0)
         ga = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf))
-    assert (ga.iterations, ga.distance_matrix) == (proved.iterations, proved.distance_matrix)
+    assert replace(ga.solutions[0], wall_time=0.0) == replace(proved.solutions[0], wall_time=0.0)
+    assert ga.iterations >= proved.iterations
     assert ga.stop_reason == "fixpoint"
     capped = plan(g, dests, light_cfg(rng_seed=2, time_budget=math.inf, max_iterations=5))
     assert (capped.iterations, capped.stop_reason) == (5, "max_iterations")
@@ -1054,50 +981,8 @@ def test_validators_hold_after_every_iteration(case):
 
 
 # ---------------------------------------------------------------------------
-# Phase 2: cost-ordered growth to a proved optimum
+# Phase 2: exact leg searches to a proved optimum
 # ---------------------------------------------------------------------------
-
-def phase_one_tree(g, root, rng, iterations):
-    """A tree grown by up to ``iterations`` sampled extend-and-rewire steps."""
-    tree = SearchTree(root, g)
-    for _ in range(iterations):
-        if not tree.expandable:
-            break
-        v_rand = rng.randrange(g.node_count)
-        for v in extend(tree, nearest_expandable(tree, v_rand, g), v_rand, g):
-            rewire(tree, v, g)
-    return tree
-
-
-def test_relax_least_keeps_costs_exact_below_the_least_key():
-    # Drive the pop step on trees that phase 1 grew for 0 to 15 iterations,
-    # until the heap empties, and check every pop against Bellman-Ford.
-    rng = random.Random(17)
-    for grown in (0, 1, 2, 3, 4, 5, 8, 10, 12, 15):
-        n = 50
-        edges = random_weighted_graph_edges(rng, n, extra_edges=60)
-        g = RoutingGraph(pts(n), edges)
-        root = rng.randrange(n)
-        exact = bellman_ford(n, edges, root)
-        tree = phase_one_tree(g, root, rng, grown)
-        heap = [(c, v) for v, c in enumerate(tree.cost) if c < INF]
-        heapq.heapify(heap)
-        key = 0.0
-        pops = 0
-        while heap:
-            before = tree.cost[:]
-            changed, joined, next_key = relax_least(tree, heap, g)
-            pops += 1
-            assert next_key >= key
-            key = next_key
-            assert changed == [v for v in range(n) if tree.cost[v] < before[v]]
-            assert joined == sum(before[v] == INF for v in changed)
-            if heap:
-                assert heap[0] == (key, heap[0][1]) and tree.cost[heap[0][1]] == key
-            validate_phase2_tree(tree, g, exact, key)
-        assert key == INF and tree_nodes(tree) == list(range(n))
-        assert pops >= n
-
 
 def assert_proved_optimal(g, dests, result):
     """Checks a run that ends "optimal" against Dijkstra and the oracle.
@@ -1105,7 +990,7 @@ def assert_proved_optimal(g, dests, result):
     Every matrix entry is at least its Dijkstra distance, every hop of the
     final order is exact, and the final route costs the oracle optimum.
     Entries off the final order may stay above their distance: phase 2 of an
-    exact run proves only the legs of its lower-bound order.
+    exact run searches only the legs of its lower-bound orders.
     """
     assert result.stop_reason == "optimal"
     theta = np.array([[dijkstra(g, a).cost[b] for b in dests.node_ids] for a in dests.node_ids])
@@ -1121,75 +1006,109 @@ def assert_proved_optimal(g, dests, result):
     assert math.isclose(result.final.total_cost, opt, rel_tol=1e-9)
 
 
-def run_checking_phase_two_pops(g, dests, cfg):
-    """``plan`` with ``relax_least`` and ``update_connections`` wrapped; returns the result and the popped trees.
+def run_checking_leg_searches(g, dests, cfg):
+    """``plan`` with its leg search, ``bound_order`` and ``stitch_node_path`` wrapped.
 
-    Rebuilds every tree's least key ``r`` from the pops (0.0 when phase 2
-    starts, since each root is in its heap; then the key each pop of that
-    tree returns) and reads the matrix from the ``ConnectionTable`` that
-    ``update_connections`` gets. Asserts that each pop of tree i has an open
-    pair, some k with ``matrix[i][k] > r_i + r_k``, with i and k both
-    required when the order is exact, and that an entry never changes once
-    its pair is proved. A pair is tested after the pop's
-    ``update_connections``, not between the two: the entry may still fall
-    through the nodes the pop relaxed. A run that ends "optimal" must pass
+    Returns the result and the searched pairs, and reads the matrix from the
+    ``ConnectionTable`` that phase 1's ``update_connections`` gets.
+
+    Asserts that every search is of a pair (i, k), i < k, of required
+    destinations not searched before: in an exact run a leg of the latest
+    lower-bound order, in a GA run the next pair in row order. At every
+    lower-bound order and at the end, every searched pair's matrix entry
+    equals ``graph.dijkstra``'s distance bit for bit, unless the pair's tree
+    witness summed to a float below it, which then stays the entry; and the
+    bound matrix holds the entry for a searched pair and at most the
+    Dijkstra distance for any other. Every solve stitches its order once, so
+    stitch calls mark the solves: each phase-2 solve but a GA run's final one
+    orders a matrix that some search lowered since the previous solve, and
+    no fall is left unordered when a lower-bound order is solved or the run
+    ends "optimal" or "fixpoint". A GA run that ends "fixpoint" has searched
+    every required pair, and a run that ends "optimal" must pass
     ``assert_proved_optimal``.
     """
-    n = dests.count
-    tree_index = {v: i for i, v in enumerate(dests.node_ids)}
+    index = {v: i for i, v in enumerate(dests.node_ids)}
     exact = sum(dests.required) - 2 <= ordering.EXACT_MAX
-    partners = [i for i in range(n) if dests.required[i] or not exact]
-    r = [0.0] * n
-    proved: dict[tuple[int, int], float] = {}
+    keep = [i for i in range(dests.count) if dests.required[i]]
+    rows = [(a, b) for p, a in enumerate(keep) for b in keep[p + 1 :]]
+    dist = [[dijkstra(g, a).cost[b] for b in dests.node_ids] for a in dests.node_ids]
+    searched: list[tuple[int, int]] = []
+    orders: list[list[int]] = []
+    solved: list[list[list[float]]] = []  # the matrix at each solve
     table: list[ConnectionTable] = []
-    popped: list[int] = []
-    real_relax, real_update = planner_module.relax_least, planner_module.update_connections
+    real_search = planner_module.bidirectional_astar
+    real_bound, real_update = planner_module.bound_order, planner_module.update_connections
+    real_stitch = planner_module.stitch_node_path
 
-    def check_proved():
-        m = table[0].matrix
-        for i in range(n):
-            for k in range(i + 1, n):
-                if (i, k) in proved:
-                    assert m[i][k] == m[k][i] == proved[(i, k)], (i, k)
-                elif m[i][k] <= r[i] + r[k]:
-                    proved[(i, k)] = m[i][k]
+    def check_searched(matrix):
+        for i, k in searched:
+            assert matrix[i][k] == matrix[k][i], (i, k)
+            if (i, k) in table[0].legs:
+                assert matrix[i][k] == dist[i][k], (i, k)
+            else:
+                assert matrix[i][k] < dist[i][k] and math.isclose(matrix[i][k], dist[i][k], rel_tol=1e-12), (i, k)
 
-    def relax(tree, heap, graph):
-        i = tree_index[tree.root_node]
-        m = table[0].matrix
-        assert i in partners and any(m[i][k] > r[i] + r[k] for k in partners if k != i), (len(popped), i)
-        popped.append(i)
-        out = real_relax(tree, heap, graph)
-        r[i] = out[2]
+    def bound(matrix, keep_, source, target):
+        check_searched(table[0].matrix)
+        assert table[0].matrix == solved[-1]
+        for p, i in enumerate(keep_):
+            for q, k in enumerate(keep_):
+                if p != q and (min(i, k), max(i, k)) in searched:
+                    assert matrix[p, q] == table[0].matrix[i][k], (i, k)
+                elif p != q:
+                    assert matrix[p, q] <= dist[i][k], (i, k)
+        out = real_bound(matrix, keep_, source, target)
+        orders.append(out[0])
         return out
 
-    def update(conn, trees, changed, owner):
+    def search(graph, s, t, *budget):
+        pair = (index[s], index[t])
+        assert pair not in searched and dests.required[pair[0]] and dests.required[pair[1]], pair
+        if exact:
+            legs = {(min(a, b), max(a, b)) for a, b in zip(orders[-1], orders[-1][1:])}
+            assert pair in legs, (pair, orders[-1])
+        else:
+            assert pair == rows[len(searched)], pair
+        out = real_search(graph, s, t, *budget)
+        searched.append(pair)
+        return out
+
+    def update(conn, *args):
         table[:] = [conn]
-        out = real_update(conn, trees, changed, owner)
-        if popped:
-            check_proved()
-        return out
+        return real_update(conn, *args)
 
-    with mock.patch.object(planner_module, "relax_least", relax), mock.patch.object(
-        planner_module, "update_connections", update
-    ):
+    def stitch(seq, trees, conn):
+        solved.append([row[:] for row in conn.matrix])
+        return real_stitch(seq, trees, conn)
+
+    wrapped = dict(bidirectional_astar=search, bound_order=bound, update_connections=update, stitch_node_path=stitch)
+    with mock.patch.multiple(planner_module, **wrapped):
         result = plan(g, dests, cfg)
+    check_searched(result.distance_matrix)
+    in_loop = solved[: result.solver_calls]
+    assert len(solved) == result.solver_calls + (bool(result.solutions) and not exact)
+    assert all(a != b for a, b in zip(in_loop, in_loop[1:]))
+    if result.stop_reason in ("optimal", "fixpoint") and result.solutions:
+        assert result.distance_matrix == in_loop[-1]
+    if result.stop_reason == "fixpoint" and result.solutions:
+        assert searched == rows
     if result.stop_reason == "optimal":
         assert_proved_optimal(g, dests, result)
-    return result, popped
+    return result, searched
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(small_planner_cases())
 def test_runs_that_end_optimal_hold_the_exact_matrix_and_the_optimum(case):
     # The fourth destination, when drawn, is an optional pseudo destination,
-    # which may lie in another component. Every phase-2 pop is of a tree with
-    # an open pair, and proved entries stay put (run_checking_phase_two_pops).
+    # which may lie in another component. Every search is of an unsearched
+    # leg of the current lower-bound order (run_checking_leg_searches), and
+    # every searched pair's entry is exact.
     g, picks, seed, _ = case
     dests = DestinationSet.build(
         picks[0], picks[1], objectives=tuple(picks[2:3]), pseudos=[(p, False) for p in picks[3:]]
     )
-    result, _ = run_checking_phase_two_pops(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
+    result, searched = run_checking_leg_searches(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
     edges = list(g.edges())
     if result.status != "solved":
         assert (result.status, result.stop_reason) == ("no_path", "fixpoint")
@@ -1203,11 +1122,10 @@ def test_runs_that_end_optimal_hold_the_exact_matrix_and_the_optimum(case):
         )
         assert result.iterations <= dests.count * c
         return
-    assert result.stop_reason == "optimal"
-    for i, a in enumerate(dests.node_ids):
-        exact = bellman_ford(g.node_count, edges, a)
-        for k, b in enumerate(dests.node_ids):
-            assert math.isclose(result.distance_matrix[i][k], exact[b], rel_tol=1e-9), (i, k)
+    assert result.stop_reason == "optimal" and searched
+    for i, k in searched:
+        exact = bellman_ford(g.node_count, edges, dests.node_ids[i])
+        assert math.isclose(result.distance_matrix[i][k], exact[dests.node_ids[k]], rel_tol=1e-9), (i, k)
     theta = np.array([[dijkstra(g, a).cost[b] for b in dests.node_ids] for a in dests.node_ids])
     dg = ordering.DestGraph(np.minimum(theta, theta.T), 0, dests.count - 1, dests.required)
     opt, _ = ordering.brute_force_oracle(dg)
@@ -1235,9 +1153,9 @@ def connected_cases_with_a_pseudo(draw):
 def test_lower_bound_lies_below_the_optimum_and_meets_it_at_optimal(case):
     # The bound never exceeds the optimum, which no emitted route undercuts,
     # and a run that ends "optimal" closes the gap. Every draw ends there, so
-    # run_checking_phase_two_pops checks each pop and the proved optimum.
+    # run_checking_leg_searches checks each search and the proved optimum.
     g, dests, seed = case
-    result, _ = run_checking_phase_two_pops(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
+    result, _ = run_checking_leg_searches(g, dests, PlannerConfig(rng_seed=seed, time_budget=math.inf))
     assert (result.status, result.stop_reason) == ("solved", "optimal")
     theta = np.array([[dijkstra(g, a).cost[b] for b in dests.node_ids] for a in dests.node_ids])
     opt, _ = ordering.brute_force_oracle(
@@ -1248,48 +1166,108 @@ def test_lower_bound_lies_below_the_optimum_and_meets_it_at_optimal(case):
     assert math.isclose(result.lower_bound, result.final.total_cost, rel_tol=1e-9)
 
 
-def test_exact_runs_pop_only_trees_with_an_open_required_pair():
-    # Geometric graphs with two objectives and two optional pseudo
-    # destinations. run_checking_phase_two_pops asserts that every pop of an
-    # exact run is of a required tree with an open pair to another required
-    # destination; the same runs ordered by the genetic solver, which waits
-    # for every pair, do pop optional trees.
-    optional_ga_pops = 0
+def test_phase_two_searches_only_legs_of_its_bound_orders():
+    # The golden cases, then random geometric graphs of 60-150 nodes with two
+    # objectives and two optional pseudo destinations. run_checking_leg_searches
+    # checks every search of the exact runs, and of the same runs ordered by
+    # the genetic solver, which search every required pair; the exact runs
+    # search a subset of those pairs, on some runs a smaller one.
+    cases = [(g, dests, seed) for g, dests in golden_cases() for seed in (1, 2)]
     for seed in range(8):
         rng = random.Random(seed)
         g = random_geometric_graph(rng.randint(60, 150), 0.2, seed=seed)[0]
         picks = rng.sample(largest_component(g), 6)
-        dests = DestinationSet.build(
-            picks[0], picks[1], objectives=tuple(picks[2:4]), pseudos=[(p, False) for p in picks[4:]]
-        )
-        cfg = light_cfg(rng_seed=seed, time_budget=math.inf)
-        result, popped = run_checking_phase_two_pops(g, dests, cfg)
-        assert result.stop_reason == "optimal" and popped
-        assert all(dests.required[i] for i in popped)
-        with mock.patch.object(ordering, "EXACT_MAX", -1):
-            ga, ga_popped = run_checking_phase_two_pops(g, dests, cfg)
-        assert ga.stop_reason == "fixpoint" and result.lower_bound is not None and ga.lower_bound is None
-        optional_ga_pops += sum(not dests.required[i] for i in ga_popped)
-    assert optional_ga_pops > 0
-
-
-def test_phase_two_pops_only_trees_with_an_open_pair():
-    # The golden cases, then random geometric graphs of 40-120 nodes with 3-6
-    # destinations, every one run to the proved optimum.
-    cases = [(g, dests, seed) for g, dests in golden_cases() for seed in (1, 2)]
-    for seed in range(20):
-        rng = random.Random(seed)
-        g = random_geometric_graph(rng.randint(40, 120), 0.2, seed=seed)[0]
-        picks = rng.sample(largest_component(g), rng.randint(3, 6))
-        cases.append((g, DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:])), seed))
+        pseudos = [(p, False) for p in picks[4:]]
+        cases.append((g, DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:4]), pseudos=pseudos), seed))
+    fewer = 0
     for g, dests, seed in cases:
-        result, popped = run_checking_phase_two_pops(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
-        assert result.stop_reason == "optimal" and len(popped) == result.iterations - result.solutions[0].iteration
+        cfg = light_cfg(rng_seed=seed, time_budget=math.inf)
+        result, searched = run_checking_leg_searches(g, dests, cfg)
+        assert result.stop_reason == "optimal" and searched and result.lower_bound is not None
+        with mock.patch.object(ordering, "EXACT_MAX", -1):
+            ga, ga_searched = run_checking_leg_searches(g, dests, cfg)
+        assert ga.stop_reason == "fixpoint" and ga.lower_bound is None
+        assert set(searched) <= set(ga_searched)
+        fewer += len(searched) < len(ga_searched)
+    assert fewer > 0
+
+
+def test_runs_capped_inside_a_leg_search_end_at_the_cap_and_replay():
+    # A cap that falls inside a leg search stops the search after the pop
+    # that reaches it: the run ends with exactly that many iterations, and a
+    # rerun with the same cap is trace-identical.
+    real_search = planner_module.bidirectional_astar
+    stopped = []  # pops of each search that the cap stopped
+
+    def search(*args):
+        try:
+            return real_search(*args)
+        except NoPathYet as exc:
+            stopped.append(exc.explored_nodes)
+            raise
+
+    runs = 0
+    with mock.patch.object(planner_module, "bidirectional_astar", search):
+        for g, dests in golden_cases():
+            full = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
+            first = full.solutions[0].iteration
+            for cap in (first + 1, (first + full.iterations) // 2, full.iterations - 1):
+                stopped.clear()
+                cfg = light_cfg(rng_seed=1, time_budget=math.inf, max_iterations=cap)
+                capped = plan(g, dests, cfg)
+                assert (capped.status, capped.stop_reason, capped.iterations) == ("solved", "max_iterations", cap)
+                assert len(stopped) == 1 and stopped[0] > 0
+                rerun = plan(g, dests, cfg)
+                assert trace_digest(rerun) == trace_digest(capped)
+                assert rerun.distance_matrix == capped.distance_matrix
+                runs += 1
+    assert runs == 9
+
+
+def test_stitched_routes_mix_searched_legs_and_tree_witnesses():
+    # A route follows the searched path of every leg phase 2 searched, read
+    # in the order's direction, and the tree witness of every other leg: from
+    # one root up to the pair's connection node, then down to the other root.
+    # The cost, summed hop by hop in path order, equals node_path_cost's bit
+    # for bit. The golden runs, then the same runs ordered by the genetic
+    # solver, whose first rows of searches leave the other pairs to their
+    # witnesses: some stitched orders take both kinds of leg.
+    real_stitch = planner_module.stitch_node_path
+    mixed = 0
+
+    def stitching(seq, trees, conn):
+        nonlocal mixed
+        path, cost = real_stitch(seq, trees, conn)
+        expected = [trees[seq.order[0]].root_node]
+        kinds = set()
+        for a, b in zip(seq.order, seq.order[1:]):
+            if a == b:
+                continue
+            pair = (min(a, b), max(a, b))
+            kinds.add(pair in conn.legs)
+            if pair in conn.legs:
+                nodes, _ = conn.legs[pair]
+                expected += (nodes if a < b else nodes[::-1])[1:]
+            else:
+                c = conn.best[pair]
+                expected += path_from_root(trees[a].parent, c)[1:] + path_from_root(trees[b].parent, c)[-2::-1]
+        assert path == expected
+        assert cost == node_path_cost(g, path)
+        mixed += kinds == {True, False}
+        return path, cost
+
+    with mock.patch.object(planner_module, "stitch_node_path", stitching):
+        for exact_max in (ordering.EXACT_MAX, -1):
+            with mock.patch.object(ordering, "EXACT_MAX", exact_max):
+                for g, dests, cfg in golden_runs():
+                    plan(g, dests, cfg)
+    assert mixed > 0
 
 
 def test_emitted_costs_are_the_exact_sums_of_their_node_paths():
-    # stitch_node_path sums the trees' parent_w, which choose_parent, rewire
-    # and relax_least write; the sum must equal node_path_cost's, bit for bit.
+    # stitch_node_path sums the searched legs' hop weights and the trees'
+    # parent_w, which choose_parent and rewire write; the sum must equal
+    # node_path_cost's, bit for bit.
     reparented_before_first = []
     real_rewire = planner_module.rewire
 
@@ -1389,20 +1367,21 @@ def trace_digest(result) -> str:
 # Per graph of golden_cases(), per planner seed 1 and 2: the fixpoint run's
 # digest, then the first-route run's. Any change to the planner's choices
 # (sampling, nearest frontier node, extend, parent choice, rewire, matrix
-# witnesses, solve triggers, the solvers' orders, the phase-2 pop order)
+# witnesses, solve triggers, the solvers' orders, the phase-2 leg searches)
 # changes some of them. The fixpoint runs end proved optimal in phase 2; the
 # first-route runs end inside phase 1.
 GOLDEN_TRACES = [
-    "e5abb7ad07b79a99", "960577490d42b18f", "1d513610cf02317e", "7fb66f4956608268",
-    "4e43ca25130e6879", "09406b24b09419bb", "c0cee73fa2ff0d1f", "2d54020055a92202",
-    "2a8e477efaf9bfa8", "a25197d1a1034317", "2a1a99dee386e16a", "4bd72533a758fb60",
+    "5809860ed453ba13", "960577490d42b18f", "2df42f2c664d782e", "7fb66f4956608268",
+    "f3909a191fd38c16", "09406b24b09419bb", "5cd7b612f02ae28d", "2d54020055a92202",
+    "a94f5b8eb5966870", "a25197d1a1034317", "2dc02dc2a0c0343a", "4bd72533a758fb60",
 ]
-# The same runs' (iterations, explored nodes, solver calls). Tree growth reads
-# no solver output, so the first two do not depend on when the solver runs.
+# The same runs' (iterations, explored nodes, solver calls). Neither tree
+# growth nor the leg searches read solver output, so the first two do not
+# depend on when the solver runs.
 GOLDEN_COUNTS = [
-    (421, 482, 6), (75, 81, 1), (410, 477, 6), (64, 70, 1),
-    (356, 521, 4), (56, 64, 1), (368, 526, 4), (68, 76, 1),
-    (330, 404, 5), (57, 63, 1), (325, 403, 5), (52, 58, 1),
+    (443, 449, 3), (75, 81, 1), (432, 438, 3), (64, 70, 1),
+    (186, 194, 3), (56, 64, 1), (198, 206, 3), (68, 76, 1),
+    (2588, 2594, 5), (57, 63, 1), (2583, 2589, 5), (52, 58, 1),
 ]
 
 
@@ -1452,8 +1431,8 @@ def emission_digest(result) -> str:
 # graph the first-route run, then the fixpoint run. A change to the hot loop
 # that moves a choice or a float changes one of them.
 BENCH_SHAPED_TRACES = [
-    "323b069835352d97", "bac9fb5f4fbe834e", "4df67f49877cdd60", "bb6b6195b0b2e2fb",
-    "4cada94fb8e781ec", "24e702fd6939c6bc", "edc17b679559c0c6", "1a83b66822be9f94",
+    "323b069835352d97", "be043093f2e13c9c", "4df67f49877cdd60", "b63fe13e0a54ede6",
+    "4cada94fb8e781ec", "82da97b7632fefa6", "edc17b679559c0c6", "f88c9ed775d7f613",
 ]
 
 
@@ -1466,9 +1445,9 @@ def test_bench_shaped_traces_match_their_digests():
 def test_exact_planner_dominates_the_ga_planner(monkeypatch):
     # Phase 1 reads no solver output, so both planners emit their first route
     # at the same iteration, here at the same cost (the orders may differ at
-    # a tie). A GA run then proves every pair, an exact run only the legs of
-    # its lower-bound order: on these runs the exact one pops fewer times and
-    # ends no dearer.
+    # a tie). A GA run then searches every required pair, an exact run only
+    # the legs of its lower-bound orders: on these runs the exact one pops
+    # fewer times and ends no dearer.
     exact = [plan(g, dests, cfg) for g, dests, cfg in golden_runs()]
     monkeypatch.setattr(ordering, "EXACT_MAX", -1)
     ga = [plan(g, dests, cfg) for g, dests, cfg in golden_runs()]
@@ -1484,12 +1463,12 @@ def test_exact_planner_dominates_the_ga_planner(monkeypatch):
 def test_runs_above_exact_max_keep_the_ga_planner_trace():
     # 11 required intermediates, one more than ordering.EXACT_MAX: the GA
     # solver orders every solve, and the run ends "fixpoint" once phase 2
-    # proves the matrix exact.
+    # has searched every required pair.
     assert ordering.EXACT_MAX == 10
     g = random_geometric_graph(200, 0.13, seed=11)[0]
     picks = random.Random(13).sample(largest_component(g), 13)
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
     result = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
     assert (result.status, result.stop_reason) == ("solved", "fixpoint")
-    assert counts(result) == (1178, 1457, 12)
-    assert trace_digest(result) == "7e23275a4f96738f"
+    assert counts(result) == (2994, 3007, 13)
+    assert trace_digest(result) == "42d43b981b5bf237"
