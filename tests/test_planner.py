@@ -1166,11 +1166,13 @@ def test_lower_bound_lies_below_the_optimum_and_meets_it_at_optimal(case):
     assert math.isclose(result.lower_bound, result.final.total_cost, rel_tol=1e-9)
 
 
-def test_phase_two_searches_only_legs_of_its_bound_orders():
-    # The golden cases, then random geometric graphs of 60-150 nodes with two
-    # objectives and two optional pseudo destinations. run_checking_leg_searches
-    # checks every search of the exact runs, and of the same runs ordered by
-    # the genetic solver, which search every required pair; the exact runs
+def test_exact_runs_pop_only_trees_with_an_open_required_pair():
+    # Phase 2 pops only inside leg searches, whose two trees grow from the
+    # ends of a required pair still open (not searched before). The golden
+    # cases, then random geometric graphs of 60-150 nodes with two objectives
+    # and two optional pseudo destinations. run_checking_leg_searches checks
+    # every search of the exact runs, and of the same runs ordered by the
+    # genetic solver, which search every required pair; the exact runs
     # search a subset of those pairs, on some runs a smaller one.
     cases = [(g, dests, seed) for g, dests in golden_cases() for seed in (1, 2)]
     for seed in range(8):
@@ -1190,6 +1192,34 @@ def test_phase_two_searches_only_legs_of_its_bound_orders():
         assert set(searched) <= set(ga_searched)
         fewer += len(searched) < len(ga_searched)
     assert fewer > 0
+
+
+def test_phase_two_pops_only_trees_with_an_open_pair():
+    # The golden cases, then random geometric graphs of 40-120 nodes with 3-6
+    # destinations, every one run to the proved optimum. Each phase-2
+    # iteration is a pop of a leg search, and run_checking_leg_searches
+    # asserts that each search is of an open pair: a leg of the latest
+    # lower-bound order that no earlier search took.
+    cases = [(g, dests, seed) for g, dests in golden_cases() for seed in (1, 2)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_geometric_graph(rng.randint(40, 120), 0.2, seed=seed)[0]
+        picks = rng.sample(largest_component(g), rng.randint(3, 6))
+        cases.append((g, DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:])), seed))
+    real_search = planner_module.bidirectional_astar
+    pops = []
+
+    def search(*args):
+        res = real_search(*args)
+        pops.append(res.explored_nodes)
+        return res
+
+    with mock.patch.object(planner_module, "bidirectional_astar", search):
+        for g, dests, seed in cases:
+            pops.clear()
+            result, searched = run_checking_leg_searches(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
+            assert result.stop_reason == "optimal" and len(pops) == len(searched)
+            assert sum(pops) == result.iterations - result.solutions[0].iteration
 
 
 def test_runs_capped_inside_a_leg_search_end_at_the_cap_and_replay():
