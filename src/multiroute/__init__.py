@@ -22,7 +22,6 @@ from .ordering import (
     brute_force_oracle,
     oracle_stats,
     solve,
-    solve_exact,
 )
 from .planner import (
     AnytimeSolution,
@@ -61,7 +60,6 @@ __all__ = [
     "brute_force_oracle",
     "oracle_stats",
     "solve",
-    "solve_exact",
     "AnytimeSolution",
     "DestinationSet",
     "PlanResult",

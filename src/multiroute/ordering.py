@@ -3,15 +3,16 @@
 Destinations live in a small weighted graph whose edge weights ``theta`` are
 path distances supplied by the route planner (infinite where no path is known
 yet). A visit sequence runs from a fixed source to a fixed target and may
-revisit destinations. One function, ``order_closure``, orders the required
+revisit destinations. One function, ``solve``, orders the required
 destinations over their metric closure (all-pairs shortest paths), then
 expands each closure leg back into the destinations it passes, which yields
-the revisits: ``solve`` orders by cheapest insertion and a genetic polish,
-``solve_exact`` up to ``EXACT_MAX`` required intermediates optimally, by
-dynamic programming over subsets (``held_karp``, which orders any symmetric
-matrix, such as the planner's lower bounds). Insertion and the genetic
-operators take complete destination graphs only. An exhaustive oracle over
-the same closure provides exact optima for small instances.
+the revisits. Without a ``GaConfig`` it orders up to ``EXACT_MAX`` required
+intermediates optimally, by dynamic programming over subsets
+(``held_karp``, which orders any symmetric matrix, such as the planner's
+lower bounds); with one, by cheapest insertion and a genetic polish.
+Insertion and the genetic operators take complete destination graphs only.
+An exhaustive oracle over the same closure provides exact optima for small
+instances.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class DestGraph:
     destinations that every valid sequence must contain at least once.
     """
 
-    __slots__ = ("theta", "rows", "source", "target", "required", "n", "_closure")
+    __slots__ = ("theta", "rows", "source", "target", "required", "n")
 
     def __init__(
         self,
@@ -131,7 +132,6 @@ class DestGraph:
         if not (req[source] and req[target]):
             raise ValueError("source and target are always required")
         self.required = req
-        self._closure: tuple[np.ndarray, np.ndarray] | None = None
 
     def required_intermediates(self) -> list[int]:
         return [
@@ -468,47 +468,8 @@ def _closure_path(nxt: np.ndarray, stops: Sequence[int]) -> list[int]:
     return path
 
 
-def required_closure(dg: DestGraph) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The ordering problem ``solve`` works on: the closure over required destinations.
-
-    Returns the submatrix of the metric closure of theta over the required
-    destinations, the next-hop matrix of the full closure (callers must not
-    modify it) and the required destination indices in ascending order (the
-    submatrix's rows). Raises ``NoSequenceError`` when an entry is infinite.
-    The two directions of a closure distance are summed in different orders
-    and can differ in the last bit; each entry keeps the smaller, so the
-    closure is exactly symmetric. It is computed on the first call and kept
-    on ``dg``.
-    """
-    if dg._closure is None:
-        dist, nxt = _metric_closure(dg)
-        dg._closure = (np.minimum(dist, dist.T), nxt)
-    dist, nxt = dg._closure
-    keep = [i for i in range(dg.n) if dg.required[i]]
-    sub = dist[np.ix_(keep, keep)]
-    if not np.all(np.isfinite(sub)):
-        raise NoSequenceError("some required destinations are mutually unreachable")
-    return sub, nxt, keep
-
-
-def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
-    """Order the required destinations over the metric closure, then expand.
-
-    ``order_closure`` over ``required_closure``, with cheapest insertion and
-    the genetic polish at ``cfg`` (default ``GaConfig()``). They run on the
-    complete, metric graph of closure distances between required destinations,
-    so optional destinations and revisits appear only as stops on the expanded
-    legs. On that graph an insertion that returns to its anchor is never
-    cheaper than one between the anchor and its successor (triangle
-    inequality), so no in-place detour or revisit removal is needed.
-    """
-    if cfg is None:
-        cfg = GaConfig()
-    return make_sequence(dg, order_closure(*required_closure(dg), dg.source, dg.target, cfg))
-
-
-# Most required intermediates ``solve_exact`` orders; its time and memory
-# double with each one more.
+# Most required intermediates ``solve`` orders exactly, without a ``GaConfig``;
+# the time and memory of ``held_karp`` double with each one more.
 EXACT_MAX = 10
 
 
@@ -586,39 +547,41 @@ def held_karp(dist: np.ndarray, source: int, target: int) -> tuple[list[int], fl
     return [source, *order, target], total
 
 
-def order_closure(
-    closure: np.ndarray, nxt: np.ndarray, keep: Sequence[int], source: int, target: int, cfg: GaConfig | None = None
-) -> list[int]:
-    """An order of the destinations ``keep`` from ``source`` to ``target``, expanded.
+def solve(dg: DestGraph, cfg: GaConfig | None = None) -> VisitSequence:
+    """Order the required destinations over the metric closure, then expand.
 
-    ``closure`` is the exactly symmetric metric closure over ``keep``
-    (ascending destination indices, its rows), ``nxt`` the next-hop matrix
-    over every destination, and ``source`` and ``target`` lie in ``keep``.
-    Without ``cfg``, ``held_karp`` orders the closure optimally, for at most
-    ``EXACT_MAX`` intermediates, which the caller checks; with one, cheapest
-    insertion and ``genetic_refine`` at ``cfg`` order it. Each closure leg of
-    the order is then expanded through the destinations it passes.
+    Without ``cfg``, ``held_karp`` orders the closure optimally; it raises
+    ``ValueError`` (not a ``NoSequenceError``) when there are more than
+    ``EXACT_MAX`` required intermediates. With ``cfg``, cheapest insertion
+    and ``genetic_refine`` at ``cfg`` order it. Either runs on the complete,
+    metric graph of closure distances between required destinations, so
+    optional destinations and revisits appear only as stops on the expanded
+    legs. On that graph an insertion that returns to its anchor is never
+    cheaper than one between the anchor and its successor (triangle
+    inequality), so no in-place detour or revisit removal is needed. Raises
+    ``NoSequenceError`` when some required destinations are mutually
+    unreachable.
     """
-    s, t = keep.index(source), keep.index(target)
+    if cfg is None:
+        m = len(dg.required_intermediates())
+        if m > EXACT_MAX:
+            raise ValueError(f"solve refuses more than {EXACT_MAX} required intermediates without a cfg, got {m}")
+    dist, nxt = _metric_closure(dg)
+    keep = [i for i in range(dg.n) if dg.required[i]]
+    closure = dist[np.ix_(keep, keep)]
+    # The two directions of a closure distance are summed in different orders
+    # and can differ in the last bit; each entry keeps the smaller, so the
+    # closure is exactly symmetric.
+    closure = np.minimum(closure, closure.T)
+    if not np.all(np.isfinite(closure)):
+        raise NoSequenceError("some required destinations are mutually unreachable")
+    s, t = keep.index(dg.source), keep.index(dg.target)
     if cfg is None:
         order, _ = held_karp(closure, s, t)
     else:
         reduced = DestGraph(closure, s, t)
         order = genetic_refine(reduced, cheapest_insertion(reduced), cfg).order
-    return _closure_path(nxt, [keep[i] for i in order])
-
-
-def solve_exact(dg: DestGraph) -> VisitSequence:
-    """Optimal order of the required destinations over the metric closure, then expand.
-
-    ``order_closure`` with ``held_karp`` over ``required_closure``. Raises
-    ``ValueError`` when there are more than ``EXACT_MAX`` required
-    intermediates and ``NoSequenceError`` as ``required_closure`` does.
-    """
-    m = len(dg.required_intermediates())
-    if m > EXACT_MAX:
-        raise ValueError(f"solve_exact refuses more than {EXACT_MAX} required intermediates, got {m}")
-    return make_sequence(dg, order_closure(*required_closure(dg), dg.source, dg.target))
+    return make_sequence(dg, _closure_path(nxt, [keep[i] for i in order]))
 
 
 # ---------------------------------------------------------------------------

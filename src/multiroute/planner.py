@@ -7,9 +7,9 @@ destination distance matrix. Once the required destinations are mutually
 reachable, the ordering solver orders the matrix, and it re-solves as the
 matrix improves; any strictly better overall route is emitted, so solution
 quality only improves over a run. Every solve builds a fresh ``DestGraph`` of
-the matrix and orders it with ``ordering.solve_exact`` (Held-Karp) up to
-``ordering.EXACT_MAX`` required intermediates, above that with
-``ordering.solve`` (the genetic solver).
+the matrix and orders it with ``ordering.solve``: with no ``GaConfig``
+(Held-Karp) up to ``ordering.EXACT_MAX`` required intermediates, above that
+with one (the genetic solver).
 
 A run has two phases. Phase 1 is the paper's method: it grows the trees by
 sampling, round-robin, with the paper's extend and rewire steps, up to the
@@ -655,18 +655,14 @@ def plan(
         """Order the destinations and emit the route if it is strictly cheaper.
 
         Every call builds a ``DestGraph`` of the current matrix and orders it
-        with ``ordering.solve_exact`` in an exact run, otherwise with
-        ``ordering.solve`` at ``cfg.solver_ga`` in the loop and at full
-        strength in the final call, each with the next seed of the solver
-        stream.
+        with ``ordering.solve``: exactly, with no ``GaConfig``, in an exact
+        run, otherwise at ``cfg.solver_ga`` in the loop and at full strength
+        in the final call, each with the next seed of the solver stream.
         """
         nonlocal solver_calls
         dg = DestGraph(conn.matrix, dests.source_index, dests.target_index, dests.required)
-        if exact:
-            seq = ordering.solve_exact(dg)
-        else:
-            ga = GaConfig() if final else cfg.solver_ga
-            seq = ordering.solve(dg, replace(ga, rng_seed=solver_seeds.getrandbits(32)))
+        ga = GaConfig() if final else cfg.solver_ga
+        seq = ordering.solve(dg, None if exact else replace(ga, rng_seed=solver_seeds.getrandbits(32)))
         if not final:
             solver_calls += 1
         path, cost = stitch_node_path(seq, trees, conn)

@@ -47,8 +47,9 @@ def test_traced_pipeline_calls_every_span(tracing):
         result = planner.plan(g2, dests, cfg)
         graph.dijkstra(g2, dests.source_node)
         probe = ordering.DestGraph(result.distance_matrix, 0, dests.count - 1)
-        # The planner orders these few destinations exactly; the bench's
-        # solver probe runs the GA solver on the matrix the planner found.
+        # The planner orders these few destinations exactly, through
+        # ordering.solve with no GaConfig; the bench's solver probe runs the
+        # GA solver on the matrix the planner found.
         ordering.solve(probe, ga)
         ordering.brute_force_oracle(probe)
     assert result.status == "solved"
@@ -56,6 +57,7 @@ def test_traced_pipeline_calls_every_span(tracing):
     calls = {name: times["calls"] for name, times in t.layer_times().items()}
     assert all(n >= 1 for n in calls.values()), calls
     assert t.counts["planner.iterations"] == result.iterations
+    assert t.child_calls("ordering.solve", "planner.plan") == result.solver_calls
     # Phase 2 adds nodes without extend, so extend accounts for every explored
     # node only in a run that stops inside phase 1.
     assert t.counts["planner.extend.added"] <= result.explored_nodes - dests.count

@@ -31,7 +31,6 @@ from multiroute.ordering import (
     order_cost,
     selection_weights,
     solve,
-    solve_exact,
     validate_sequence,
 )
 
@@ -670,7 +669,7 @@ def test_hamiltonian_existence_detects_spur():
 
 
 # ---------------------------------------------------------------------------
-# solve_exact
+# solve without a GaConfig: the exact order
 # ---------------------------------------------------------------------------
 
 def exact_instances():
@@ -688,17 +687,17 @@ def exact_instances():
             yield dg_from(random_incomplete_destgraph(n, seed).theta, required=optional)
 
 
-def test_solve_exact_matches_the_oracle():
+def test_solve_without_cfg_matches_the_oracle():
     tied = refused = 0
     for dg in exact_instances():
         try:
             opt, witness = brute_force_oracle(dg)
         except NoSequenceError:
             with pytest.raises(NoSequenceError):
-                solve_exact(dg)
+                solve(dg)
             refused += 1
             continue
-        seq = solve_exact(dg)
+        seq = solve(dg)
         validate_sequence(dg, seq)
         if np.all(np.isin(dg.theta, [0.0, 1.0, 2.0, INF])):
             # Integer sums are exact: equal costs, even where orders tie.
@@ -709,36 +708,38 @@ def test_solve_exact_matches_the_oracle():
     assert tied > 0 and refused > 0
 
 
-def test_solve_exact_orders_a_tie_by_the_lowest_index():
+def test_solve_without_cfg_orders_a_tie_by_the_lowest_index():
     # Both orders of 1 and 2 between source 0 and target 3 cost 4. The walk
     # back from the target takes the lowest index at each tie, so 1 is last.
     dg = dg_from([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
-    assert solve_exact(dg).order == (0, 2, 1, 3)
+    assert solve(dg).order == (0, 2, 1, 3)
     # Unit weights: every order of 1, 2, 3 ties, at every step of the walk.
     unit = dg_from(np.ones((5, 5)) - np.eye(5))
-    assert solve_exact(unit).order == (0, 3, 2, 1, 4)
+    assert solve(unit).order == (0, 3, 2, 1, 4)
 
 
-def test_solve_exact_handles_zero_and_one_intermediate():
+def test_solve_without_cfg_handles_zero_and_one_intermediate():
     pair = dg_from([[0.0, 4.0], [4.0, 0.0]])
-    assert solve_exact(pair) == make_sequence(pair, (0, 1))
+    assert solve(pair) == make_sequence(pair, (0, 1))
     # Optional destinations only: the closure leg may still pass them.
     line = dg_from([[0.0, 1.0, INF], [1.0, 0.0, 2.0], [INF, 2.0, 0.0]], required=[True, False, True])
-    assert solve_exact(line).order == (0, 1, 2)
+    assert solve(line).order == (0, 1, 2)
     detour = triangle_with_detour()
-    seq = solve_exact(detour)
+    seq = solve(detour)
     assert (seq.order, seq.total_cost) == ((0, 1, 0, 2), 7.0)
 
 
-def test_solve_exact_refuses_more_than_exact_max_intermediates():
+def test_solve_without_cfg_refuses_more_than_exact_max_intermediates():
     n = ordering.EXACT_MAX + 3
     dg = random_complete_destgraph(n, seed=5)
     with pytest.raises(ValueError, match="refuses") as info:
-        solve_exact(dg)
+        solve(dg)
     assert not isinstance(info.value, NoSequenceError)
+    # With a GaConfig the same instance solves.
+    validate_sequence(dg, solve(dg, GaConfig(mutation_count=20, crossover_count=20, generations=1)))
     # Optional destinations do not count.
     relaxed = DestGraph(dg.theta, 0, n - 1, [i != 1 for i in range(n)])
-    validate_sequence(relaxed, solve_exact(relaxed))
+    validate_sequence(relaxed, solve(relaxed))
 
 
 def test_held_karp_orders_a_non_metric_matrix_like_a_permutation_sweep():
@@ -764,12 +765,12 @@ def test_held_karp_orders_a_non_metric_matrix_like_a_permutation_sweep():
             ordering.held_karp(isolated, s, t)
 
 
-def test_solve_exact_reruns_give_the_same_order():
+def test_solve_without_cfg_reruns_give_the_same_order():
     for seed in range(5):
         raw = random_incomplete_destgraph(10, seed=seed)
-        first = solve_exact(raw)
-        again = solve_exact(DestGraph(raw.theta, raw.source, raw.target, raw.required))
-        assert first == again == solve_exact(raw)
+        first = solve(raw)
+        again = solve(DestGraph(raw.theta, raw.source, raw.target, raw.required))
+        assert first == again == solve(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -634,14 +634,7 @@ def test_plan_reruns_are_trace_identical():
     assert first[-1] > 0
 
 
-def integer_weighted_geometric_graph(n, radius, seed):
-    """A geometric graph with integer edge weights 1-9, so closure sums are exact."""
-    g = random_geometric_graph(n, radius, seed=seed)[0]
-    weights = random.Random(seed)
-    return RoutingGraph(g.nodes, [(u, v, float(weights.randint(1, 9))) for u, v, _ in g.edges()])
-
-
-def test_exact_runs_stopped_inside_a_window_order_their_final_closure():
+def test_exact_runs_stopped_inside_a_round_order_their_final_closure():
     # A capped exact run solves once more at its stop when a leg search of
     # the round it stopped in lowered an entry, so its last route is the best
     # order of the final matrix. Caps every 37 iterations after the first
@@ -657,7 +650,7 @@ def test_exact_runs_stopped_inside_a_window_order_their_final_closure():
             result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf, max_iterations=cap))
             assert (result.status, result.stop_reason) == ("solved", "max_iterations")
             dg = ordering.DestGraph(result.distance_matrix, dests.source_index, dests.target_index, dests.required)
-            assert result.final.total_cost <= ordering.solve_exact(dg).total_cost * (1 + 1e-9), cap
+            assert result.final.total_cost <= ordering.solve(dg).total_cost * (1 + 1e-9), cap
             solved_at_stop += result.final.iteration == cap
     assert solved_at_stop > 0
 
@@ -700,34 +693,34 @@ def test_each_solve_builds_one_destination_graph_and_closure(monkeypatch, exact_
 
 @pytest.mark.parametrize("exact_max", [ordering.EXACT_MAX, -1], ids=["exact", "ga"])
 def test_every_solve_orders_the_closure_of_the_current_matrix(monkeypatch, exact_max):
-    # Integer weights keep closure sums exact, so the closure phase 2 lowers
-    # per improved pair must equal, at every solve, a fresh Floyd-Warshall
-    # of the matrix at that moment; in GA runs the final solve orders it too.
+    # Every solve goes through ordering.solve with a DestGraph of the matrix
+    # at that moment: with no GaConfig in exact runs, so Held-Karp orders it,
+    # and with one in GA runs, whose final solve is one call more.
     monkeypatch.setattr(ordering, "EXACT_MAX", exact_max)
     table = []  # the run's ConnectionTable
-    ordered = []  # one entry per solve
-    real_update, real_order = planner_module.update_connections, ordering.order_closure
+    exact = []  # one entry per solve: whether it had no GaConfig
+    real_update, real_solve = planner_module.update_connections, ordering.solve
 
     def update(conn, *args):
         table[:] = [conn]
         return real_update(conn, *args)
 
-    def order(closure, *args):
-        dg = ordering.DestGraph(table[0].matrix, dests.source_index, dests.target_index, dests.required)
-        assert np.array_equal(closure, ordering.required_closure(dg)[0])
-        ordered.append(closure)
-        return real_order(closure, *args)
+    def solve(dg, cfg=None):
+        assert np.array_equal(dg.theta, table[0].matrix)
+        exact.append(cfg is None)
+        return real_solve(dg, cfg)
 
     monkeypatch.setattr(planner_module, "update_connections", update)
-    monkeypatch.setattr(ordering, "order_closure", order)
+    monkeypatch.setattr(ordering, "solve", solve)
     for seed in range(4):
-        g = integer_weighted_geometric_graph(80, 0.2, seed=seed)
+        g = random_geometric_graph(80, 0.2, seed=seed)[0]
         picks = random.Random(seed).sample(largest_component(g), 6)
         dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
-        ordered.clear()
+        exact.clear()
         result = plan(g, dests, light_cfg(rng_seed=seed, time_budget=math.inf))
         assert result.status == "solved"
-        assert len(ordered) == result.solver_calls + (exact_max < 0) >= 2
+        assert result.solver_calls >= 2
+        assert exact == [exact_max >= 0] * (result.solver_calls + (exact_max < 0))
 
 
 def test_final_matrix_dominates_dijkstra_distances():
