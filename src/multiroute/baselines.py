@@ -213,12 +213,12 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
 def leg_sequence(
     graph: RoutingGraph, nodes: list[int], algo: str = "biastar", budget: float | None = None
 ) -> BaselineResult:
-    """Solve consecutive node pairs with a single-pair baseline and sum the legs.
+    """Solve consecutive node pairs with a single-pair baseline and join the legs.
 
     Multi-destination comparison helper: baselines have no native notion of
     intermediate objectives, so a visit order must be supplied by the caller.
     One leg returns that leg's own result; several legs return their joined
-    path, with one trace entry for the summed cost.
+    path and its ``node_path_cost``, with one trace entry for that cost.
     """
     if len(nodes) < 2:
         raise ValueError("need at least source and target")
@@ -233,10 +233,9 @@ def leg_sequence(
     if len(legs) == 1:
         return legs[0]
     path: list[int] = [nodes[0]]
-    cost = 0.0
     for leg in legs:
         path.extend(leg.node_path[1:])
-        cost += leg.cost
+    cost = node_path_cost(graph, path)
     wall = time.monotonic() - start
     return BaselineResult(
         node_path=tuple(path),

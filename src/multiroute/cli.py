@@ -197,7 +197,7 @@ def _run_baseline(
     writer: _TraceWriter,
 ) -> int:
     # Baselines are single-pair planners; objectives are visited in the
-    # scenario's listed order, legs solved independently and summed.
+    # scenario's listed order, legs solved independently and joined.
     nodes = [n for n, req in zip(dests.node_ids, dests.required) if req]
     budget = args.budget if args.algo == "anastar" else None
     try:

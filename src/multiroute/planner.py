@@ -191,8 +191,7 @@ class SearchTree:
 
     Per graph node: ``cost`` holds the cost-to-come, INF outside the tree;
     ``parent`` the tree parent (None at the root and outside the tree);
-    ``parent_w`` the weight of the edge to the parent (0.0 where ``parent``
-    is None); ``_unvisited`` the number of graph neighbors outside the tree.
+    ``_unvisited`` the number of graph neighbors outside the tree.
     ``expandable`` is the growth frontier: the tree nodes with an unvisited
     neighbor. ``choose_parent`` attaches nodes and keeps all of these;
     only phase 1 grows a tree, and phase 2 leaves it as it is.
@@ -207,13 +206,12 @@ class SearchTree:
     entries a proof needs, so no stale cost has to be corrected.
     """
 
-    __slots__ = ("root_node", "parent", "parent_w", "cost", "expandable", "_unvisited")
+    __slots__ = ("root_node", "parent", "cost", "expandable", "_unvisited")
 
     def __init__(self, root_node: int, graph: RoutingGraph) -> None:
         n = graph.node_count
         self.root_node = root_node
         self.parent: list[int | None] = [None] * n
-        self.parent_w: list[float] = [0.0] * n
         self.cost: list[float] = [INF] * n
         self.cost[root_node] = 0.0
         self.expandable = Frontier(graph)
@@ -284,7 +282,7 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     frontier when some neighbor lies outside the tree.
     """
     best_parent = -1
-    best_cost = best_w = INF
+    best_cost = INF
     cost = tree.cost
     unvisited = tree._unvisited
     ud = 0
@@ -296,7 +294,6 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
         if c + w < best_cost:
             best_cost = c + w
             best_parent = n
-            best_w = w
         left = unvisited[n] - 1
         unvisited[n] = left
         if left == 0:
@@ -304,7 +301,6 @@ def choose_parent(tree: SearchTree, v_new: int, graph: RoutingGraph) -> int:
     if best_parent < 0:
         raise RuntimeError(f"planner bug: node {v_new} has no neighbor in the tree")
     tree.parent[v_new] = best_parent
-    tree.parent_w[v_new] = best_w
     cost[v_new] = best_cost
     unvisited[v_new] = ud
     if ud:
@@ -362,13 +358,11 @@ def rewire(tree: SearchTree, v_new: int, graph: RoutingGraph) -> tuple[int, list
     changed: list[int] = []
     cost = tree.cost
     parent = tree.parent
-    parent_w = tree.parent_w
     base = cost[v_new]
     for n, w in graph.adj[v_new]:
         nc = base + w
         if nc < cost[n] < INF:
             parent[n] = v_new
-            parent_w[n] = w
             cost[n] = nc
             changed.append(n)
     return len(changed), changed
@@ -384,14 +378,14 @@ class ConnectionTable:
     ``matrix[i][k]`` is the best known path cost between destinations i and
     k; entries only ever decrease. For a pair (i, k), i < k, ``legs[(i, k)]``
     holds the node path from destination i's node to destination k's that
-    phase 2's leg search found, and the weights of its hops, when that
-    search set the entry; otherwise the entry is realized through the
-    connection node ``best[(i, k)]`` of trees i and k, which phase 1 keeps.
+    phase 2's leg search found, when that search set the entry; otherwise
+    the entry is realized through the connection node ``best[(i, k)]`` of
+    trees i and k, which phase 1 keeps.
     """
 
     def __init__(self, n_dest: int) -> None:
         self.best: dict[tuple[int, int], int] = {}
-        self.legs: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
+        self.legs: dict[tuple[int, int], tuple[int, ...]] = {}
         self.matrix: list[list[float]] = [
             [0.0 if i == k else INF for k in range(n_dest)] for i in range(n_dest)
         ]
@@ -566,47 +560,29 @@ def sample(cfg: PlannerConfig, graph: RoutingGraph, dests: DestinationSet, rng: 
 
 
 def stitch_node_path(
-    seq: VisitSequence, trees: Sequence[SearchTree], conn: ConnectionTable
+    seq: VisitSequence, trees: Sequence[SearchTree], conn: ConnectionTable, graph: RoutingGraph
 ) -> tuple[list[int], float]:
-    """Expand a destination visit order into a graph node path and its cost.
+    """Expand a destination visit order into a graph node path and its ``node_path_cost``.
 
     A leg whose pair has a searched path (``conn.legs``) follows it, read
     backwards when the order runs from the higher destination index to the
     lower. Any other leg runs from one destination's root to the pair's
     witness connection node inside the first tree, then down the second tree
-    to its root. Junction nodes shared by consecutive legs appear once. The
-    cost sums the weights of the hops in path order, the searched legs' own
-    and the trees' ``parent_w``, as ``node_path_cost`` sums the same edge
-    weights, so the two agree bit for bit.
+    to its root, both read with ``path_from_root``. Junction nodes shared by
+    consecutive legs appear once.
     """
     path = [trees[seq.order[0]].root_node]
-    cost = 0.0
     for a, b in zip(seq.order, seq.order[1:]):
         if a == b:
             continue
         pair = (a, b) if a < b else (b, a)
-        leg = conn.legs.get(pair)
-        if leg is not None:
-            nodes, weights = leg
-            if a > b:
-                nodes, weights = nodes[::-1], weights[::-1]
-            for w in weights:
-                cost += w
-            path += nodes[1:]
+        nodes = conn.legs.get(pair)
+        if nodes is not None:
+            path += nodes[1:] if a < b else nodes[-2::-1]
             continue
         c = conn.best[pair]
-        down = path_from_root(trees[a].parent, c)[1:]
-        parent_w = trees[a].parent_w
-        for v in down:
-            cost += parent_w[v]
-        path += down
-        parent, parent_w = trees[b].parent, trees[b].parent_w
-        v = c
-        while (p := parent[v]) is not None:
-            cost += parent_w[v]
-            path.append(p)
-            v = p
-    return path, cost
+        path += path_from_root(trees[a].parent, c)[1:] + path_from_root(trees[b].parent, c)[-2::-1]
+    return path, node_path_cost(graph, path)
 
 
 def validate_node_path(
@@ -665,7 +641,7 @@ def plan(
         seq = ordering.solve(dg, None if exact else replace(ga, rng_seed=solver_seeds.getrandbits(32)))
         if not final:
             solver_calls += 1
-        path, cost = stitch_node_path(seq, trees, conn)
+        path, cost = stitch_node_path(seq, trees, conn, graph)
         if not solutions or cost < solutions[-1].total_cost:
             sol = AnytimeSolution(
                 node_path=tuple(path),
@@ -760,8 +736,7 @@ def plan(
                 return False
             fell = res.cost < matrix[a][b]
             matrix[a][b] = matrix[b][a] = res.cost
-            path = list(res.node_path)
-            conn.legs[(a, b)] = (path, [graph.edge_weight(u, v) for u, v in zip(path, path[1:])])
+            conn.legs[(a, b)] = res.node_path
             return fell
 
         fell = False  # in the current round or row

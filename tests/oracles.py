@@ -263,8 +263,8 @@ def validate_parent_links(tree: SearchTree, graph: RoutingGraph) -> list[int]:
     """Assert the tree invariant; returns the tree's nodes.
 
     Parent links must be graph edges that reach the root without a cycle, with
-    ``cost[v] >= cost[parent[v]] + w`` and ``parent_w[v] == w``: a node's cost
-    may sit above its path's once ``rewire`` lowered an ancestor's cost.
+    ``cost[v] >= cost[parent[v]] + w``: a node's cost may sit above its path's
+    once ``rewire`` lowered an ancestor's cost.
     Nodes outside the tree have no parent.
     """
     members = tree_nodes(tree)
@@ -279,8 +279,6 @@ def validate_parent_links(tree: SearchTree, graph: RoutingGraph) -> list[int]:
         w = graph.edge_weight(parent, node)
         if w is None:
             raise AssertionError(f"tree edge ({parent}, {node}) is not a graph edge")
-        if tree.parent_w[node] != w:
-            raise AssertionError(f"node {node} keeps weight {tree.parent_w[node]} for its parent edge of {w}")
         if not tree.cost[node] >= tree.cost[parent] + w:
             raise AssertionError(f"node {node} costs less than its parent plus the edge")
     for node in members:
@@ -304,7 +302,7 @@ def validate_tree(tree: SearchTree, graph: RoutingGraph) -> None:
     packed entries against the graph's points.
     """
     n = graph.node_count
-    if not len(tree.cost) == len(tree.parent) == len(tree.parent_w) == len(tree._unvisited) == n:
+    if not len(tree.cost) == len(tree.parent) == len(tree._unvisited) == n:
         raise AssertionError("per-node lists do not cover the graph")
     members = validate_parent_links(tree, graph)
     inside = set(members)

@@ -10,7 +10,7 @@ from multiroute.baselines import (
     bidirectional_astar,
     leg_sequence,
 )
-from multiroute.generate import largest_component, random_geometric_graph
+from multiroute.generate import largest_component, random_geometric_graph, random_scenario
 from multiroute.geo import GeoPoint
 from multiroute.graph import RoutingGraph, dijkstra
 from multiroute.planner import node_path_cost
@@ -150,6 +150,17 @@ def test_leg_sequence_sums_legs():
     res2 = leg_sequence(g, [0, 2, 3], algo="anastar")
     assert res2.cost == 7.0
     assert res2.trace == ((res2.wall_time, 7.0),)
+
+
+@pytest.mark.parametrize("algo", ["biastar", "anastar"])
+def test_leg_sequence_reports_the_cost_of_its_joined_path(algo):
+    # The joined path's own cost, not the sum of leg costs, which can differ
+    # from it in the last bit.
+    for seed in range(1, 21):
+        g, ids = random_geometric_graph(300, 0.1, seed)
+        spec = random_scenario(g, ids, 4, seed)
+        res = leg_sequence(g, [spec.source, *spec.objectives, spec.target], algo=algo)
+        assert res.cost == node_path_cost(g, res.node_path) == res.trace[-1][1], seed
 
 
 def test_single_leg_returns_the_leg_result_with_its_trace():

@@ -1070,9 +1070,9 @@ def run_checking_leg_searches(g, dests, cfg):
         table[:] = [conn]
         return real_update(conn, *args)
 
-    def stitch(seq, trees, conn):
+    def stitch(seq, trees, conn, graph):
         solved.append([row[:] for row in conn.matrix])
-        return real_stitch(seq, trees, conn)
+        return real_stitch(seq, trees, conn, graph)
 
     wrapped = dict(bidirectional_astar=search, bound_order=bound, update_connections=update, stitch_node_path=stitch)
     with mock.patch.multiple(planner_module, **wrapped):
@@ -1251,16 +1251,16 @@ def test_stitched_routes_mix_searched_legs_and_tree_witnesses():
     # A route follows the searched path of every leg phase 2 searched, read
     # in the order's direction, and the tree witness of every other leg: from
     # one root up to the pair's connection node, then down to the other root.
-    # The cost, summed hop by hop in path order, equals node_path_cost's bit
-    # for bit. The golden runs, then the same runs ordered by the genetic
-    # solver, whose first rows of searches leave the other pairs to their
-    # witnesses: some stitched orders take both kinds of leg.
+    # The cost is node_path_cost's. The golden runs, then the same runs
+    # ordered by the genetic solver, whose first rows of searches leave the
+    # other pairs to their witnesses: some stitched orders take both kinds of
+    # leg.
     real_stitch = planner_module.stitch_node_path
     mixed = 0
 
-    def stitching(seq, trees, conn):
+    def stitching(seq, trees, conn, graph):
         nonlocal mixed
-        path, cost = real_stitch(seq, trees, conn)
+        path, cost = real_stitch(seq, trees, conn, graph)
         expected = [trees[seq.order[0]].root_node]
         kinds = set()
         for a, b in zip(seq.order, seq.order[1:]):
@@ -1269,7 +1269,7 @@ def test_stitched_routes_mix_searched_legs_and_tree_witnesses():
             pair = (min(a, b), max(a, b))
             kinds.add(pair in conn.legs)
             if pair in conn.legs:
-                nodes, _ = conn.legs[pair]
+                nodes = conn.legs[pair]
                 expected += (nodes if a < b else nodes[::-1])[1:]
             else:
                 c = conn.best[pair]
@@ -1288,9 +1288,8 @@ def test_stitched_routes_mix_searched_legs_and_tree_witnesses():
 
 
 def test_emitted_costs_are_the_exact_sums_of_their_node_paths():
-    # stitch_node_path sums the searched legs' hop weights and the trees'
-    # parent_w, which choose_parent and rewire write; the sum must equal
-    # node_path_cost's, bit for bit.
+    # Every emitted cost is node_path_cost of the emitted path, bit for bit,
+    # also in runs whose rewire reparented nodes before the first route.
     reparented_before_first = []
     real_rewire = planner_module.rewire
 
