@@ -7,7 +7,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .geo import haversine
+from .geo import great_circle_m
 from .graph import RoutingGraph, node_path_cost, path_from_root
 
 INF = math.inf
@@ -38,24 +38,14 @@ class BaselineResult:
     trace: tuple[tuple[float, float], ...]  # (wall_time, cost) per improvement
 
 
-class _GoalHeuristic(dict):
-    """Node id to its great-circle distance to one goal times ``great_circle_scale``.
+def _goal_heuristic(graph: RoutingGraph, goal: int) -> list[float]:
+    """Every node's great-circle distance to ``goal`` times ``great_circle_scale``.
 
-    Each value is computed on first lookup: a search reaches a small part of
-    the graph, and evaluating every node up front cost more than the search.
+    One kernel call over all nodes per search side, not one scalar call per
+    node the search reaches.
     """
-
-    __slots__ = ("_nodes", "_goal", "_scale")
-
-    def __init__(self, graph: RoutingGraph, goal: int) -> None:
-        super().__init__()
-        self._nodes = graph.nodes
-        self._goal = graph.nodes[goal]
-        self._scale = graph.great_circle_scale()
-
-    def __missing__(self, node: int) -> float:
-        h = self[node] = self._scale * haversine(self._nodes[node], self._goal)
-        return h
+    lat, lon = graph.lat, graph.lon
+    return (graph.great_circle_scale() * great_circle_m(lat, lon, lat[goal], lon[goal])).tolist()
 
 
 def bidirectional_astar(
@@ -85,7 +75,7 @@ def bidirectional_astar(
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    h = (_GoalHeuristic(graph, t), _GoalHeuristic(graph, s))
+    h = (_goal_heuristic(graph, t), _goal_heuristic(graph, s))
     g = ({s: 0.0}, {t: 0.0})
     parent: tuple[dict[int, int | None], dict[int, int | None]] = ({s: None}, {t: None})
     done: tuple[set[int], set[int]] = (set(), set())
@@ -160,7 +150,7 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    h = _GoalHeuristic(graph, t)
+    h = _goal_heuristic(graph, t)
     g = {s: 0.0}
     parent: dict[int, int | None] = {s: None}
     big_g = INF

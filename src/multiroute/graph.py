@@ -6,9 +6,12 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .geo import GeoPoint, haversine, unit_xyz
+import numpy as np
+
+from .geo import GeoPoint, great_circle_m, unit_xyz
 
 
 class GraphError(ValueError):
@@ -20,14 +23,16 @@ class RoutingGraph:
 
     Node ids are dense indices into ``nodes``. Edge weights are meters and
     default to the haversine length of the edge when not given. Duplicate
-    edges collapse to the minimum weight; self-loops are rejected. Instances
-    are immutable after construction and safe to share across readers.
-    ``xyz`` holds each node's unit-sphere coordinates (``geo.unit_xyz``) as a
-    triple of Python floats, and ``adj`` each node's neighbors as a tuple of
-    (node, weight) pairs sorted by node id.
+    edges collapse to the minimum weight; self-loops are rejected, and the
+    first bad edge in input order is the one named. Instances are immutable
+    after construction and safe to share across readers. ``lat`` and ``lon``
+    hold the node coordinates as read-only arrays, ``xyz`` each node's
+    unit-sphere coordinates (``geo.unit_xyz``) as a triple of Python floats,
+    and ``adj`` each node's neighbors as a tuple of (node, weight) pairs
+    sorted by node id.
     """
 
-    __slots__ = ("nodes", "xyz", "adj", "edge_count", "_gc_scale")
+    __slots__ = ("nodes", "lat", "lon", "xyz", "adj", "edge_count", "_gc_scale")
 
     def __init__(
         self,
@@ -35,30 +40,59 @@ class RoutingGraph:
         edges: Iterable[tuple[int, int, float | None]],
     ) -> None:
         self.nodes: tuple[GeoPoint, ...] = tuple(nodes)
-        self.xyz: tuple[tuple[float, float, float], ...] = tuple(map(tuple, unit_xyz(self.nodes).tolist()))
         n = len(self.nodes)
+        self.lat = np.fromiter((p.lat for p in self.nodes), float, n)
+        self.lon = np.fromiter((p.lon for p in self.nodes), float, n)
+        self.lat.flags.writeable = self.lon.flags.writeable = False
+        self.xyz: tuple[tuple[float, float, float], ...] = tuple(map(tuple, unit_xyz(self.lat, self.lon).tolist()))
+        # Weightless edges get their lengths in one kernel call after the
+        # pass. An error the pass stops at is raised only after their check,
+        # since a weightless edge before it may be the first bad edge.
         weights: dict[tuple[int, int], float] = {}
+        gu: list[int] = []
+        gv: list[int] = []
+        error = None
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+                error = f"edge ({u}, {v}) references a node outside 0..{n - 1}"
+                break
             if u == v:
-                raise GraphError(f"self-loop at node {u}")
+                error = f"self-loop at node {u}"
+                break
             if w is None:
-                w = haversine(self.nodes[u], self.nodes[v])
+                gu.append(u)
+                gv.append(v)
+                continue
             w = float(w)
             if not math.isfinite(w) or w <= 0.0:
+                error = f"edge ({u}, {v}) has non-positive or non-finite weight {w}"
+                break
+            key = (u, v) if u < v else (v, u)
+            prev = weights.get(key)
+            if prev is None or w < prev:
+                weights[key] = w
+        lengths = great_circle_m(self.lat[gu], self.lon[gu], self.lat[gv], self.lon[gv]).tolist()
+        for u, v, w in zip(gu, gv, lengths):
+            if w <= 0.0:
                 raise GraphError(f"edge ({u}, {v}) has non-positive or non-finite weight {w}")
             key = (u, v) if u < v else (v, u)
             prev = weights.get(key)
             if prev is None or w < prev:
                 weights[key] = w
+        if error is not None:
+            raise GraphError(error)
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for (u, v), w in weights.items():
             adj[u].append((v, w))
             adj[v].append((u, w))
         self.adj: tuple[tuple[tuple[int, float], ...], ...] = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.edge_count = len(weights)
-        self._gc_scale: float | None = None
+        self.edge_count = m = len(weights)
+        ends = np.fromiter(chain.from_iterable(weights), np.intp, 2 * m)
+        lo, hi = ends[0::2], ends[1::2]
+        d = great_circle_m(self.lat[lo], self.lon[lo], self.lat[hi], self.lon[hi])
+        pos = d > 0.0
+        ratios = np.fromiter(weights.values(), float, m)[pos] / d[pos]
+        self._gc_scale = min(1.0, float(ratios.min())) if ratios.size else 1.0
 
     @property
     def node_count(self) -> int:
@@ -79,13 +113,10 @@ class RoutingGraph:
     def great_circle_scale(self) -> float:
         """Largest s <= 1 with every edge weighing at least s times its haversine length.
 
-        Exactly 1.0 when weights default to the haversine length. Computed on
-        the first call and kept, since the graph never changes.
+        Exactly 1.0 when weights default to the haversine length, since both
+        come from ``geo.great_circle_m``. Computed at construction, in one
+        kernel call over the deduplicated edges.
         """
-        if self._gc_scale is None:
-            nodes = self.nodes
-            ratios = [w / d for u, v, w in self.edges() if (d := haversine(nodes[u], nodes[v])) > 0.0]
-            self._gc_scale = min([1.0, *ratios])
         return self._gc_scale
 
 

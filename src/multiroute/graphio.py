@@ -6,7 +6,9 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 
-from .geo import GeoPoint, haversine
+import numpy as np
+
+from .geo import GeoPoint, great_circle_m
 from .graph import GraphError, RoutingGraph
 from .planner import DestinationSet
 
@@ -61,6 +63,14 @@ class ScenarioSpec:
     pseudos: tuple[tuple[int, bool], ...] = ()
 
 
+def _lengths(ends: list[tuple[GeoPoint, GeoPoint]]) -> list[float]:
+    """Great-circle length of each point pair, in one kernel call."""
+    if not ends:
+        return []
+    lat1, lon1, lat2, lon2 = np.array([(p.lat, p.lon, q.lat, q.lon) for p, q in ends]).T
+    return great_circle_m(lat1, lon1, lat2, lon2).tolist()
+
+
 # ---------------------------------------------------------------------------
 # OSM XML subset
 # ---------------------------------------------------------------------------
@@ -107,11 +117,11 @@ def parse_osm_xml(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
             if ref not in coords:
                 raise ParseError(f"way {way_id} references missing node {ref}")
             refs.append(ref)
-        for a, b in zip(refs, refs[1:]):
-            if a != b:
-                if haversine(coords[a], coords[b]) == 0.0:
-                    raise ParseError(f"way {way_id} joins nodes {a} and {b}, which lie at one point")
-                edge_pairs.append((a, b))
+        pairs = [(a, b) for a, b in zip(refs, refs[1:]) if a != b]
+        for (a, b), d in zip(pairs, _lengths([(coords[a], coords[b]) for a, b in pairs])):
+            if d == 0.0:
+                raise ParseError(f"way {way_id} joins nodes {a} and {b}, which lie at one point")
+        edge_pairs.extend(pairs)
     ids = IdMap()
     for a, b in edge_pairs:
         ids.add(a)
@@ -139,49 +149,73 @@ def parse_edgelist(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
     ``e <id> <id> [weight-meters]`` edge lines, ``#`` comments. Omitted
     weights default to the haversine length of the edge.
     """
-    lines = _text(data).splitlines()
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    body = [(no, ln) for no, ln in body if ln and not ln.startswith("#")]
-    if not body or body[0][1] != EDGELIST_HEADER:
-        raise ParseError(f"missing '{EDGELIST_HEADER}' header line")
     ids = IdMap()
+    internal = ids.to_internal
     points: list[GeoPoint] = []
     edges: list[tuple[int, int, float | None]] = []
-    for no, ln in body[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind == "n":
-            if len(parts) != 4:
-                raise ParseError(f"line {no}: node line needs 'n <id> <lat> <lon>'")
-            try:
-                ext, lat, lon = int(parts[1]), float(parts[2]), float(parts[3])
-                point = GeoPoint(lat, lon)
-            except ValueError as exc:
-                raise ParseError(f"line {no}: {exc}") from None
-            if ext in ids.to_internal:
-                raise ParseError(f"line {no}: duplicate node id {ext}")
-            ids.add(ext)
-            points.append(point)
-        elif kind == "e":
-            if len(parts) not in (3, 4):
-                raise ParseError(f"line {no}: edge line needs 'e <id> <id> [weight]'")
-            try:
-                a, b = int(parts[1]), int(parts[2])
-                w = float(parts[3]) if len(parts) == 4 else None
-            except ValueError as exc:
-                raise ParseError(f"line {no}: {exc}") from None
-            if a not in ids.to_internal or b not in ids.to_internal:
-                raise ParseError(f"line {no}: edge references undeclared node")
-            if a == b:
-                raise ParseError(f"line {no}: self-loop at node {a}")
-            ia, ib = ids.to_internal[a], ids.to_internal[b]
-            if w is None and haversine(points[ia], points[ib]) == 0.0:
+    weightless: list[tuple[int, int, int]] = []  # (line, external a, external b)
+    header = False
+
+    def check_weightless() -> None:
+        """Reject the first weightless edge so far whose nodes lie at one point."""
+        ends = [(points[internal[a]], points[internal[b]]) for _, a, b in weightless]
+        for (no, a, b), d in zip(weightless, _lengths(ends)):
+            if d == 0.0:
                 raise ParseError(f"line {no}: nodes {a} and {b} lie at one point, so the edge needs a weight")
-            if w is not None and (not math.isfinite(w) or w <= 0.0):
-                raise ParseError(f"line {no}: edge weight must be positive and finite, got {w}")
-            edges.append((ia, ib, w))
-        else:
-            raise ParseError(f"line {no}: unknown record kind {kind!r}")
+
+    # The coincident-node test of weightless edges runs in one kernel call
+    # after the lines, or before an error that a later line raises, so the
+    # first bad line is still the one named.
+    try:
+        for no, raw in enumerate(_text(data).splitlines(), start=1):
+            ln = raw.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            if not header:
+                if ln != EDGELIST_HEADER:
+                    raise ParseError(f"missing '{EDGELIST_HEADER}' header line")
+                header = True
+                continue
+            parts = ln.split()
+            kind = parts[0]
+            if kind == "n":
+                if len(parts) != 4:
+                    raise ParseError(f"line {no}: node line needs 'n <id> <lat> <lon>'")
+                try:
+                    ext, lat, lon = int(parts[1]), float(parts[2]), float(parts[3])
+                    point = GeoPoint(lat, lon)
+                except ValueError as exc:
+                    raise ParseError(f"line {no}: {exc}") from None
+                if ext in internal:
+                    raise ParseError(f"line {no}: duplicate node id {ext}")
+                ids.add(ext)
+                points.append(point)
+            elif kind == "e":
+                if len(parts) not in (3, 4):
+                    raise ParseError(f"line {no}: edge line needs 'e <id> <id> [weight]'")
+                try:
+                    a, b = int(parts[1]), int(parts[2])
+                    w = float(parts[3]) if len(parts) == 4 else None
+                except ValueError as exc:
+                    raise ParseError(f"line {no}: {exc}") from None
+                ia, ib = internal.get(a), internal.get(b)
+                if ia is None or ib is None:
+                    raise ParseError(f"line {no}: edge references undeclared node")
+                if a == b:
+                    raise ParseError(f"line {no}: self-loop at node {a}")
+                if w is None:
+                    weightless.append((no, a, b))
+                elif not math.isfinite(w) or w <= 0.0:
+                    raise ParseError(f"line {no}: edge weight must be positive and finite, got {w}")
+                edges.append((ia, ib, w))
+            else:
+                raise ParseError(f"line {no}: unknown record kind {kind!r}")
+    except ParseError:
+        check_weightless()
+        raise
+    if not header:
+        raise ParseError(f"missing '{EDGELIST_HEADER}' header line")
+    check_weightless()
     try:
         graph = RoutingGraph(points, edges)
     except GraphError as exc:

@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import NoPathYet, bidirectional_astar
-from .geo import haversine
+from .geo import great_circle_m
 from .graph import RoutingGraph, node_path_cost, path_from_root
 from . import ordering
 from .ordering import DestGraph, GaConfig, VisitSequence
@@ -742,9 +742,9 @@ def plan(
         fell = False  # in the current round or row
         try:
             if exact:
-                scale = graph.great_circle_scale()
-                points = [graph.nodes[nodes[i]] for i in keep]
-                bound = np.array([[scale * haversine(p, q) for q in points] for p in points])
+                ids = [nodes[i] for i in keep]
+                lat, lon = graph.lat[ids], graph.lon[ids]
+                bound = graph.great_circle_scale() * great_circle_m(lat[:, None], lon[:, None], lat, lon)
                 while True:
                     order, cost = bound_order(bound, keep, dests.source_index, dests.target_index)
                     lower_bound = cost if lower_bound is None else max(lower_bound, cost)

@@ -6,9 +6,11 @@ slot filling by occurrence counts instead of crossover's splice, literal
 sequence rebuilding instead of insertion-delta formulas, a haversine scan
 instead of the planner's chord-distance argmin, a scalar Floyd-Warshall
 instead of the array one, a per-destination insertion loop instead of the
-batched selection, and an all-pairs loop instead of the geometric
-generator's cell buckets. The planner validators rebuild each tree's frontier,
-parent links and cost inequality, and each matrix entry, from scratch.
+batched selection, an all-pairs loop instead of the geometric generator's
+cell buckets, and a scalar pass over the edges instead of the graph's
+one-kernel great-circle scale. The planner validators rebuild each tree's
+frontier, parent links and cost inequality, and each matrix entry, from
+scratch.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ def full_goal_heuristic(graph: RoutingGraph, goal: int) -> list[float]:
     """Every node's scaled great-circle distance to ``goal``, built up front."""
     scale = graph.great_circle_scale()
     return [scale * haversine(p, graph.nodes[goal]) for p in graph.nodes]
+
+
+def great_circle_scale(graph: RoutingGraph) -> float:
+    """``RoutingGraph.great_circle_scale`` as a scalar pass over the sorted edges.
+
+    The least ratio of an edge's weight to its ``haversine`` length, over the
+    edges of positive length, and 1.0 when that is larger.
+    """
+    nodes = graph.nodes
+    ratios = [w / d for u, v, w in graph.edges() if (d := haversine(nodes[u], nodes[v])) > 0.0]
+    return min([1.0, *ratios])
 
 
 def bellman_ford(n: int, edges: list[tuple[int, int, float]], src: int) -> list[float]:

@@ -201,9 +201,10 @@ def test_underweighted_random_graphs_match_dijkstra():
         assert anastar(g, s, t).cost == ref
 
 
-def test_lazy_heuristics_give_the_results_of_full_lists(monkeypatch):
-    # Heuristic values come from the same expression whether computed on first
-    # touch or for every node up front, so every search step is the same.
+def test_array_heuristics_give_the_results_of_scalar_lists(monkeypatch):
+    # The package builds each heuristic list with one great_circle_m call;
+    # the oracle calls haversine once per node. The values are the same bits,
+    # so every search step is the same.
     rng = random.Random(70)
     base, _ = random_geometric_graph(1000, 0.06, seed=70)
     g = RoutingGraph(base.nodes, [(u, v, w * rng.uniform(0.7, 1.5)) for u, v, w in base.edges()])
@@ -219,5 +220,5 @@ def test_lazy_heuristics_give_the_results_of_full_lists(monkeypatch):
         return out
 
     lazy = run()
-    monkeypatch.setattr(baselines, "_GoalHeuristic", full_goal_heuristic)
+    monkeypatch.setattr(baselines, "_goal_heuristic", full_goal_heuristic)
     assert lazy == run()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from multiroute.generate import random_geometric_graph
 from multiroute.geo import GeoPoint
 from multiroute.graph import (
     GraphError,
@@ -10,8 +11,10 @@ from multiroute.graph import (
     dijkstra,
     path_from_root,
 )
+from multiroute.graphio import parse_edgelist, serialize_edgelist
 
 from oracles import bellman_ford, random_weighted_graph_edges
+from oracles import great_circle_scale as oracle_scale
 
 
 def grid_points(n):
@@ -92,9 +95,7 @@ def test_dijkstra_path_graph():
 
 
 def test_great_circle_scale():
-    from multiroute.generate import random_geometric_graph
     from multiroute.geo import haversine
-    from multiroute.graphio import parse_edgelist, serialize_edgelist
 
     g, ids = random_geometric_graph(200, 0.15, seed=4)
     assert g.great_circle_scale() == 1.0
@@ -104,6 +105,57 @@ def test_great_circle_scale():
     # Edge 1-2 joins two nodes at one point and has no ratio.
     g = RoutingGraph(pts, [(0, 1, h / 4), (1, 2, 5.0), (0, 2, 2 * h)])
     assert g.great_circle_scale() == 0.25
+
+
+def test_great_circle_scale_equals_the_scalar_pass():
+    # Perturbed weights put the least ratio on some edge in the middle of the
+    # dict; golden graph 2 of test_planner (coordinates rounded to 1e-3
+    # degrees) has coincident nodes and a scale far below 1.
+    for seed in range(8):
+        rng = random.Random(seed)
+        base, _ = random_geometric_graph(rng.choice((60, 300, 900)), 0.12, seed=seed)
+        g = RoutingGraph(base.nodes, [(v, u, w * rng.uniform(0.3, 1.7)) for u, v, w in base.edges()])
+        assert g.great_circle_scale() == oracle_scale(g) < 1.0
+    fine = random_geometric_graph(220, 0.12, seed=5)[0]
+    rounded = RoutingGraph([GeoPoint(round(p.lat, 3), round(p.lon, 3)) for p in fine.nodes], list(fine.edges()))
+    assert rounded.great_circle_scale() == oracle_scale(rounded)
+    assert round(rounded.great_circle_scale(), 3) == 0.044
+
+
+def test_default_weights_give_a_scale_of_exactly_one():
+    # A default weight and the scale's length of the same edge must be the
+    # same bits, whichever way round the edge was given; a ratio of
+    # 0.9999999999999998 would weaken every A* heuristic a little.
+    rng = random.Random(29)
+    for _ in range(20):
+        n = rng.randint(300, 2000)
+        g, ids = random_geometric_graph(n, math.sqrt(10 / (math.pi * n)), seed=rng.getrandbits(32))
+        assert g.great_circle_scale() == oracle_scale(g) == 1.0
+        flipped = RoutingGraph(g.nodes, [(v, u, None) for u, v, _ in g.edges()])
+        assert list(flipped.edges()) == list(g.edges())
+        parsed = parse_edgelist(serialize_edgelist(g, ids))[0]
+        assert parsed.great_circle_scale() == 1.0
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # A weightless edge between coincident nodes, then a self-loop: the
+        # default weights come after the pass, but the first bad edge is named.
+        ([(0, 1, 5.0), (1, 2, None), (3, 3, 1.0)], r"^edge \(1, 2\) has non-positive or non-finite weight 0\.0$"),
+        ([(0, 1, None), (2, 1, None), (0, 4, 1.0)], r"^edge \(2, 1\) has non-positive or non-finite weight 0\.0$"),
+        ([(0, 1, None), (3, 3, 1.0), (1, 2, None)], r"^self-loop at node 3$"),
+        ([(0, 1, None), (0, 3, -2.0), (2, 1, None)], r"^edge \(0, 3\) has non-positive or non-finite weight -2\.0$"),
+        ([(0, 1, None), (0, 9, None), (1, 2, None)], r"^edge \(0, 9\) references a node outside 0\.\.3$"),
+        ([(0, 1, None), (0, 3, float("nan")), (2, 1, None)], r"^edge \(0, 3\) has non-positive or non-finite weight nan$"),
+    ],
+)
+def test_the_first_bad_edge_in_input_order_is_named(edges, message):
+    pts = [GeoPoint(45.0, 7.0), GeoPoint(45.001, 7.0), GeoPoint(45.001, 7.0), GeoPoint(45.002, 7.0)]
+    with pytest.raises(GraphError, match=message):
+        RoutingGraph(pts, edges)
+    with pytest.raises(GraphError, match=message):
+        RoutingGraph(pts, iter(edges))
 
 
 def test_path_from_root_on_dict_and_list_parents():

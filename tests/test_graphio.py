@@ -177,6 +177,17 @@ def test_weightless_edge_between_coincident_nodes_names_external_ids():
         parse_osm_xml(xml)
 
 
+@pytest.mark.parametrize("later", ["e 5 5 1.0", "x 1", "e 5 8", "e 9 7 -1", "n 7 45.0 7.0"])
+def test_a_weightless_edge_between_coincident_nodes_is_named_before_later_errors(later):
+    # The coincident-node test runs in one kernel call after the lines, or
+    # before an error that a later line raises, so the first bad line is named.
+    text = f"graph v1\nn 5 45.0 7.0\nn 9 45.0 7.0\nn 7 45.001 7.0\ne 5 9\ne 9 7\n{later}\n"
+    with pytest.raises(ParseError, match=r"^line 5: nodes 5 and 9 lie at one point"):
+        parse_edgelist(text)
+    with pytest.raises(ParseError, match=r"^line 7: "):
+        parse_edgelist(text.replace("e 5 9\n", "e 5 9 2.0\n"))
+
+
 @pytest.mark.parametrize("parse", [parse_edgelist, parse_scenario])
 def test_non_utf8_bytes_name_the_offset(parse):
     with pytest.raises(ParseError, match="offset 4$"):
