@@ -6,6 +6,9 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .geo import great_circle_m
 from .graph import RoutingGraph, node_path_cost, path_from_root
@@ -38,34 +41,53 @@ class BaselineResult:
     trace: tuple[tuple[float, float], ...]  # (wall_time, cost) per improvement
 
 
-def _goal_heuristic(graph: RoutingGraph, goal: int) -> list[float]:
-    """Every node's great-circle distance to ``goal`` times ``great_circle_scale``.
+def goal_rows(graph: RoutingGraph, goals: Sequence[int]) -> list[list[float]]:
+    """One heuristic row per goal: every node's great-circle distance to it times ``great_circle_scale``.
 
-    One kernel call over all nodes per search side, not one scalar call per
-    node the search reaches.
+    One kernel call over all nodes and all ``goals`` together, whatever their
+    number. ``bidirectional_astar``, ``anastar`` and the planner's phase 2
+    build their rows here; the planner builds the rows of all its required
+    destinations once per run and hands them to every leg search.
     """
     lat, lon = graph.lat, graph.lon
-    return (graph.great_circle_scale() * great_circle_m(lat, lon, lat[goal], lon[goal])).tolist()
+    gl = np.asarray(goals, np.intp)[:, None]
+    return (graph.great_circle_scale() * great_circle_m(lat, lon, lat[gl], lon[gl])).tolist()
 
 
 def bidirectional_astar(
-    graph: RoutingGraph, s: int, t: int, deadline: float = INF, max_pops: float = INF
+    graph: RoutingGraph,
+    s: int,
+    t: int,
+    deadline: float = INF,
+    max_pops: float = INF,
+    rows: Mapping[int, list[float]] | None = None,
 ) -> BaselineResult:
     """Exact shortest path via simultaneous A* searches from both endpoints.
 
-    Uses the great-circle distance to the opposite endpoint as the heuristic,
-    scaled down when explicit edge weights are shorter than the great-circle
-    length so that it stays consistent. Each pop settles one node of one side,
-    the side whose least f-value is smaller (the forward side on a tie), and
-    ``explored_nodes`` counts the pops. Stops once either frontier's best
-    f-value reaches the best meeting cost seen, which proves that cost
-    optimal. The returned cost sums the path's edge weights in path order, as
-    ``node_path_cost`` does. Before each pop the search checks the clock
-    against ``deadline`` (a ``time.monotonic`` reading), then its pop count
-    against ``max_pops``, and raises ``NoPathYet`` with the pops made once
-    either is reached. The planner's phase 2 searches its legs with this
-    function, passing the run's deadline and what is left of its iteration
-    cap, so that one planner iteration is one pop.
+    Both sides use balanced (average) potentials built from the heuristic
+    rows of ``goal_rows``: h_t, the scaled great-circle distance to t, and
+    h_s, the one to s. The forward side keys a node v by g + p_f(v) with
+    p_f(v) = (h_t(v) - h_s(v)) * 0.5, the reverse side by g + p_r(v) with
+    p_r(v) = (h_s(v) - h_t(v)) * 0.5; in IEEE arithmetic p_r is exactly
+    -p_f. The scaled heuristics are consistent, and so is half the
+    difference of two consistent ones, so each side settles nodes in
+    reduced-cost order, like Dijkstra. Each pop settles one node of the
+    side whose least key is smaller (the forward side on a tie), and
+    ``explored_nodes`` counts the pops. Any s-t path through a node that
+    neither side has settled costs at least top_f + top_r, since p_f + p_r
+    = 0, so once top_f + top_r reaches the best meeting cost seen, that
+    cost is optimal; an emptied side reads INF, so a side that exhausts its
+    component without a meeting proves that there is no path. The potentials
+    are worked out per node as it is pushed, from the two rows. ``rows``
+    maps a node to its row; when it is None the search builds the rows of s
+    and t itself, in one ``goal_rows`` call. The returned cost sums the
+    path's edge weights in path order, as ``node_path_cost`` does. Before
+    each pop the search checks the clock against ``deadline`` (a
+    ``time.monotonic`` reading), then its pop count against ``max_pops``,
+    and raises ``NoPathYet`` with the pops made once either is reached. The
+    planner's phase 2 searches its legs with this function, passing the
+    run's deadline, what is left of its iteration cap and its rows, so that
+    one planner iteration is one pop.
     """
     n = graph.node_count
     if not (0 <= s < n and 0 <= t < n):
@@ -75,25 +97,30 @@ def bidirectional_astar(
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    h = (_goal_heuristic(graph, t), _goal_heuristic(graph, s))
+    if rows is None:
+        ht, hs = goal_rows(graph, (t, s))
+    else:
+        ht, hs = rows[t], rows[s]
+    # Side 0 searches from s, side 1 from t; a side's potential is
+    # (a[v] - b[v]) * 0.5 for its pair of rows (a, b).
+    pot = ((ht, hs), (hs, ht))
     g = ({s: 0.0}, {t: 0.0})
     parent: tuple[dict[int, int | None], dict[int, int | None]] = ({s: None}, {t: None})
     done: tuple[set[int], set[int]] = (set(), set())
-    heaps: tuple[list[tuple[float, int, float]], ...] = ([(h[0][s], s, 0.0)], [(h[1][t], t, 0.0)])
-    top = [h[0][s], h[1][t]]  # each side's least valid f-value, INF once its heap empties
+    top = [(ht[s] - hs[s]) * 0.5, (hs[t] - ht[t]) * 0.5]  # each side's least valid key, INF once its heap empties
+    heaps: tuple[list[tuple[float, int, float]], ...] = ([(top[0], s, 0.0)], [(top[1], t, 0.0)])
     adj = graph.adj
     monotonic = time.monotonic
     heappop, heappush = heapq.heappop, heapq.heappush
     mu = INF
     meet = -1
     explored = 0
-    while True:
-        side = 0 if top[0] <= top[1] else 1
-        if top[side] >= mu:
-            break
+    while top[0] + top[1] < mu:
         if monotonic() >= deadline or explored >= max_pops:
             raise NoPathYet(explored)
-        heap, gs, ds, hs, ps, go = heaps[side], g[side], done[side], h[side], parent[side], g[1 - side]
+        side = 0 if top[0] <= top[1] else 1
+        heap, gs, ds, ps, go = heaps[side], g[side], done[side], parent[side], g[1 - side]
+        a, b = pot[side]
         _, u, gu = heappop(heap)
         ds.add(u)
         explored += 1
@@ -109,7 +136,7 @@ def bidirectional_astar(
             if ng < gs.get(v, INF):
                 gs[v] = ng
                 ps[v] = u
-                heappush(heap, (ng + hs[v], v, ng))
+                heappush(heap, (ng + (a[v] - b[v]) * 0.5, v, ng))
                 if v in go:
                     cand = ng + go[v]
                     if cand < mu:
@@ -150,7 +177,7 @@ def anastar(graph: RoutingGraph, s: int, t: int, budget: float | None = None) ->
         return BaselineResult(
             node_path=(s,), cost=0.0, explored_nodes=0, wall_time=0.0, trace=((0.0, 0.0),)
         )
-    h = _goal_heuristic(graph, t)
+    h = goal_rows(graph, (t,))[0]
     g = {s: 0.0}
     parent: dict[int, int | None] = {s: None}
     big_g = INF
@@ -207,8 +234,11 @@ def leg_sequence(
 
     Multi-destination comparison helper: baselines have no native notion of
     intermediate objectives, so a visit order must be supplied by the caller.
-    One leg returns that leg's own result; several legs return their joined
-    path and its ``node_path_cost``, with one trace entry for that cost.
+    ``budget`` bounds the whole sequence: every bidirectional A* leg checks
+    one deadline, ``budget`` seconds after the start, and every ANA* leg gets
+    an equal share of it; a leg that runs out raises ``NoPathYet``. One leg
+    returns that leg's own result; several legs return their joined path and
+    its ``node_path_cost``, with one trace entry for that cost.
     """
     if len(nodes) < 2:
         raise ValueError("need at least source and target")
@@ -216,8 +246,9 @@ def leg_sequence(
         raise ValueError(f"unknown baseline {algo!r}")
     per_leg = None if budget is None else budget / (len(nodes) - 1)
     start = time.monotonic()
+    deadline = INF if budget is None else start + budget
     legs = [
-        bidirectional_astar(graph, a, b) if algo == "biastar" else anastar(graph, a, b, per_leg)
+        bidirectional_astar(graph, a, b, deadline) if algo == "biastar" else anastar(graph, a, b, per_leg)
         for a, b in zip(nodes, nodes[1:])
     ]
     if len(legs) == 1:

@@ -199,9 +199,8 @@ def _run_baseline(
     # Baselines are single-pair planners; objectives are visited in the
     # scenario's listed order, legs solved independently and joined.
     nodes = [n for n, req in zip(dests.node_ids, dests.required) if req]
-    budget = args.budget if args.algo == "anastar" else None
     try:
-        res = baselines.leg_sequence(graph, nodes, args.algo, budget)
+        res = baselines.leg_sequence(graph, nodes, args.algo, args.budget)
     except baselines.NoPathYet as exc:
         report.status = "no_path_yet"
         report.explored_nodes = exc.explored_nodes

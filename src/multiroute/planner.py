@@ -54,8 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import NoPathYet, bidirectional_astar
-from .geo import great_circle_m
+from .baselines import NoPathYet, bidirectional_astar, goal_rows
 from .graph import RoutingGraph, node_path_cost, path_from_root
 from . import ordering
 from .ordering import DestGraph, GaConfig, VisitSequence
@@ -724,11 +723,16 @@ def plan(
         matrix = conn.matrix
         nodes = dests.node_ids
         searched: set[tuple[int, int]] = set()
+        # The heuristic rows of the required destinations, built once in one
+        # kernel call: every leg search reads its two ends' rows, and an exact
+        # run's L reads its great-circle entries from them.
+        ids = [nodes[i] for i in keep]
+        rows = dict(zip(ids, goal_rows(graph, ids)))
 
         def search(a: int, b: int) -> bool:
             """Search the leg between destinations a < b; True if its entry fell."""
             nonlocal iterations, explored
-            res = bidirectional_astar(graph, nodes[a], nodes[b], deadline, cap - iterations)
+            res = bidirectional_astar(graph, nodes[a], nodes[b], deadline, cap - iterations, rows)
             iterations += res.explored_nodes
             explored += res.explored_nodes
             searched.add((a, b))
@@ -742,9 +746,7 @@ def plan(
         fell = False  # in the current round or row
         try:
             if exact:
-                ids = [nodes[i] for i in keep]
-                lat, lon = graph.lat[ids], graph.lon[ids]
-                bound = graph.great_circle_scale() * great_circle_m(lat[:, None], lon[:, None], lat, lon)
+                bound = np.array([[rows[a][b] for b in ids] for a in ids])
                 while True:
                     order, cost = bound_order(bound, keep, dests.source_index, dests.target_index)
                     lower_bound = cost if lower_bound is None else max(lower_bound, cost)

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from multiroute import baselines
+from multiroute import baselines, planner
 from multiroute.baselines import (
     NoPathError,
     NoPathYet,
@@ -13,7 +14,7 @@ from multiroute.baselines import (
 from multiroute.generate import largest_component, random_geometric_graph, random_scenario
 from multiroute.geo import GeoPoint
 from multiroute.graph import RoutingGraph, dijkstra
-from multiroute.planner import node_path_cost
+from multiroute.planner import DestinationSet, PlannerConfig, node_path_cost, plan
 
 from oracles import full_goal_heuristic
 
@@ -62,12 +63,51 @@ def test_path_is_walkable_and_cost_consistent():
 
 
 def test_500_node_costs_equal_dijkstra_on_100_pairs():
+    # The summed pops pin the balanced stop rule: the symmetric rule, which
+    # stopped once either side's least f-value reached the best meeting
+    # cost, popped 6 186 times on these pairs.
     g, _ = random_geometric_graph(500, 0.09, seed=17)
     pairs = seeded_pairs(g, 100, seed=23)
+    explored = 0
     for s, t in pairs:
         res = bidirectional_astar(g, s, t)
         sp = dijkstra(g, s)
         assert res.cost == pytest.approx(sp.cost[t], rel=1e-12, abs=1e-9)
+        explored += res.explored_nodes
+    assert explored == 3826
+
+
+def test_integer_weights_with_many_ties_equal_dijkstra_bit_for_bit():
+    # Integer weights sum exactly, so every shortest path of a pair has the
+    # same float cost, and equal keys are common on both sides. Lengths
+    # rounded up to whole tens of meters never undercut the great-circle
+    # distance, so the heuristic keeps its full scale of 1; small random
+    # integers shrink the scale below 0.01 and make ties the rule.
+    for seed in range(6):
+        rng = random.Random(seed)
+        base, _ = random_geometric_graph(300, 0.11, seed=seed)
+        if seed % 2:
+            edges = [(u, v, float(rng.randint(1, 3))) for u, v, _ in base.edges()]
+        else:
+            edges = [(u, v, 10.0 * math.ceil(w / 10.0)) for u, v, w in base.edges()]
+        g = RoutingGraph(base.nodes, edges)
+        assert (g.great_circle_scale() == 1.0) == (seed % 2 == 0)
+        for s, t in seeded_pairs(g, 40, seed=seed):
+            assert bidirectional_astar(g, s, t).cost == dijkstra(g, s).cost[t], (seed, s, t)
+
+
+def test_rounded_golden_graph_equals_dijkstra_bit_for_bit():
+    # Golden graph 2 of test_planner: coordinates rounded to 1e-3 degrees,
+    # so many nodes coincide, and weights of the unrounded graph, so the
+    # great-circle scale is 0.044 and the heuristic is nearly flat.
+    fine = random_geometric_graph(220, 0.12, seed=5)[0]
+    g = RoutingGraph([GeoPoint(round(p.lat, 3), round(p.lon, 3)) for p in fine.nodes], list(fine.edges()))
+    assert round(g.great_circle_scale(), 3) == 0.044
+    comp = largest_component(g)
+    for s in comp[::4]:
+        ref = dijkstra(g, s).cost
+        for t in comp[1::5]:
+            assert bidirectional_astar(g, s, t).cost == ref[t], (s, t)
 
 
 def test_explores_fewer_nodes_than_full_dijkstra_typically():
@@ -202,14 +242,18 @@ def test_underweighted_random_graphs_match_dijkstra():
 
 
 def test_array_heuristics_give_the_results_of_scalar_lists(monkeypatch):
-    # The package builds each heuristic list with one great_circle_m call;
-    # the oracle calls haversine once per node. The values are the same bits,
-    # so every search step is the same.
+    # The package builds every heuristic row with goal_rows, one
+    # great_circle_m call for all its goals; the oracle calls haversine once
+    # per node and goal. The values are the same bits, so every step of both
+    # baselines and of a planner run to the proved optimum, which builds its
+    # rows once and hands them to every leg search, is the same.
     rng = random.Random(70)
     base, _ = random_geometric_graph(1000, 0.06, seed=70)
     g = RoutingGraph(base.nodes, [(u, v, w * rng.uniform(0.7, 1.5)) for u, v, w in base.edges()])
     assert g.great_circle_scale() < 1.0
     pairs = seeded_pairs(g, 50, seed=70)
+    picks = random.Random(71).sample(largest_component(g), 6)
+    dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
 
     def run():
         out = []
@@ -217,8 +261,16 @@ def test_array_heuristics_give_the_results_of_scalar_lists(monkeypatch):
             for s, t in pairs:
                 res = leg_sequence(g, [s, t], algo=algo)
                 out.append((res.node_path, res.cost, res.explored_nodes, [c for _, c in res.trace]))
+        result = plan(g, dests, PlannerConfig(rng_seed=3, time_budget=math.inf))
+        assert result.stop_reason == "optimal"
+        sols = [(s.iteration, s.visit_order.order, s.node_path, s.total_cost) for s in result.solutions]
+        out.append((result.iterations, result.distance_matrix, result.lower_bound, sols))
         return out
 
-    lazy = run()
-    monkeypatch.setattr(baselines, "_goal_heuristic", full_goal_heuristic)
-    assert lazy == run()
+    def scalar_rows(graph, goals):
+        return [full_goal_heuristic(graph, goal) for goal in goals]
+
+    arrays = run()
+    monkeypatch.setattr(baselines, "goal_rows", scalar_rows)
+    monkeypatch.setattr(planner, "goal_rows", scalar_rows)
+    assert arrays == run()

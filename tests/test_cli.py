@@ -292,6 +292,31 @@ def test_no_path_yet_exit_code(tmp_path, algo):
     assert summary["final_cost"] is None
 
 
+def test_biastar_budget_that_ends_before_the_first_pop_exits_3(tmp_path):
+    # The least positive float: start + budget rounds to start, so the
+    # deadline has passed at the first check, whatever the host's speed, and
+    # no leg search pops a node.
+    side = 12
+    (tmp_path / "g.el").write_text(grid_edgelist(side))
+    (tmp_path / "s.txt").write_text(f"source 0\ntarget {side * side - 1}\nobjectives {side - 1}\n")
+    rc = main(
+        [
+            "run",
+            "--graph", str(tmp_path / "g.el"),
+            "--scenario", str(tmp_path / "s.txt"),
+            "--algo", "biastar",
+            "--budget", "5e-324",
+            "--out", str(tmp_path / "r.jsonl"),
+        ]
+    )
+    assert rc == 3
+    records = read_jsonl(tmp_path / "r.jsonl")
+    assert [r["type"] for r in records] == ["summary"]
+    summary = records[0]
+    assert (summary["status"], summary["explored_nodes"], summary["final_cost"]) == ("no_path_yet", 0, None)
+    assert summary["config"]["budget"] == 5e-324
+
+
 def test_isolated_target_proves_no_path_within_the_iteration_cap(tmp_path):
     # The isolated target's tree saturates at once, so its first turn proves
     # no path, long before the source's tree could saturate the grid.

@@ -33,7 +33,7 @@ from multiroute.planner import (
     update_connections,
     validate_node_path,
 )
-from multiroute import ordering
+from multiroute import baselines, ordering
 from multiroute import planner as planner_module
 from multiroute.ordering import GaConfig
 
@@ -1215,6 +1215,41 @@ def test_phase_two_pops_only_trees_with_an_open_pair():
             assert sum(pops) == result.iterations - result.solutions[0].iteration
 
 
+def test_runs_build_their_heuristic_rows_in_one_kernel_call():
+    # Phase 2 builds the heuristic rows of every required destination once,
+    # in one great_circle_m call, and hands them to each leg search, which
+    # makes no call of its own; an exact run's L reads its great-circle
+    # entries from the same rows. So a run makes one call however many legs
+    # it searches, exact or ordered by the genetic solver. The planner
+    # reaches the kernel only through baselines.
+    assert not hasattr(planner_module, "great_circle_m")
+    cases = list(golden_cases())
+    real_gc, real_search = baselines.great_circle_m, planner_module.bidirectional_astar
+    calls = searches = 0
+
+    def gc(*args):
+        nonlocal calls
+        calls += 1
+        return real_gc(*args)
+
+    def search(*args):
+        nonlocal searches
+        searches += 1
+        return real_search(*args)
+
+    seen = []
+    with mock.patch.object(baselines, "great_circle_m", gc), mock.patch.object(planner_module, "bidirectional_astar", search):
+        for exact_max in (ordering.EXACT_MAX, -1):
+            with mock.patch.object(ordering, "EXACT_MAX", exact_max):
+                for g, dests in cases:
+                    calls = searches = 0
+                    result = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
+                    assert result.stop_reason == ("optimal" if exact_max >= 0 else "fixpoint")
+                    assert calls == 1
+                    seen.append(searches)
+    assert len(set(seen)) > 2 and min(seen) > 1
+
+
 def test_runs_capped_inside_a_leg_search_end_at_the_cap_and_replay():
     # A cap that falls inside a leg search stops the search after the pop
     # that reaches it: the run ends with exactly that many iterations, and a
@@ -1393,17 +1428,17 @@ def trace_digest(result) -> str:
 # changes some of them. The fixpoint runs end proved optimal in phase 2; the
 # first-route runs end inside phase 1.
 GOLDEN_TRACES = [
-    "5809860ed453ba13", "960577490d42b18f", "2df42f2c664d782e", "7fb66f4956608268",
-    "f3909a191fd38c16", "09406b24b09419bb", "5cd7b612f02ae28d", "2d54020055a92202",
-    "a94f5b8eb5966870", "a25197d1a1034317", "2dc02dc2a0c0343a", "4bd72533a758fb60",
+    "e0defd244610c4e5", "960577490d42b18f", "c68d31edff436343", "7fb66f4956608268",
+    "6104e0402153b91f", "09406b24b09419bb", "d4347c404a169a7a", "2d54020055a92202",
+    "ae0bd2e020fe5432", "a25197d1a1034317", "14532007d42ac66b", "4bd72533a758fb60",
 ]
 # The same runs' (iterations, explored nodes, solver calls). Neither tree
 # growth nor the leg searches read solver output, so the first two do not
 # depend on when the solver runs.
 GOLDEN_COUNTS = [
-    (443, 449, 3), (75, 81, 1), (432, 438, 3), (64, 70, 1),
-    (186, 194, 3), (56, 64, 1), (198, 206, 3), (68, 76, 1),
-    (2588, 2594, 5), (57, 63, 1), (2583, 2589, 5), (52, 58, 1),
+    (298, 304, 3), (75, 81, 1), (287, 293, 3), (64, 70, 1),
+    (153, 161, 3), (56, 64, 1), (165, 173, 3), (68, 76, 1),
+    (970, 976, 5), (57, 63, 1), (965, 971, 5), (52, 58, 1),
 ]
 
 
@@ -1453,8 +1488,8 @@ def emission_digest(result) -> str:
 # graph the first-route run, then the fixpoint run. A change to the hot loop
 # that moves a choice or a float changes one of them.
 BENCH_SHAPED_TRACES = [
-    "323b069835352d97", "be043093f2e13c9c", "4df67f49877cdd60", "b63fe13e0a54ede6",
-    "4cada94fb8e781ec", "82da97b7632fefa6", "edc17b679559c0c6", "f88c9ed775d7f613",
+    "323b069835352d97", "648f65bbd127641d", "4df67f49877cdd60", "46ec0abe05e52448",
+    "4cada94fb8e781ec", "e92018796fec151f", "edc17b679559c0c6", "4569d57f61aaa553",
 ]
 
 
@@ -1492,5 +1527,5 @@ def test_runs_above_exact_max_keep_the_ga_planner_trace():
     dests = DestinationSet.build(picks[0], picks[1], objectives=tuple(picks[2:]))
     result = plan(g, dests, light_cfg(rng_seed=1, time_budget=math.inf))
     assert (result.status, result.stop_reason) == ("solved", "fixpoint")
-    assert counts(result) == (2994, 3007, 13)
-    assert trace_digest(result) == "42d43b981b5bf237"
+    assert counts(result) == (1937, 1950, 13)
+    assert trace_digest(result) == "fb2e9a6782449199"
