@@ -113,7 +113,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise CliError(EXIT_USAGE, f"--max-iterations must be at least 1, got {args.max_iterations}")
     graph_path = Path(args.graph)
     scenario_path = Path(args.scenario)
-    parse_graph = graphio.parse_osm_xml if graph_path.suffix == ".osm" else graphio.parse_edgelist
+    parse_graph = graphio.parse_osm_xml if graph_path.suffix.lower() == ".osm" else graphio.parse_edgelist
     try:
         graph_bytes = graph_path.read_bytes()
         graph, ids = parse_graph(graph_bytes)
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a planner on a graph + scenario")
-    run.add_argument("--graph", required=True, help="edge-list file, or OSM XML with .osm suffix")
+    run.add_argument("--graph", required=True, help="edge-list file, or OSM XML with .osm suffix (any case)")
     run.add_argument("--scenario", required=True)
     run.add_argument("--algo", choices=("imomd", "biastar", "anastar"), default="imomd")
     run.add_argument("--budget", type=float, default=10.0, help="time budget in seconds")

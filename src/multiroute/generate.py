@@ -203,8 +203,8 @@ def random_complete_destgraph(order: int, seed: int) -> DestGraph:
     return DestGraph(theta, source=0, target=order - 1)
 
 
-def random_incomplete_destgraph(order: int, seed: int, edge_prob: float = 0.4) -> DestGraph:
-    """Incomplete metric instance: a random spanning tree plus random extra edges."""
+def random_incomplete_destgraph(order: int, seed: int) -> DestGraph:
+    """Incomplete metric instance: a random spanning tree plus each other edge with probability 0.4."""
     if order < 2:
         raise ValueError("order must be at least 2")
     rng = random.Random(seed)
@@ -220,6 +220,6 @@ def random_incomplete_destgraph(order: int, seed: int, edge_prob: float = 0.4) -
         link(i, rng.randrange(i))
     for i in range(order):
         for j in range(i + 1, order):
-            if not math.isfinite(theta[i, j]) and rng.random() < edge_prob:
+            if not math.isfinite(theta[i, j]) and rng.random() < 0.4:
                 link(i, j)
     return DestGraph(theta, source=0, target=order - 1)

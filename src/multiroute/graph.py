@@ -15,7 +15,14 @@ from .geo import GeoPoint, great_circle_m, unit_xyz
 
 
 class GraphError(ValueError):
-    """Raised for inputs that violate the routing-graph invariants."""
+    """Raised for inputs that violate the routing-graph invariants.
+
+    ``edge`` is the bad edge's two endpoints as given, or None for other errors.
+    """
+
+    def __init__(self, message: str, edge: tuple[int, int] | None = None) -> None:
+        super().__init__(message)
+        self.edge = edge
 
 
 class RoutingGraph:
@@ -24,12 +31,13 @@ class RoutingGraph:
     Node ids are dense indices into ``nodes``. Edge weights are meters and
     default to the haversine length of the edge when not given. Duplicate
     edges collapse to the minimum weight; self-loops are rejected, and the
-    first bad edge in input order is the one named. Instances are immutable
-    after construction and safe to share across readers. ``lat`` and ``lon``
-    hold the node coordinates as read-only arrays, ``xyz`` each node's
-    unit-sphere coordinates (``geo.unit_xyz``) as a triple of Python floats,
-    and ``adj`` each node's neighbors as a tuple of (node, weight) pairs
-    sorted by node id.
+    first bad edge in input order is the one named, in the message and in
+    ``GraphError.edge``; a weightless edge between two nodes at one point has
+    length 0, so it is one. Instances are immutable after construction and
+    safe to share across readers. ``lat`` and ``lon`` hold the node
+    coordinates as read-only arrays, ``xyz`` each node's unit-sphere
+    coordinates (``geo.unit_xyz``) as a triple of Python floats, and ``adj``
+    each node's neighbors as a tuple of (node, weight) pairs sorted by node id.
     """
 
     __slots__ = ("nodes", "lat", "lon", "xyz", "adj", "edge_count", "_gc_scale")
@@ -51,13 +59,13 @@ class RoutingGraph:
         weights: dict[tuple[int, int], float] = {}
         gu: list[int] = []
         gv: list[int] = []
-        error = None
+        error: GraphError | None = None
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
-                error = f"edge ({u}, {v}) references a node outside 0..{n - 1}"
+                error = GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}", (u, v))
                 break
             if u == v:
-                error = f"self-loop at node {u}"
+                error = GraphError(f"self-loop at node {u}", (u, v))
                 break
             if w is None:
                 gu.append(u)
@@ -65,7 +73,7 @@ class RoutingGraph:
                 continue
             w = float(w)
             if not math.isfinite(w) or w <= 0.0:
-                error = f"edge ({u}, {v}) has non-positive or non-finite weight {w}"
+                error = GraphError(f"edge ({u}, {v}) has non-positive or non-finite weight {w}", (u, v))
                 break
             key = (u, v) if u < v else (v, u)
             prev = weights.get(key)
@@ -74,13 +82,13 @@ class RoutingGraph:
         lengths = great_circle_m(self.lat[gu], self.lon[gu], self.lat[gv], self.lon[gv]).tolist()
         for u, v, w in zip(gu, gv, lengths):
             if w <= 0.0:
-                raise GraphError(f"edge ({u}, {v}) has non-positive or non-finite weight {w}")
+                raise GraphError(f"edge ({u}, {v}) has non-positive or non-finite weight {w}", (u, v))
             key = (u, v) if u < v else (v, u)
             prev = weights.get(key)
             if prev is None or w < prev:
                 weights[key] = w
         if error is not None:
-            raise GraphError(error)
+            raise error
         adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for (u, v), w in weights.items():
             adj[u].append((v, w))
@@ -151,15 +159,6 @@ class ShortestPaths:
     source: int
     cost: list[float]
     parent: list[int | None]
-
-    def reachable(self, v: int) -> bool:
-        return math.isfinite(self.cost[v])
-
-    def path_to(self, v: int) -> list[int]:
-        """Node path from the source to ``v``; raises if unreachable."""
-        if not self.reachable(v):
-            raise GraphError(f"node {v} unreachable from {self.source}")
-        return path_from_root(self.parent, v)
 
 
 def dijkstra(graph: RoutingGraph, src: int) -> ShortestPaths:

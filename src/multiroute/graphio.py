@@ -6,9 +6,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .geo import GeoPoint, great_circle_m
+from .geo import GeoPoint
 from .graph import GraphError, RoutingGraph
 from .planner import DestinationSet
 
@@ -49,9 +47,6 @@ class IdMap:
         except KeyError:
             raise ParseError(f"unknown node id {external}") from None
 
-    def __len__(self) -> int:
-        return len(self.to_external)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -63,14 +58,6 @@ class ScenarioSpec:
     pseudos: tuple[tuple[int, bool], ...] = ()
 
 
-def _lengths(ends: list[tuple[GeoPoint, GeoPoint]]) -> list[float]:
-    """Great-circle length of each point pair, in one kernel call."""
-    if not ends:
-        return []
-    lat1, lon1, lat2, lon2 = np.array([(p.lat, p.lon, q.lat, q.lon) for p, q in ends]).T
-    return great_circle_m(lat1, lon1, lat2, lon2).tolist()
-
-
 # ---------------------------------------------------------------------------
 # OSM XML subset
 # ---------------------------------------------------------------------------
@@ -80,7 +67,10 @@ def parse_osm_xml(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
 
     Ways without any ``highway`` tag are dropped; consecutive ``nd`` refs of a
     retained way become undirected edges weighted by their haversine length;
-    nodes that end up with no retained edge are dropped.
+    nodes that end up with no retained edge are dropped. The parser checks
+    the XML, the nodes and the refs; ``RoutingGraph`` measures the edges, and
+    names the first way joining two nodes at one point, also before a later
+    way's error.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -104,35 +94,39 @@ def parse_osm_xml(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
         except ValueError as exc:
             raise ParseError(f"node {ext}: {exc}") from None
     edge_pairs: list[tuple[int, int]] = []
-    for way in root.iter("way"):
-        way_id = way.attrib.get("id", "?")
-        if not any(tag.attrib.get("k") == "highway" for tag in way.iter("tag")):
-            continue
-        refs = []
-        for nd in way.iter("nd"):
-            try:
-                ref = int(nd.attrib["ref"])
-            except (KeyError, ValueError):
-                raise ParseError(f"way {way_id} has an nd element without a valid ref") from None
-            if ref not in coords:
-                raise ParseError(f"way {way_id} references missing node {ref}")
-            refs.append(ref)
-        pairs = [(a, b) for a, b in zip(refs, refs[1:]) if a != b]
-        for (a, b), d in zip(pairs, _lengths([(coords[a], coords[b]) for a, b in pairs])):
-            if d == 0.0:
-                raise ParseError(f"way {way_id} joins nodes {a} and {b}, which lie at one point")
-        edge_pairs.extend(pairs)
-    ids = IdMap()
-    for a, b in edge_pairs:
-        ids.add(a)
-        ids.add(b)
-    points = [coords[ext] for ext in ids.to_external]
-    edges = [(ids.to_internal[a], ids.to_internal[b], None) for a, b in edge_pairs]
+    first_way: dict[tuple[int, int], str] = {}
+
+    def build() -> tuple[RoutingGraph, IdMap]:
+        ids = IdMap()
+        edges = [(ids.add(a), ids.add(b), None) for a, b in edge_pairs]
+        try:
+            return RoutingGraph([coords[ext] for ext in ids.to_external], edges), ids
+        except GraphError as exc:  # the refs are valid, so only a zero length is left
+            a, b = (ids.to_external[i] for i in exc.edge)
+            raise ParseError(f"way {first_way[a, b]} joins nodes {a} and {b}, which lie at one point") from None
+
     try:
-        graph = RoutingGraph(points, edges)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from None
-    return graph, ids
+        for way in root.iter("way"):
+            way_id = way.attrib.get("id", "?")
+            if not any(tag.attrib.get("k") == "highway" for tag in way.iter("tag")):
+                continue
+            refs = []
+            for nd in way.iter("nd"):
+                try:
+                    ref = int(nd.attrib["ref"])
+                except (KeyError, ValueError):
+                    raise ParseError(f"way {way_id} has an nd element without a valid ref") from None
+                if ref not in coords:
+                    raise ParseError(f"way {way_id} references missing node {ref}")
+                refs.append(ref)
+            for pair in zip(refs, refs[1:]):
+                if pair[0] != pair[1]:
+                    first_way.setdefault(pair, way_id)
+                    edge_pairs.append(pair)
+    except ParseError:
+        build()
+        raise
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +141,26 @@ def parse_edgelist(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
 
     UTF-8 text: a ``graph v1`` header, ``n <id> <lat> <lon>`` node lines,
     ``e <id> <id> [weight-meters]`` edge lines, ``#`` comments. Omitted
-    weights default to the haversine length of the edge.
+    weights default to the haversine length of the edge. The parser checks
+    each line, an edge's nodes, self-loop and given weight; ``RoutingGraph``
+    measures the weightless edges, and names the first line joining two
+    nodes at one point, also before a later line's error.
     """
     ids = IdMap()
     internal = ids.to_internal
     points: list[GeoPoint] = []
     edges: list[tuple[int, int, float | None]] = []
-    weightless: list[tuple[int, int, int]] = []  # (line, external a, external b)
+    weightless: dict[tuple[int, int], int] = {}  # external (a, b) -> first line
     header = False
 
-    def check_weightless() -> None:
-        """Reject the first weightless edge so far whose nodes lie at one point."""
-        ends = [(points[internal[a]], points[internal[b]]) for _, a, b in weightless]
-        for (no, a, b), d in zip(weightless, _lengths(ends)):
-            if d == 0.0:
-                raise ParseError(f"line {no}: nodes {a} and {b} lie at one point, so the edge needs a weight")
+    def build() -> RoutingGraph:
+        try:
+            return RoutingGraph(points, edges)
+        except GraphError as exc:  # the lines checked all but a weightless edge's length
+            a, b = (ids.to_external[i] for i in exc.edge)
+            no = weightless[a, b]
+            raise ParseError(f"line {no}: nodes {a} and {b} lie at one point, so the edge needs a weight") from None
 
-    # The coincident-node test of weightless edges runs in one kernel call
-    # after the lines, or before an error that a later line raises, so the
-    # first bad line is still the one named.
     try:
         for no, raw in enumerate(_text(data).splitlines(), start=1):
             ln = raw.strip()
@@ -204,23 +199,19 @@ def parse_edgelist(data: bytes | str) -> tuple[RoutingGraph, IdMap]:
                 if a == b:
                     raise ParseError(f"line {no}: self-loop at node {a}")
                 if w is None:
-                    weightless.append((no, a, b))
+                    weightless.setdefault((a, b), no)
                 elif not math.isfinite(w) or w <= 0.0:
                     raise ParseError(f"line {no}: edge weight must be positive and finite, got {w}")
                 edges.append((ia, ib, w))
             else:
                 raise ParseError(f"line {no}: unknown record kind {kind!r}")
     except ParseError:
-        check_weightless()
+        if weightless:
+            build()
         raise
     if not header:
         raise ParseError(f"missing '{EDGELIST_HEADER}' header line")
-    check_weightless()
-    try:
-        graph = RoutingGraph(points, edges)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from None
-    return graph, ids
+    return build(), ids
 
 
 def serialize_edgelist(graph: RoutingGraph, ids: IdMap | None = None) -> str:
@@ -243,7 +234,9 @@ def parse_scenario(data: bytes | str) -> ScenarioSpec:
 
     Keys, one per line: ``source <id>`` and ``target <id>`` (once each),
     ``objectives <id>...`` (repeatable), ``pseudo <id> [must_visit]``
-    (repeatable); ``#`` comments.
+    (repeatable); ``#`` comments. Only the records are checked here: the
+    destination roles (distinct ids, source other than target) are checked
+    by ``resolve_scenario``.
     """
     data = _text(data)
     source: int | None = None
@@ -275,10 +268,6 @@ def parse_scenario(data: bytes | str) -> ScenarioSpec:
             raise ParseError(f"line {no}: {exc}") from None
     if source is None or target is None:
         raise ParseError("scenario must define both source and target")
-    if source == target:
-        raise ParseError("scenario source and target must differ")
-    if len(set(objectives)) != len(objectives):
-        raise ParseError("scenario objectives must be distinct")
     return ScenarioSpec(
         source=source,
         target=target,
@@ -299,8 +288,8 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
 def resolve_scenario(spec: ScenarioSpec, ids: IdMap) -> DestinationSet:
     """Map a scenario's external ids onto internal destination indices.
 
-    The destination roles are checked over the external ids, so errors name
-    the ids the scenario file uses.
+    The destination roles are checked by ``DestinationSet.build`` over the
+    external ids, so errors name the ids the scenario file uses.
     """
     try:
         external = DestinationSet.build(spec.source, spec.target, spec.objectives, spec.pseudos)

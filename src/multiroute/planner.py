@@ -424,10 +424,8 @@ def update_connections(
     return improved
 
 
-def destinations_connected(
-    matrix: Sequence[Sequence[float]], required: Sequence[bool] | None = None
-) -> bool:
-    """True iff the finite matrix entries connect all (required) destinations.
+def destinations_connected(matrix: Sequence[Sequence[float]], required: Sequence[bool]) -> bool:
+    """True iff the finite matrix entries connect all required destinations.
 
     Sweeps matrix rows from the first required destination with a stack; any
     entry below INF links its row and column.
@@ -435,7 +433,7 @@ def destinations_connected(
     n = len(matrix)
     if n == 0:
         return True
-    want = range(n) if required is None else [i for i in range(n) if required[i]]
+    want = [i for i in range(n) if required[i]]
     seen = [False] * n
     seen[want[0]] = True
     stack = [want[0]]
@@ -481,7 +479,8 @@ class PlannerConfig:
     # Ordering-solver strength above ``ordering.EXACT_MAX`` required
     # intermediates for the in-loop solves, the first route's and one per
     # phase-2 row of searches that lowered an entry; the one solve at the end
-    # runs at full strength, ``GaConfig()``.
+    # runs at full strength, ``GaConfig()``. Its ``rng_seed`` is never used:
+    # each solve draws its seed from the run's solver stream.
     solver_ga: GaConfig = field(
         default_factory=lambda: GaConfig(mutation_count=150, crossover_count=150, generations=3)
     )
@@ -654,11 +653,15 @@ def plan(
             if on_solution is not None:
                 on_solution(sol)
 
-    # The budget, checked inline before each phase-1 iteration and by each
-    # leg search before each pop: the time first, then the iteration cap.
+    # The budget, checked before each phase-1 iteration and by each leg
+    # search before each pop.
     monotonic = time.monotonic
     deadline = start + cfg.time_budget
     cap = INF if cfg.max_iterations is None else cfg.max_iterations
+
+    def budget_spent() -> str | None:
+        """Which budget has run out, if any: the time first, then the iteration cap."""
+        return "time_budget" if monotonic() >= deadline else "max_iterations" if iterations >= cap else None
 
     # Phase 1: sampled growth, round-robin over the trees, to the first route.
     # A saturated tree holds its whole component and is linked to every
@@ -672,11 +675,8 @@ def plan(
     idx = n_trees - 1
     linked = 0  # len(conn.best) at the last check
     while not solutions:
-        if monotonic() >= deadline:
-            stop_reason = "time_budget"
-            break
-        if iterations >= cap:
-            stop_reason = "max_iterations"
+        if monotonic() >= deadline or iterations >= cap:  # inline, as it runs every iteration
+            stop_reason = budget_spent()
             break
         idx += 1
         if idx == n_trees:
@@ -713,12 +713,7 @@ def plan(
     # A run solves after each round or row that lowered an entry, and at a
     # stop inside one, so it ends with its final matrix ordered.
     if stop_reason is None:
-        if monotonic() >= deadline:
-            stop_reason = "time_budget"
-        elif iterations >= cap:
-            stop_reason = "max_iterations"
-        elif cfg.stop_after_first:
-            stop_reason = "first_solution"
+        stop_reason = budget_spent() or ("first_solution" if cfg.stop_after_first else None)
     if stop_reason is None:
         matrix = conn.matrix
         nodes = dests.node_ids
@@ -773,7 +768,7 @@ def plan(
         except NoPathYet as stopped:
             iterations += stopped.explored_nodes
             explored += stopped.explored_nodes
-            stop_reason = "time_budget" if monotonic() >= deadline else "max_iterations"
+            stop_reason = budget_spent()
             if fell:
                 try_solve()
 

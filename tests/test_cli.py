@@ -505,6 +505,25 @@ def test_osm_node_with_bad_coordinates_is_a_parse_error(fixtures, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["map.osm", "map.OSM", "map.Osm"])
+def test_osm_suffix_is_read_in_any_case(fixtures, tmp_path, name):
+    # The triangle of TRIANGLE as OSM XML, so the scenario resolves and the
+    # route is the same: an edge-list parse would stop at the missing header.
+    _, scenario = fixtures
+    graph = tmp_path / name
+    graph.write_text(
+        "<osm><node id='0' lat='45.0' lon='7.0'/><node id='1' lat='45.0001' lon='7.0'/>"
+        "<node id='2' lat='45.0' lon='7.0001'/>"
+        "<way id='5'><nd ref='0'/><nd ref='1'/><nd ref='2'/><nd ref='0'/><tag k='highway' v='primary'/></way></osm>"
+    )
+    out = tmp_path / "r.jsonl"
+    rc = main(["run", "--graph", str(graph), "--scenario", str(scenario), "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    summary = read_jsonl(out)[-1]
+    assert summary["status"] == "solved"
+    assert summary["trace"][-1]["visit_order"] == [0, 1, 2]
+
+
 def test_csv_format(fixtures, tmp_path):
     graph, scenario = fixtures
     out = tmp_path / "r.csv"

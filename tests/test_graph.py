@@ -90,8 +90,8 @@ def test_dijkstra_single_node():
 def test_dijkstra_path_graph():
     g = RoutingGraph(grid_points(3), [(0, 1, 2.0), (1, 2, 3.0)])
     sp = dijkstra(g, 0)
-    assert sp.cost[2] == 5.0
-    assert sp.path_to(2) == [0, 1, 2]
+    assert sp.cost == [0.0, 2.0, 5.0]
+    assert path_from_root(sp.parent, 2) == [0, 1, 2]
 
 
 def test_great_circle_scale():
@@ -152,10 +152,19 @@ def test_default_weights_give_a_scale_of_exactly_one():
 )
 def test_the_first_bad_edge_in_input_order_is_named(edges, message):
     pts = [GeoPoint(45.0, 7.0), GeoPoint(45.001, 7.0), GeoPoint(45.001, 7.0), GeoPoint(45.002, 7.0)]
-    with pytest.raises(GraphError, match=message):
+
+    def bad(u, v, w):
+        if not (0 <= u < 4 and 0 <= v < 4) or u == v:
+            return True
+        return pts[u] == pts[v] if w is None else not 0.0 < w < math.inf
+
+    first = next((u, v) for u, v, w in edges if bad(u, v, w))
+    with pytest.raises(GraphError, match=message) as exc:
         RoutingGraph(pts, edges)
-    with pytest.raises(GraphError, match=message):
+    assert exc.value.edge == first
+    with pytest.raises(GraphError, match=message) as exc:
         RoutingGraph(pts, iter(edges))
+    assert exc.value.edge == first
 
 
 def test_path_from_root_on_dict_and_list_parents():
@@ -168,9 +177,8 @@ def test_path_from_root_on_dict_and_list_parents():
 def test_dijkstra_unreachable_marked_infinite():
     g = RoutingGraph(grid_points(3), [(0, 1, 2.0)])
     sp = dijkstra(g, 0)
-    assert not sp.reachable(2)
-    with pytest.raises(GraphError):
-        sp.path_to(2)
+    assert sp.cost == [0.0, 2.0, math.inf]
+    assert sp.parent == [None, 0, None]
 
 
 def test_dijkstra_invalid_source():

@@ -1,9 +1,10 @@
 import random
 import re
+import sys
 
 import pytest
 
-from multiroute.geo import GeoPoint, haversine
+from multiroute.geo import GeoPoint, great_circle_m, haversine
 from multiroute.graph import RoutingGraph
 from multiroute.graphio import (
     IdMap,
@@ -123,6 +124,49 @@ def test_hundred_way_fixture_matches_independent_count():
     g, ids = parse_osm_xml(xml)
     assert g.node_count == len(kept_nodes)
     assert g.edge_count == len(kept_pairs)
+
+
+@pytest.mark.parametrize("nd", ["<nd ref='999'/>", "<nd ref='x'/>", "<nd/>"])
+def test_a_coincident_pair_in_an_earlier_way_is_named_before_a_later_bad_ref(nd):
+    # RoutingGraph measures the edges, so the parser builds the graph of the
+    # ways read so far before it raises a later way's error.
+    nodes = (
+        "<node id='10' lat='45.0' lon='7.0'/><node id='11' lat='45.0' lon='7.0'/>"
+        "<node id='12' lat='45.001' lon='7.0'/>"
+    )
+    fine = "<way id='2'><nd ref='10'/><nd ref='12'/><tag k='highway' v='primary'/></way>"
+    coincident = "<way id='3'><nd ref='12'/><nd ref='11'/><nd ref='10'/><tag k='highway' v='primary'/></way>"
+    later = f"<way id='4'><nd ref='12'/>{nd}<tag k='highway' v='primary'/></way>"
+    with pytest.raises(ParseError, match="^way 3 joins nodes 11 and 10, which lie at one point$"):
+        parse_osm_xml(osm(nodes + fine + coincident + later))
+    with pytest.raises(ParseError, match="^way 4 "):
+        parse_osm_xml(osm(nodes + fine + later + coincident))
+
+
+def test_osm_ways_are_measured_in_a_fixed_number_of_kernel_calls(monkeypatch):
+    # Only RoutingGraph measures edges, all in one pass: the great_circle_m
+    # calls of a parse do not grow with the number of ways.
+    real = great_circle_m
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multiroute" and getattr(module, "great_circle_m", None) is real:
+            monkeypatch.setattr(module, "great_circle_m", counted)
+
+    def parse_calls(n_ways):
+        nodes = "".join(f"<node id='{i}' lat='{45.0 + i * 1e-4}' lon='7.0'/>" for i in range(n_ways + 1))
+        tag = "<tag k='highway' v='x'/>"
+        ways = "".join(f"<way id='{i}'><nd ref='{i}'/><nd ref='{i + 1}'/>{tag}</way>" for i in range(n_ways))
+        calls.clear()
+        g, _ = parse_osm_xml(osm(nodes + ways))
+        assert g.edge_count == n_ways
+        return len(calls)
+
+    assert parse_calls(1) == parse_calls(40) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +297,10 @@ def test_scenario_without_objectives_has_two_destinations():
 
 
 def test_duplicate_objective_rejected():
-    with pytest.raises(ParseError, match="distinct"):
-        parse_scenario("source 100\ntarget 101\nobjectives 102 102\n")
+    spec = parse_scenario("source 100\ntarget 101\nobjectives 102 102\n")
+    assert spec.objectives == (102, 102)
+    with pytest.raises(ParseError, match="^objective 102 duplicates another destination$"):
+        resolve_scenario(spec, ids_for(3))
 
 
 def test_objective_equal_to_source_rejected():
@@ -296,8 +342,9 @@ def test_scenario_round_trip():
 
 
 def test_source_equal_target_rejected():
-    with pytest.raises(ParseError):
-        parse_scenario("source 100\ntarget 100\n")
+    spec = parse_scenario("source 100\ntarget 100\n")
+    with pytest.raises(ParseError, match="^source and target must differ$"):
+        resolve_scenario(spec, ids_for(1))
 
 
 @pytest.mark.parametrize(

@@ -518,12 +518,12 @@ def test_matrix_entries_never_increase_and_dominate_dijkstra():
 
 
 def test_connected_trivial_cases():
-    assert destinations_connected([[0.0, 5.0], [5.0, 0.0]]) is True
-    assert destinations_connected([[0.0, INF], [INF, 0.0]]) is False
+    assert destinations_connected([[0.0, 5.0], [5.0, 0.0]], [True, True]) is True
+    assert destinations_connected([[0.0, INF], [INF, 0.0]], [True, True]) is False
     # An isolated optional destination does not break required connectivity.
     m = [[0.0, 5.0, INF], [5.0, 0.0, INF], [INF, INF, 0.0]]
     assert destinations_connected(m, required=[True, True, False]) is True
-    assert destinations_connected(m) is False
+    assert destinations_connected(m, [True] * 3) is False
 
 
 def hub_and_isolated_cases():
@@ -552,7 +552,7 @@ def test_connected_matches_bfs_on_random_threshold_matrices():
                 if rng.random() < 0.3:
                     m[i][k] = m[k][i] = rng.uniform(1, 5)
                     pairs.append((i, k))
-        assert destinations_connected(m) is (bfs_components(n, pairs) == 1)
+        assert destinations_connected(m, [True] * n) is (bfs_components(n, pairs) == 1)
         for _ in range(5):
             required = [masks.random() < 0.5 for _ in range(n)]
             required[masks.randrange(n)] = True
@@ -563,7 +563,7 @@ def test_connected_matches_bfs_on_random_threshold_matrices():
             m[i][k] = m[k][i] = 1.0 + i + k
         assert bfs_connects(n, pairs, required)
         assert destinations_connected(m, required) is True
-        assert destinations_connected(m) is (bfs_components(n, pairs) == 1)
+        assert destinations_connected(m, [True] * n) is (bfs_components(n, pairs) == 1)
 
 
 # ---------------------------------------------------------------------------
